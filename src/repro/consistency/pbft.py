@@ -462,16 +462,13 @@ class PBFTReplica:
     # -- message handling ---------------------------------------------------------
 
     def handle(self, message: Message) -> None:
-        payload = message.payload
-        # Exact-type dispatch: the payload classes are flat (no protocol
-        # message subclasses another), so one dict lookup replaces a
-        # 12-branch isinstance chain on the hottest handler in the system
-        # -- every message delivered to a ring node lands here first.
-        # The SILENT check runs only on a dispatch hit, keeping the miss
-        # path (heartbeat traffic crossing a ring node) to the lookup.
-        handler = _PBFT_DISPATCH.get(type(payload))
-        if handler is not None and self.fault_mode is not FaultMode.SILENT:
-            handler(self, payload)
+        # The mailbox is subscribed with exactly the keys of the dispatch
+        # table, so the network delivers nothing that misses it.  The table
+        # is read per message, not bound at subscribe time: benchmark
+        # tracers wrap its values in place.
+        if self.fault_mode is not FaultMode.SILENT:
+            payload = message.payload
+            _PBFT_DISPATCH[type(payload)](self, payload)
 
     # -- normal case ----------------------------------------------------------------
 
@@ -1279,10 +1276,10 @@ class PBFTReplica:
             self._execute_ready()
 
 
-#: payload type -> bound handler for :meth:`PBFTReplica.handle`; built
-#: once after the class body so the hot path is a single dict lookup.
-#: ``Corrupted`` (and any unknown type) is absent and falls through,
-#: exactly as the isinstance chain ignored it.
+#: payload type -> handler for :meth:`PBFTReplica.handle`, and (its keys)
+#: the types a replica's mailbox subscribes with.  The payload classes
+#: are flat (none subclasses another); ``Corrupted`` and any unknown type
+#: are absent, so the network never delivers them to a replica.
 _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
     ClientRequest: lambda replica, p: replica._on_request(p.update),
     PrePrepare: PBFTReplica._on_pre_prepare,
@@ -1360,9 +1357,9 @@ class InnerRing:
                 # A ring installed mid-run (membership handoff) must not
                 # clobber handlers other subsystems -- failure detector,
                 # dissemination tier -- already hold on these nodes.
-                network.subscribe(replica.network_id, replica.handle)
+                network.subscribe(replica.network_id, replica.handle, _PBFT_DISPATCH)
             else:
-                network.register(replica.network_id, replica.handle)
+                network.register(replica.network_id, replica.handle, _PBFT_DISPATCH)
         #: optional ACL check every honest replica runs on client requests
         self.authorizer: Callable[[Update], bool] | None = None
         self._execute_callbacks: list[Callable[[PBFTReplica, int, Update], None]] = []

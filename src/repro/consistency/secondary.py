@@ -164,13 +164,9 @@ class SecondaryReplica:
         committed pushes would silently apply to another object's
         replica on a shared node.
         """
-        # Exact-type dispatch (payload classes are flat); heartbeat pings
-        # sweep every node each round, so the miss case -- a payload type
-        # this tier does not speak -- must be one dict lookup, not a
-        # six-branch isinstance chain.
-        handler = _SECONDARY_DISPATCH.get(type(message.payload))
-        if handler is not None:
-            handler(self, message.payload)
+        # subscribed with exactly the table's keys; the table is read per
+        # message because benchmark tracers wrap its values in place
+        _SECONDARY_DISPATCH[type(message.payload)](self, message.payload)
 
     def _on_tentative_gossip(self, payload: TentativeGossip) -> None:
         guid = self.tier.object_guid
@@ -299,9 +295,9 @@ class SecondaryReplica:
             )
 
 
-#: payload type -> bound handler for :meth:`SecondaryReplica.handle`;
-#: unknown types (heartbeats, PBFT traffic on a shared node) miss the
-#: dict and are ignored, as the isinstance chain did.
+#: payload type -> handler for :meth:`SecondaryReplica.handle`, and (its
+#: keys) the types a replica's mailbox subscribes with, so heartbeats and
+#: PBFT traffic on a shared node never reach it.
 _SECONDARY_DISPATCH = {
     TentativeGossip: SecondaryReplica._on_tentative_gossip,
     AntiEntropyRequest: SecondaryReplica._on_anti_entropy_request,
@@ -310,6 +306,10 @@ _SECONDARY_DISPATCH = {
     PullRequest: SecondaryReplica._on_pull_request,
     PullResponse: SecondaryReplica._on_pull_response,
 }
+
+
+#: what :meth:`SecondaryTier._root_handle` serves from the pushed log
+_ROOT_TYPES = (PullRequest, AntiEntropyRequest)
 
 
 class SecondaryTier:
@@ -344,15 +344,10 @@ class SecondaryTier:
         #: serve pulls ("pull missing information from parents and
         #: primary replicas").
         self._pushed: dict[int, Update] = {}
-        network.subscribe(root_contact, self._root_handle)
+        network.subscribe(root_contact, self._root_handle, _ROOT_TYPES)
 
     def _root_handle(self, message: Message) -> None:
         payload = message.payload
-        # cheap exact-type reject: this runs for every message delivered
-        # to the root node, heartbeat acks included
-        t = type(payload)
-        if t is not PullRequest and t is not AntiEntropyRequest:
-            return
         if isinstance(payload, PullRequest):
             if payload.object_guid != self.object_guid:
                 return
@@ -397,12 +392,12 @@ class SecondaryTier:
             return
         self.network.unsubscribe(old_root, self._root_handle)
         self.tree.repoint_root(new_root)
-        self.network.subscribe(new_root, self._root_handle)
+        self.network.subscribe(new_root, self._root_handle, _ROOT_TYPES)
 
     def add_replica(self, network_id: NodeId, low_bandwidth: bool = False) -> SecondaryReplica:
         replica = SecondaryReplica(network_id, self)
         self.replicas[network_id] = replica
-        self.network.subscribe(network_id, replica.handle)
+        self.network.subscribe(network_id, replica.handle, _SECONDARY_DISPATCH)
         self.tree.add_member(network_id)
         if low_bandwidth:
             self.tree.mark_low_bandwidth(network_id)

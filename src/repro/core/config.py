@@ -115,13 +115,6 @@ class DeploymentConfig:
     #: RSA modulus bits for server/client identities (small: simulation)
     key_bits: int = 256
 
-    #: message body hashing discipline: ``"lazy"`` computes a body
-    #: digest only when an observer (flight recorder, chaos check) asks
-    #: for one and memoizes it on the message; ``"eager"`` computes it
-    #: at send time, the pre-PR-9 behaviour.  Digests are identical in
-    #: both modes -- only *when* the sha256 runs differs.
-    hash_bodies: str = "lazy"
-
     #: out-of-band observability (metrics + causal traces); off by default
     #: so unobserved deployments pay nothing
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -152,10 +145,6 @@ class DeploymentConfig:
             raise ValueError("need 1 <= archival_k < archival_n")
         if self.salts < 1:
             raise ValueError("salts must be >= 1")
-        if self.hash_bodies not in ("lazy", "eager"):
-            raise ValueError(
-                f"hash_bodies must be 'lazy' or 'eager', got {self.hash_bodies!r}"
-            )
 
     @property
     def ring_size(self) -> int:

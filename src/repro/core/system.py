@@ -150,12 +150,7 @@ class OceanStoreSystem:
         self.graph = build_transit_stub_topology(
             self.config.topology, seeds.derive("topology")
         )
-        self.network = Network(
-            self.kernel,
-            self.graph,
-            telemetry=self.telemetry,
-            hash_bodies=self.config.hash_bodies,
-        )
+        self.network = Network(self.kernel, self.graph, telemetry=self.telemetry)
         if self.config.telemetry.net_body_digests:
             self.network.record_body_digests = True
         self.injector = FailureInjector(self.kernel, self.network, seeds.derive("failures"))

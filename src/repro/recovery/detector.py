@@ -100,8 +100,8 @@ class FailureDetector:
         self._on_suspect: list[Callable[[NodeId], None]] = []
         self._on_restore: list[Callable[[NodeId], None]] = []
         for node in self.monitored:
-            network.subscribe(node, self._respond)
-        network.subscribe(observer, self._handle_ack)
+            network.subscribe(node, self._respond, (HeartbeatPing,))
+        network.subscribe(observer, self._handle_ack, (HeartbeatAck,))
         self._timer = Timer(
             kernel,
             interval_ms,
@@ -117,6 +117,15 @@ class FailureDetector:
 
     def stop(self) -> None:
         self._timer.stop()
+
+    def close(self) -> None:
+        """Stop, and give the network back its mailboxes: without this a
+        discarded detector (and the system behind it) stays reachable
+        from the network's handler table."""
+        self.stop()
+        for node in self.monitored:
+            self.network.unsubscribe(node, self._respond)
+        self.network.unsubscribe(self.observer, self._handle_ack)
 
     def subscribe(
         self,
@@ -140,14 +149,6 @@ class FailureDetector:
         return Subscription(
             detector=self, on_suspect=on_suspect, on_restore=on_restore
         )
-
-    def on_suspect(self, callback: Callable[[NodeId], None]) -> None:
-        """Back-compat shim for :meth:`subscribe`."""
-        self.subscribe(on_suspect=callback)
-
-    def on_restore(self, callback: Callable[[NodeId], None]) -> None:
-        """Back-compat shim for :meth:`subscribe`."""
-        self.subscribe(on_restore=callback)
 
     # -- heartbeat rounds -----------------------------------------------------
 
@@ -175,10 +176,6 @@ class FailureDetector:
 
     def _respond(self, message: Message) -> None:
         payload = message.payload
-        # exact-type check: this handler runs on every monitored node for
-        # every delivered message, so the miss case must be cheap
-        if type(payload) is not HeartbeatPing:
-            return
         if payload.sender != self.observer:
             return
         self.network.send(
@@ -192,11 +189,10 @@ class FailureDetector:
 
     def _handle_ack(self, message: Message) -> None:
         payload = message.payload
-        if type(payload) is HeartbeatAck:
-            last_ack = self._last_ack
-            sender = payload.sender
-            if payload.round_no > last_ack.get(sender, 0):
-                last_ack[sender] = payload.round_no
+        last_ack = self._last_ack
+        sender = payload.sender
+        if payload.round_no > last_ack.get(sender, 0):
+            last_ack[sender] = payload.round_no
 
     def _evaluate(self, round_no: int) -> None:
         if self.network.is_down(self.observer):

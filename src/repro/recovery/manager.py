@@ -99,8 +99,8 @@ class RecoveryManager:
         self._refresh_timer.stop()
 
     def close(self) -> None:
-        """Full teardown: stop both timers and detach the repair loops
-        from the detector.
+        """Full teardown: stop both timers, detach the repair loops from
+        the detector and the detector from the network.
 
         ``stop()`` deliberately leaves the suspect/restore subscriptions
         attached so a stopped manager can be restarted; ``close()`` is
@@ -109,6 +109,7 @@ class RecoveryManager:
         listeners keep the repairers (and their meshes) collectable.
         """
         self.stop()
+        self.detector.close()
         self._routing_sub.cancel()
         self._tree_sub.cancel()
 

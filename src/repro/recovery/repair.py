@@ -9,24 +9,27 @@ age out instead of accumulating forever.
 
 :class:`RoutingRepairer` keeps, per registered publication
 ``(replica_node, object_guid)``, the per-salt publish path it last
-deposited pointers along.  On suspicion of a node it (1) evicts the node
-from every neighbor-table entry in the mesh, (2) scrubs and republishes
-every publication whose stored path ran through the dead node, and
-(3) drops publications that were *hosted* on the dead node.  The
-periodic :meth:`refresh` re-walks every publication: scrub the old path,
-publish along the current route, remember the new path.
+deposited pointers along and the mesh's routing epoch it walked them at.
+On suspicion of a node it (1) evicts the node from every neighbor-table
+entry in the mesh, (2) scrubs and republishes every publication whose
+stored path ran through the dead node, and (3) drops publications that
+were *hosted* on the dead node.  The periodic :meth:`refresh` republishes
+every publication: scrub the old path, deposit along the current route,
+remember it.  The current route is walked only if the epoch moved since
+the stored one was; otherwise the stored one *is* the current route, and
+the refresh re-deposits along it with the same counters and telemetry.
 """
 
 from __future__ import annotations
 
-from repro.routing.plaxton import PlaxtonMesh
+from repro.routing.plaxton import PlaxtonMesh, RouteTrace
 from repro.routing.salt import SaltedRouter
 from repro.sim.network import Network, NodeId
 from repro.telemetry import coalesce
 from repro.util.ids import GUID
 
-#: salt index -> publish path last used for that salt
-_SaltPaths = dict[int, tuple[NodeId, ...]]
+#: per salt, in salt order: the route pointers were last deposited along
+_SaltPaths = list[RouteTrace]
 
 
 class RoutingRepairer:
@@ -43,7 +46,10 @@ class RoutingRepairer:
         self.router = router
         self.network = network
         self.telemetry = coalesce(telemetry)
-        self._paths: dict[tuple[NodeId, GUID], _SaltPaths] = {}
+        #: publication -> (routing epoch its routes were walked at, routes)
+        self._paths: dict[
+            tuple[NodeId, GUID], tuple[tuple[int, int], _SaltPaths]
+        ] = {}
         self.stats_evictions = 0
         self.stats_republishes = 0
 
@@ -52,19 +58,20 @@ class RoutingRepairer:
     def register(self, replica_node: NodeId, object_guid: GUID) -> None:
         """Record the publish paths for a replica already published
         through the location service, so repair can find them later."""
-        paths: _SaltPaths = {}
-        for i, salted in enumerate(self.router.salted_guids(object_guid)):
-            trace = self.mesh.route_to_root(replica_node, salted)
-            paths[i] = tuple(trace.path)
-        self._paths[(replica_node, object_guid)] = paths
+        epoch = self.mesh.routing_epoch
+        paths = [
+            self.mesh.route_to_root(replica_node, salted)
+            for salted in self.router.salted_guids(object_guid)
+        ]
+        self._paths[(replica_node, object_guid)] = (epoch, paths)
 
     def forget(
         self, replica_node: NodeId, object_guid: GUID, scrub: bool = True
     ) -> None:
         """Drop a publication; optionally scrub its pointers too."""
-        paths = self._paths.pop((replica_node, object_guid), None)
-        if paths is not None and scrub:
-            self._scrub(replica_node, object_guid, paths)
+        record = self._paths.pop((replica_node, object_guid), None)
+        if record is not None and scrub:
+            self._scrub(replica_node, object_guid, record[1])
 
     def publications(self) -> list[tuple[NodeId, GUID]]:
         return sorted(self._paths, key=lambda key: (key[0], key[1].value))
@@ -80,8 +87,8 @@ class RoutingRepairer:
                 # lies now; scrub them and forget the publication.
                 self.forget(replica_node, object_guid, scrub=True)
                 continue
-            paths = self._paths[(replica_node, object_guid)]
-            if any(node in path for path in paths.values()):
+            _, paths = self._paths[(replica_node, object_guid)]
+            if any(node in trace.path for trace in paths):
                 self.republish(replica_node, object_guid)
 
     def evict(self, node: NodeId) -> None:
@@ -92,15 +99,7 @@ class RoutingRepairer:
         The node's own table is left alone (it is not routing anyway,
         and a rebuild via ``build_tables`` restores everything).
         """
-        removed = 0
-        for nid in sorted(self.mesh.nodes):
-            if nid == node:
-                continue
-            for row in self.mesh.nodes[nid].table:
-                for entry in row:
-                    if node in entry:
-                        entry.remove(node)
-                        removed += 1
+        removed = self.mesh.drop_links(node)
         self.stats_evictions += 1
         tel = self.telemetry
         if tel.enabled:
@@ -108,21 +107,25 @@ class RoutingRepairer:
             tel.record("recovery", "evict", node=node, links_removed=removed)
 
     def republish(self, replica_node: NodeId, object_guid: GUID) -> None:
-        """Scrub the stored paths and deposit pointers along fresh routes."""
+        """Scrub the stored paths and deposit pointers along the current
+        routes, which are the stored ones unless the routing epoch moved."""
         key = (replica_node, object_guid)
-        paths = self._paths.get(key)
-        if paths is None:
+        record = self._paths.get(key)
+        if record is None:
             return
         if self.network.is_down(replica_node):
             # Can't republish from a dead host; drop the publication.
             self.forget(replica_node, object_guid, scrub=True)
             return
+        walked_at, paths = record
         self._scrub(replica_node, object_guid, paths)
-        fresh: _SaltPaths = {}
-        for i, salted in enumerate(self.router.salted_guids(object_guid)):
-            trace = self.mesh.publish(replica_node, salted)
-            fresh[i] = tuple(trace.path)
-        self._paths[key] = fresh
+        epoch = self.mesh.routing_epoch
+        current = walked_at == epoch
+        fresh = [
+            self.mesh.publish(replica_node, salted, walked=trace if current else None)
+            for salted, trace in zip(self.router.salted_guids(object_guid), paths)
+        ]
+        self._paths[key] = (epoch, fresh)
         self.stats_republishes += 1
         tel = self.telemetry
         if tel.enabled:
@@ -149,8 +152,8 @@ class RoutingRepairer:
     def _scrub(
         self, replica_node: NodeId, object_guid: GUID, paths: _SaltPaths
     ) -> None:
-        for i, salted in enumerate(self.router.salted_guids(object_guid)):
-            for nid in paths.get(i, ()):
+        for salted, trace in zip(self.router.salted_guids(object_guid), paths):
+            for nid in trace.path:
                 node = self.mesh.nodes.get(nid)
                 if node is not None:
                     node.remove_pointer(salted, replica_node)

@@ -252,7 +252,9 @@ class HandoffManager:
         self._active[shard_id] = pending
         shard.transitioning = True
         for node in replacements:
-            system.network.subscribe(node, self._handle)
+            system.network.subscribe(
+                node, self._handle, (StateHandoffChunk, HandoffComplete)
+            )
         self._subscribed[shard_id] = list(replacements)
         for member in new_members:
             if member == coordinator:

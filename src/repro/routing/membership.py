@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 from repro.routing.plaxton import PlaxtonMesh, PlaxtonNode, RoutingError
 from repro.sim.network import NodeId
-from repro.util.ids import DIGIT_BITS, GUID
-
-DIGIT_BASE = 1 << DIGIT_BITS
+from repro.util.ids import GUID
 
 
 @dataclass
@@ -65,85 +63,9 @@ class MembershipManager:
         the information used (who matches which suffix, who is closest) is
         exactly what the recursive algorithm gathers hop by hop.
         """
-        node = self.mesh.add_server(network_id, node_id)
-        height = self.mesh.table_height + 1
-        self._build_node_table(node, height)
-        self._offer_to_others(node, height)
-        self._extend_heights(height)
+        node = self.mesh.insert_server(network_id, node_id)
         self.stats_inserted += 1
         return node
-
-    def _build_node_table(self, node: PlaxtonNode, height: int) -> None:
-        own_digits = node.node_id.digits()
-        table: list[list[list[NodeId]]] = []
-        for level in range(height):
-            row: list[list[NodeId]] = []
-            prefix = own_digits[:level]
-            for digit in range(DIGIT_BASE):
-                candidates = [
-                    other.network_id
-                    for other in self.mesh.nodes.values()
-                    if other.node_id.digits()[:level] == prefix
-                    and other.node_id.digit(level) == digit
-                ]
-                ranked = sorted(
-                    candidates,
-                    key=lambda nid: (
-                        self.mesh.network.latency_ms(node.network_id, nid),
-                        self.mesh.nodes[nid].node_id.value,
-                    ),
-                )
-                row.append(ranked[: PlaxtonNode.BACKUPS])
-            table.append(row)
-        node.table = table
-
-    def _offer_to_others(self, new_node: PlaxtonNode, height: int) -> None:
-        """Let existing nodes adopt the new node into matching entries."""
-        new_digits = new_node.node_id.digits()
-        for other in self.mesh.nodes.values():
-            if other is new_node:
-                continue
-            other_digits = other.node_id.digits()
-            max_level = min(len(other.table), height)
-            for level in range(max_level):
-                if other_digits[:level] != new_digits[:level]:
-                    break  # suffix no longer matches; higher levels cannot
-                digit = new_digits[level]
-                entry = other.table[level][digit]
-                if new_node.network_id in entry:
-                    continue
-                entry.append(new_node.network_id)
-                entry.sort(
-                    key=lambda nid: (
-                        self.mesh.network.latency_ms(other.network_id, nid),
-                        self.mesh.nodes[nid].node_id.value,
-                    )
-                )
-                del entry[PlaxtonNode.BACKUPS :]
-
-    def _extend_heights(self, height: int) -> None:
-        """Ensure every node's table has at least ``height`` levels."""
-        for node in self.mesh.nodes.values():
-            while len(node.table) < height:
-                level = len(node.table)
-                prefix = node.node_id.digits()[:level]
-                row: list[list[NodeId]] = []
-                for digit in range(DIGIT_BASE):
-                    candidates = [
-                        other.network_id
-                        for other in self.mesh.nodes.values()
-                        if other.node_id.digits()[:level] == prefix
-                        and other.node_id.digit(level) == digit
-                    ]
-                    ranked = sorted(
-                        candidates,
-                        key=lambda nid: (
-                            self.mesh.network.latency_ms(node.network_id, nid),
-                            self.mesh.nodes[nid].node_id.value,
-                        ),
-                    )
-                    row.append(ranked[: PlaxtonNode.BACKUPS])
-                node.table.append(row)
 
     # -- removal ----------------------------------------------------------------
 
@@ -154,15 +76,7 @@ class MembershipManager:
         replica servers so location state survives (the paper: "servers
         slowly repeat the publishing process to repair pointers").
         """
-        departed = self.mesh.nodes.pop(network_id, None)
-        if departed is None:
-            raise KeyError(f"node {network_id} not in mesh")
-        del self.mesh._by_guid[departed.node_id]
-        for node in self.mesh.nodes.values():
-            for row in node.table:
-                for entry in row:
-                    if network_id in entry:
-                        entry.remove(network_id)
+        departed = self.mesh.remove_server(network_id)
         # Republishing: every replica the departed node pointed at re-runs
         # its publish path against the shrunken mesh.
         republished = set()
@@ -186,13 +100,11 @@ class MembershipManager:
         declared dead and removed from the mesh (triggering repair).  A
         successful probe resets the counter -- the second chance.
         """
-        pairs: set[tuple[NodeId, NodeId]] = set()
-        for node in self.mesh.nodes.values():
-            for row in node.table:
-                for entry in row:
-                    for neighbor in entry:
-                        if neighbor != node.network_id:
-                            pairs.add((node.network_id, neighbor))
+        pairs = {
+            (node.network_id, neighbor)
+            for node in self.mesh.nodes.values()
+            for neighbor in node.links()
+        }
         suspects: dict[NodeId, int] = {}
         for key in pairs:
             _, neighbor = key

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.sim.network import Network, NodeId
 from repro.telemetry import coalesce
@@ -50,7 +51,7 @@ class LocationPointer:
     replica_node: NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteTrace:
     """Diagnostics for one routing operation."""
 
@@ -91,6 +92,15 @@ class PlaxtonNode:
             return []
         return self.table[level][digit]
 
+    def links(self) -> Iterator[NodeId]:
+        """The other servers the table names, in table order (one that
+        fills entries at several levels comes up once per entry)."""
+        for row in self.table:
+            for entry in row:
+                for nid in entry:
+                    if nid != self.network_id:
+                        yield nid
+
     def add_pointer(self, pointer: LocationPointer) -> None:
         self.pointers.setdefault(pointer.object_guid, set()).add(pointer.replica_node)
 
@@ -109,9 +119,12 @@ class PlaxtonMesh:
     """The global mesh: all nodes' tables, plus publish/locate/route.
 
     Tables are built from global knowledge for the initial deployment
-    (the paper's static Plaxton construction); dynamic insertion/removal
-    uses :mod:`repro.routing.membership`, which maintains the same
-    invariants incrementally.
+    (the paper's static Plaxton construction); :meth:`insert_server`,
+    :meth:`remove_server` and :meth:`drop_links` maintain the same
+    invariants incrementally for :mod:`repro.routing.membership` and the
+    recovery layer.  Every mutation of membership or of a neighbor table
+    goes through a method of this class, because each must advance
+    :attr:`routing_epoch`.
     """
 
     def __init__(self, network: Network, rng: random.Random, telemetry=None) -> None:
@@ -122,6 +135,19 @@ class PlaxtonMesh:
         self._by_guid: dict[GUID, NodeId] = {}
         self.stats_publish_messages = 0
         self.stats_locate_messages = 0
+        self._tables_epoch = 0
+
+    @property
+    def routing_epoch(self) -> tuple[int, int]:
+        """Changes whenever a route may have.
+
+        :meth:`route_to_root` is a function of the membership, the
+        neighbor tables and the network's down-set and of nothing else, so
+        a path walked at one epoch is the path a walk would find for as
+        long as the epoch stands.  It may advance without any route
+        changing; it never stands still when one did.
+        """
+        return (self._tables_epoch, self.network.liveness_epoch)
 
     # -- construction --------------------------------------------------------
 
@@ -139,6 +165,7 @@ class PlaxtonMesh:
         node = PlaxtonNode(node_id, network_id)
         self.nodes[network_id] = node
         self._by_guid[node_id] = network_id
+        self._tables_epoch += 1
         return node
 
     def populate(self, network_ids: list[NodeId]) -> None:
@@ -182,32 +209,94 @@ class PlaxtonMesh:
                 groups.setdefault(key, []).append(nid)
             suffix_groups.append(groups)
         for node in self.nodes.values():
-            node.table = self._build_table_for(node, height, suffix_groups)
+            own_digits = node.node_id.digits()
+            node.table = [
+                [
+                    self._ranked(
+                        node, suffix_groups[level].get(own_digits[:level] + (digit,), ())
+                    )
+                    for digit in range(DIGIT_BASE)
+                ]
+                for level in range(height)
+            ]
+        self._tables_epoch += 1
 
-    def _build_table_for(
-        self,
-        node: PlaxtonNode,
-        height: int,
-        suffix_groups: list[dict[tuple[int, ...], list[NodeId]]],
-    ) -> list[list[list[NodeId]]]:
-        table: list[list[list[NodeId]]] = []
-        own_digits = node.node_id.digits()
-        for level in range(height):
-            row: list[list[NodeId]] = []
-            prefix = own_digits[:level]
-            for digit in range(DIGIT_BASE):
-                key = prefix + (digit,)
-                candidates = suffix_groups[level].get(key, [])
-                ranked = sorted(
-                    candidates,
-                    key=lambda nid: (
-                        self.network.latency_ms(node.network_id, nid),
-                        self.nodes[nid].node_id.value,
-                    ),
-                )
-                row.append(ranked[: PlaxtonNode.BACKUPS])
-            table.append(row)
-        return table
+    def _ranked(self, node: PlaxtonNode, candidates: Iterable[NodeId]) -> list[NodeId]:
+        """The table entry ``node`` keeps out of ``candidates``: the
+        closest first, ties broken by node-ID, primary plus backups."""
+        return sorted(
+            candidates,
+            key=lambda nid: (
+                self.network.latency_ms(node.network_id, nid),
+                self.nodes[nid].node_id.value,
+            ),
+        )[: PlaxtonNode.BACKUPS]
+
+    def _scan_row(self, node: PlaxtonNode, level: int) -> list[list[NodeId]]:
+        """One level of ``node``'s table, from a scan of the membership."""
+        prefix = node.node_id.digits()[:level]
+        by_digit: list[list[NodeId]] = [[] for _ in range(DIGIT_BASE)]
+        for other in self.nodes.values():
+            digits = other.node_id.digits()
+            if digits[:level] == prefix:
+                by_digit[digits[level]].append(other.network_id)
+        return [self._ranked(node, candidates) for candidates in by_digit]
+
+    # -- incremental membership ------------------------------------------------
+
+    def insert_server(
+        self, network_id: NodeId, node_id: GUID | None = None
+    ) -> PlaxtonNode:
+        """Add a server to a live mesh and wire it into the tables.
+
+        The new node's table is computed against current members; existing
+        members then adopt it into the entries it matches, where it fills
+        a hole or is closer than a current candidate.
+        """
+        node = self.add_server(network_id, node_id)
+        height = self.table_height + 1
+        node.table = [self._scan_row(node, level) for level in range(height)]
+        new_digits = node.node_id.digits()
+        for other in self.nodes.values():
+            if other is node:
+                continue
+            other_digits = other.node_id.digits()
+            for level in range(min(len(other.table), height)):
+                if other_digits[:level] != new_digits[:level]:
+                    break  # suffix no longer matches; higher levels cannot
+                entry = other.table[level][new_digits[level]]
+                if network_id not in entry:
+                    entry[:] = self._ranked(other, entry + [network_id])
+            while len(other.table) < height:
+                other.table.append(self._scan_row(other, len(other.table)))
+        self._tables_epoch += 1
+        return node
+
+    def remove_server(self, network_id: NodeId) -> PlaxtonNode:
+        """Take a server out of the membership and out of every table
+        (backups take over); returns its node, pointer store included."""
+        departed = self.nodes.pop(network_id, None)
+        if departed is None:
+            raise KeyError(f"node {network_id} not in mesh")
+        del self._by_guid[departed.node_id]
+        self.drop_links(network_id)
+        return departed
+
+    def drop_links(self, network_id: NodeId) -> int:
+        """Remove a server from every other node's table entries, freeing
+        the slots for backups; returns how many links went.  Its own table
+        is left alone (a dead node is not routing anyway)."""
+        removed = 0
+        for node in self.nodes.values():
+            if node.network_id == network_id:
+                continue
+            for row in node.table:
+                for entry in row:
+                    if network_id in entry:
+                        entry.remove(network_id)
+                        removed += 1
+        self._tables_epoch += 1
+        return removed
 
     # -- routing ----------------------------------------------------------------
 
@@ -284,11 +373,21 @@ class PlaxtonMesh:
 
     # -- publish / locate -----------------------------------------------------
 
-    def publish(self, replica_node: NodeId, object_guid: GUID) -> RouteTrace:
-        """Deposit pointers from the replica's server up to the root."""
+    def publish(
+        self,
+        replica_node: NodeId,
+        object_guid: GUID,
+        walked: RouteTrace | None = None,
+    ) -> RouteTrace:
+        """Deposit pointers from the replica's server up to the root.
+
+        ``walked`` is the trace of this very route taken at the current
+        :attr:`routing_epoch`; passing it saves the walk and nothing else
+        -- the deposits, counters and telemetry are those of a fresh one.
+        """
         tel = self.telemetry
         with tel.span("plaxton.publish", replica=replica_node):
-            trace = self.route_to_root(replica_node, object_guid)
+            trace = walked or self.route_to_root(replica_node, object_guid)
             pointer = LocationPointer(
                 object_guid=object_guid, replica_node=replica_node
             )

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterator
+from typing import Callable
 
 
 class _ScheduledEvent:
@@ -85,9 +85,10 @@ class EventHandle:
     ``cancel()`` (the generation no longer matches) touches nothing.
     """
 
-    __slots__ = ("_event", "_generation", "_time", "_cancelled")
+    __slots__ = ("_kernel", "_event", "_generation", "_time", "_cancelled")
 
-    def __init__(self, event: _ScheduledEvent) -> None:
+    def __init__(self, kernel: "Kernel", event: _ScheduledEvent) -> None:
+        self._kernel = kernel
         self._event = event
         self._generation = event.generation
         self._time = event.time
@@ -98,7 +99,10 @@ class EventHandle:
         event = self._event
         if event is not None:
             if event.generation == self._generation:
+                # still queued: the scheduler discards it lazily, and
+                # until then Kernel.pending must not count it
                 event.cancelled = True
+                self._kernel._cancelled_queued += 1
             self._event = None
 
     @property
@@ -123,11 +127,11 @@ class _HeapScheduler:
     (``seq`` is unique, so the event record itself is never compared).
     """
 
-    __slots__ = ("_heap", "_release")
+    __slots__ = ("_heap", "_discard")
 
-    def __init__(self, release: Callable[[_ScheduledEvent], None]) -> None:
+    def __init__(self, discard: Callable[[_ScheduledEvent], None]) -> None:
         self._heap: list[tuple[float, int, _ScheduledEvent]] = []
-        self._release = release
+        self._discard = discard
 
     def push(self, event: _ScheduledEvent) -> None:
         heappush(self._heap, (event.time, event.seq, event))
@@ -139,7 +143,7 @@ class _HeapScheduler:
             event = heap[0][2]
             if event.cancelled:
                 heappop(heap)
-                self._release(event)
+                self._discard(event)
                 continue
             return event
         return None
@@ -151,9 +155,6 @@ class _HeapScheduler:
     @property
     def queued(self) -> int:
         return len(self._heap)
-
-    def live(self) -> Iterator[_ScheduledEvent]:
-        return (e for _, _, e in self._heap if not e.cancelled)
 
 
 class _TimerWheel:
@@ -180,7 +181,7 @@ class _TimerWheel:
     SLOTS = 1024
 
     __slots__ = (
-        "_release",
+        "_discard",
         "_slots",
         "_cur",
         "_cur_bucket",
@@ -189,8 +190,8 @@ class _TimerWheel:
         "queued",
     )
 
-    def __init__(self, release: Callable[[_ScheduledEvent], None]) -> None:
-        self._release = release
+    def __init__(self, discard: Callable[[_ScheduledEvent], None]) -> None:
+        self._discard = discard
         self._slots: list[list[tuple[float, int, _ScheduledEvent]]] = [
             [] for _ in range(self.SLOTS)
         ]
@@ -270,7 +271,7 @@ class _TimerWheel:
                 if event.cancelled:
                     heappop(cur)
                     self.queued -= 1
-                    self._release(event)
+                    self._discard(event)
                     continue
                 return event
             if not self._advance():
@@ -280,18 +281,6 @@ class _TimerWheel:
         """Remove the head; only valid right after a non-None peek()."""
         self.queued -= 1
         return heappop(self._cur)[2]
-
-    def live(self) -> Iterator[_ScheduledEvent]:
-        for _, _, event in self._cur:
-            if not event.cancelled:
-                yield event
-        for slot in self._slots:
-            for _, _, event in slot:
-                if not event.cancelled:
-                    yield event
-        for _, _, event in self._overflow:
-            if not event.cancelled:
-                yield event
 
 
 #: recycled event records kept per kernel; beyond this the slab lets
@@ -323,7 +312,9 @@ class Kernel:
         self.scheduler_kind = scheduler
         self._free: list[_ScheduledEvent] = []
         queue_cls = _TimerWheel if scheduler == "wheel" else _HeapScheduler
-        self._queue = queue_cls(self._release)
+        self._queue = queue_cls(self._discard)
+        #: cancelled records the scheduler has not met and discarded yet
+        self._cancelled_queued = 0
         self._seq = 0
         self._now = 0.0
         self._events_executed = 0
@@ -358,7 +349,7 @@ class Kernel:
     @property
     def pending(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for _ in self._queue.live())
+        return self._queue.queued - self._cancelled_queued
 
     # -- slab ---------------------------------------------------------------
 
@@ -387,6 +378,11 @@ class Kernel:
         if len(free) < _FREELIST_CAP:
             free.append(event)
 
+    def _discard(self, event: _ScheduledEvent) -> None:
+        """The scheduler's lazy discard: a cancelled record left its queue."""
+        self._cancelled_queued -= 1
+        self._release(event)
+
     # -- scheduling ---------------------------------------------------------
 
     def call_at(
@@ -414,7 +410,7 @@ class Kernel:
         self._queue.push(event)
         if self.event_hook is not None:
             self.event_hook("schedule", time, label or "<callable>")
-        return EventHandle(event)
+        return EventHandle(self, event)
 
     def call_after(
         self,

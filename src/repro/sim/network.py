@@ -17,18 +17,18 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 import networkx as nx
 
 from repro.sim.kernel import Kernel
 
 NodeId = int
+Handler = Callable[["Message"], None]
 
 #: body-digest accounting, module-wide: ``computed`` counts actual sha256
 #: evaluations, ``memoized`` counts digests served from a message's memo.
-#: The lazy-hashing equivalence tests assert the lazy mode computes
-#: strictly fewer digests than eager on a digest-free run.
+#: ``tests/test_lazy_hashing.py`` asserts a digest-free run computes none.
 BODY_DIGEST_STATS = {"computed": 0, "memoized": 0}
 
 
@@ -110,7 +110,7 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.size_bytes = size_bytes
-        #: memoized body digest; ``None`` until someone asks (lazy hashing)
+        #: memoized body digest; ``None`` until someone asks
         self._digest: str | None = None
 
     def __repr__(self) -> str:
@@ -122,9 +122,8 @@ class Message:
     def body_digest(self) -> str:
         """sha256 over a deterministic rendering of the payload, memoized.
 
-        Computed on demand: under the default lazy hashing mode nobody
-        pays for a digest unless the flight recorder (or a chaos oracle)
-        actually records one.
+        Computed on demand: nobody pays for a digest unless the flight
+        recorder (or a chaos oracle) actually records one.
         """
         digest = self._digest
         if digest is not None:
@@ -249,36 +248,28 @@ class Network:
     #: Fixed per-message processing overhead (serialization, queuing).
     PER_MESSAGE_OVERHEAD_MS = 1.0
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        graph: nx.Graph,
-        telemetry=None,
-        hash_bodies: str = "lazy",
-    ) -> None:
-        if hash_bodies not in ("lazy", "eager"):
-            raise ValueError(
-                f"unknown hash_bodies mode {hash_bodies!r} (known: lazy, eager)"
-            )
+    def __init__(self, kernel: Kernel, graph: nx.Graph, telemetry=None) -> None:
         self.kernel = kernel
         self.graph = graph
         #: optional telemetry facade (duck-typed so :mod:`repro.sim` stays
         #: a leaf package; see :mod:`repro.telemetry`).  ``None`` means
         #: uninstrumented -- the hot path guards on it.
         self.telemetry = telemetry
-        #: "lazy" (default) defers :meth:`Message.body_digest` until a
-        #: consumer asks; "eager" computes it at send time.  Both produce
-        #: identical digests and identical flight-recorder dumps -- lazy
-        #: just skips the work when nobody is recording bodies.
-        self.hash_bodies = hash_bodies
-        self._hash_eager = hash_bodies == "eager"
         #: opt-in: stamp ``body=<digest>`` onto flight-recorder net
         #: send/deliver records (wired from TelemetryConfig.net_body_digests;
         #: default off so pinned dumps stay byte-identical)
         self.record_body_digests = False
-        #: per-node handler tuples, replaced copy-on-write at (un)subscribe
-        #: so delivery iterates a stable snapshot without copying per message
-        self._handlers: dict[NodeId, tuple[Callable[[Message], None], ...]] = {}
+        #: per-node subscriptions in subscription order: (handler, the
+        #: exact payload classes it acts on, or ``None`` for every message)
+        self._subscriptions: dict[
+            NodeId, list[tuple[Handler, Collection[type] | None]]
+        ] = {}
+        #: per-node mailbox derived from the above: payload type -> handlers
+        #: interested in it, with the wildcard-only tuple under ``None`` for
+        #: every undeclared type.  The tuples are replaced copy-on-write, so
+        #: a delivery iterates a stable snapshot without copying per message.
+        #: A node is present iff it has at least one subscription.
+        self._handlers: dict[NodeId, dict[type | None, tuple[Handler, ...]]] = {}
         #: memoized ``net.deliver:<sub>/<ph>`` labels (one f-string per
         #: distinct phase instead of one per send)
         self._deliver_labels: dict[tuple[str, str], str] = {}
@@ -292,6 +283,10 @@ class Network:
         #: raising, exactly as the uncached path did.
         self._route_cache: dict[tuple, tuple] = {}
         self._down: set[NodeId] = set()
+        #: bumped by every :meth:`set_down` call, whether or not the set
+        #: changed; anything derived from :meth:`is_down` answers (a mesh
+        #: route) is still valid while this stands still
+        self.liveness_epoch = 0
         self._partitions: list[tuple[set[NodeId], set[NodeId]]] = []
         #: one-way partitions: (src side, dst side) pairs where traffic
         #: src->dst drops but dst->src still flows
@@ -312,32 +307,54 @@ class Network:
 
     # -- membership --------------------------------------------------------
 
-    def register(self, node: NodeId, handler: Callable[[Message], None]) -> None:
+    def register(
+        self, node: NodeId, handler: Handler, types: Collection[type] | None = None
+    ) -> None:
         """Install ``handler`` as the node's sole message handler."""
-        if node not in self.graph:
-            raise KeyError(f"node {node} not in topology")
-        self._handlers[node] = (handler,)
+        self.unregister(node)
+        self.subscribe(node, handler, types)
 
-    def subscribe(self, node: NodeId, handler: Callable[[Message], None]) -> None:
-        """Add an additional handler; every handler sees every message.
+    def subscribe(
+        self, node: NodeId, handler: Handler, types: Collection[type] | None = None
+    ) -> None:
+        """Add a handler for messages whose payload class is in ``types``.
 
         A single simulated host often runs several protocols (a primary
-        replica can also be a dissemination-tree root); each protocol
-        subscribes and ignores payload types it does not understand.
+        replica can also be a dissemination-tree root); each subscribes
+        with the exact payload classes it acts on, and delivery costs one
+        lookup on ``type(payload)`` however many protocols share the node.
+        Matching is by exact class, never ``isinstance``.  Without
+        ``types`` the handler sees every message, :class:`Corrupted`
+        frames included.  Handlers for one payload run in subscription
+        order.
         """
         if node not in self.graph:
             raise KeyError(f"node {node} not in topology")
-        self._handlers[node] = self._handlers.get(node, ()) + (handler,)
+        self._subscriptions.setdefault(node, []).append((handler, types))
+        mailbox = self._handlers.setdefault(node, {None: ()})
+        if types is None:
+            for payload_type, handlers in mailbox.items():
+                mailbox[payload_type] = handlers + (handler,)
+        else:
+            wildcard = mailbox[None]
+            for payload_type in set(types):
+                mailbox[payload_type] = mailbox.get(payload_type, wildcard) + (handler,)
 
-    def unsubscribe(self, node: NodeId, handler: Callable[[Message], None]) -> None:
+    def unsubscribe(self, node: NodeId, handler: Handler) -> None:
         """Remove one subscribed handler, leaving co-hosted protocols."""
-        handlers = self._handlers.get(node)
-        if handlers and handler in handlers:
-            remaining = list(handlers)
-            remaining.remove(handler)
-            self._handlers[node] = tuple(remaining)
+        remaining = list(self._subscriptions.get(node, ()))
+        for i, (subscribed, _) in enumerate(remaining):
+            if subscribed == handler:
+                del remaining[i]
+                break
+        else:
+            return
+        self.unregister(node)
+        for subscribed, wanted in remaining:
+            self.subscribe(node, subscribed, wanted)
 
     def unregister(self, node: NodeId) -> None:
+        self._subscriptions.pop(node, None)
         self._handlers.pop(node, None)
 
     def nodes(self) -> Iterable[NodeId]:
@@ -347,6 +364,7 @@ class Network:
 
     def set_down(self, node: NodeId, down: bool = True) -> None:
         """Crash (or revive) a node; messages to/from it are dropped."""
+        self.liveness_epoch += 1
         if down:
             self._down.add(node)
         else:
@@ -478,29 +496,18 @@ class Network:
             tel.observe("net_message_bytes", size_bytes)
             tel.count("net_phase_messages_total", subsystem=sub, phase=ph)
             tel.count("net_phase_bytes_total", size_bytes, subsystem=sub, phase=ph)
-            if self.record_body_digests:
-                tel.record(
-                    "net",
-                    "send",
-                    src=src,
-                    dst=dst,
-                    type=type(payload).__name__,
-                    bytes=size_bytes,
-                    subsystem=sub,
-                    phase=ph,
-                    body=message.body_digest(),
-                )
-            else:
-                tel.record(
-                    "net",
-                    "send",
-                    src=src,
-                    dst=dst,
-                    type=type(payload).__name__,
-                    bytes=size_bytes,
-                    subsystem=sub,
-                    phase=ph,
-                )
+            body = {"body": message.body_digest()} if self.record_body_digests else {}
+            tel.record(
+                "net",
+                "send",
+                src=src,
+                dst=dst,
+                type=type(payload).__name__,
+                bytes=size_bytes,
+                subsystem=sub,
+                phase=ph,
+                **body,
+            )
         down = self._down
         if (
             src in down
@@ -560,9 +567,6 @@ class Network:
                     "net", "delay", src=src, dst=dst, extra_ms=decision.extra_delay_ms
                 )
 
-        if self._hash_eager:
-            message.body_digest()
-
         # Captures ride as default args, not closure cells: the send
         # frame skips MAKE_CELL setup and the delivery body reads
         # LOAD_FAST locals -- measurably cheaper on the heartbeat path.
@@ -587,8 +591,8 @@ class Network:
                         "net", "drop", src=src, dst=dst, reason="unreachable"
                     )
                 return
-            handlers = self._handlers.get(dst)
-            if not handlers:
+            mailbox = self._handlers.get(dst)
+            if mailbox is None:
                 self.stats_dropped += 1
                 if instrumented:
                     tel.count("net_dropped_total", reason="unregistered")
@@ -597,29 +601,22 @@ class Network:
                     )
                 return
             if instrumented:
-                if self.record_body_digests:
-                    tel.record(
-                        "net",
-                        "deliver",
-                        src=src,
-                        dst=dst,
-                        type=type(message.payload).__name__,
-                        subsystem=sub,
-                        phase=ph,
-                        body=message.body_digest(),
-                    )
-                else:
-                    tel.record(
-                        "net",
-                        "deliver",
-                        src=src,
-                        dst=dst,
-                        type=type(message.payload).__name__,
-                        subsystem=sub,
-                        phase=ph,
-                    )
+                body = {"body": message.body_digest()} if self.record_body_digests else {}
+                tel.record(
+                    "net",
+                    "deliver",
+                    src=src,
+                    dst=dst,
+                    type=type(message.payload).__name__,
+                    subsystem=sub,
+                    phase=ph,
+                    **body,
+                )
             # handler tuples are replaced copy-on-write at (un)subscribe,
             # so iterating directly is the same snapshot a copy would give
+            handlers = mailbox.get(type(message.payload))
+            if handlers is None:
+                handlers = mailbox[None]
             for handler in handlers:
                 handler(message)
 

@@ -1,17 +1,18 @@
-"""Lazy body hashing: same bytes out, strictly fewer digests computed.
+"""Body hashing on demand: a digest is computed only when a consumer asks.
 
 The network used to sha256 every message body at send time so the
 flight recorder could attach digests.  PR 9 made the digest demand-
-driven (computed when an observer asks, memoized on the message).  The
-contract proven here:
+driven (computed when an observer asks, memoized on the message) and
+kept the eager mode as a reference; with the reference retired, the
+contract is pinned directly:
 
-* every observable artifact -- flight-recorder dumps, chaos trace
-  digests, opt-in ``record_body_digests`` records -- is byte-identical
-  between ``hash_bodies="eager"`` and ``"lazy"``;
-* on a digest-free run, lazy mode computes *strictly fewer* digests
-  than eager mode (ideally zero), which is the entire point.
+* a run nobody observes computes zero digests, and a run with
+  ``record_body_digests`` computes one per message, not one per record;
+* the digests themselves, and the flight-recorder dumps with and
+  without ``body=`` stamps, equal the values both modes produced.
 """
 
+import hashlib
 import dataclasses
 
 import networkx as nx
@@ -43,10 +44,9 @@ def _small_graph() -> nx.Graph:
     return graph
 
 
-def _drive(hash_bodies: str, record_digests: bool):
+def _drive(record_digests: bool):
     kernel = Kernel()
-    network = Network(kernel, _small_graph(), hash_bodies=hash_bodies)
-    network.record_body_digests = record_digests
+    network = Network(kernel, _small_graph())
     seen: list[str] = []
     network.register(2, lambda m: seen.append(m.body_digest() if record_digests else ""))
     network.register(1, lambda m: None)
@@ -57,12 +57,19 @@ def _drive(hash_bodies: str, record_digests: bool):
     return seen
 
 
-class TestModeEquivalence:
-    def test_digests_identical_eager_vs_lazy(self):
-        eager = _drive("eager", record_digests=True)
-        lazy = _drive("lazy", record_digests=True)
-        assert eager == lazy
-        assert len(eager) == 10
+#: what ``_drive(record_digests=True)`` saw under either retired mode
+_PINNED_MESSAGE_DIGESTS = (
+    "b9ba33afe5b629ad177aa59e60d24024b116c3f1e19a010a6962fe10d9a5cf5a",
+    "c291d1d26f884fc786e96ed47f8eeb33712ab9271142e9ce965652eabb8e5325",
+    "a2f4a810c971b5643022ac03fd1222c6e5e7c7aa45464972c184438c27d57c67",
+)
+
+
+class TestDigestOnDemand:
+    def test_digests_match_pinned_values(self):
+        seen = _drive(record_digests=True)
+        assert len(seen) == 10
+        assert tuple(seen[:3]) == _PINNED_MESSAGE_DIGESTS
 
     def test_message_digest_is_memoized(self):
         reset_body_digest_stats()
@@ -73,36 +80,62 @@ class TestModeEquivalence:
         assert BODY_DIGEST_STATS["computed"] == 1
         assert BODY_DIGEST_STATS["memoized"] == 1
 
-    def test_lazy_computes_strictly_fewer_digests_when_unobserved(self):
+    def test_nothing_is_hashed_unless_a_consumer_asks(self):
         reset_body_digest_stats()
-        _drive("eager", record_digests=False)
-        eager_computed = BODY_DIGEST_STATS["computed"]
+        _drive(record_digests=False)
+        assert BODY_DIGEST_STATS["computed"] == 0
 
         reset_body_digest_stats()
-        _drive("lazy", record_digests=False)
-        lazy_computed = BODY_DIGEST_STATS["computed"]
+        _drive(record_digests=True)
+        assert BODY_DIGEST_STATS["computed"] == 10  # only the observed node's
 
-        assert eager_computed == 20  # one per send
-        assert lazy_computed == 0  # nobody asked
-        assert lazy_computed < eager_computed
+    def test_send_and_deliver_records_share_one_digest(self):
+        class _Recorder:
+            enabled = True
 
-    def test_invalid_mode_rejected(self):
+            def count(self, *args, **labels):
+                pass
+
+            observe = count
+
+            def __init__(self):
+                self.bodies = []
+
+            def record(self, _layer, kind, **fields):
+                if "body" in fields:
+                    self.bodies.append((kind, fields["body"]))
+
+        recorder = _Recorder()
+        kernel = Kernel()
+        network = Network(kernel, _small_graph(), telemetry=recorder)
+        network.record_body_digests = True
+        network.register(2, lambda m: None)
+        reset_body_digest_stats()
+        network.send(0, 2, _Payload("put", b"block-0"), 128)
+        kernel.run()
+        assert recorder.bodies == [
+            ("send", _PINNED_MESSAGE_DIGESTS[0]),
+            ("deliver", _PINNED_MESSAGE_DIGESTS[0]),
+        ]
+        assert BODY_DIGEST_STATS == {"computed": 1, "memoized": 1}
+
+    def test_the_mode_knob_is_gone(self):
+        assert "hash_bodies" not in {f.name for f in dataclasses.fields(DeploymentConfig)}
         try:
-            Network(Kernel(), _small_graph(), hash_bodies="sometimes")
-        except ValueError as exc:
-            assert "hash_bodies" in str(exc)
+            Network(Kernel(), _small_graph(), hash_bodies="eager")
+        except TypeError:
+            pass
         else:
-            raise AssertionError("expected ValueError")
+            raise AssertionError("Network still accepts hash_bodies")
 
 
-def _flight_dump(hash_bodies: str, net_body_digests: bool) -> str:
+def _flight_dump(net_body_digests: bool) -> str:
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=3,
             topology=TopologyParams(
                 transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
             ),
-            hash_bodies=hash_bodies,
             archive_every_commit=False,
             telemetry=TelemetryConfig(
                 enabled=True, net_body_digests=net_body_digests
@@ -118,40 +151,23 @@ def _flight_dump(hash_bodies: str, net_body_digests: bool) -> str:
     return system.telemetry.flight.render()
 
 
-class TestSystemLevelParity:
-    def test_flightrec_dump_identical_eager_vs_lazy(self):
-        assert _flight_dump("eager", False) == _flight_dump("lazy", False)
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    def test_flightrec_dump_identical_with_body_digests_on(self):
-        eager = _flight_dump("eager", True)
-        lazy = _flight_dump("lazy", True)
-        assert eager == lazy
-        assert "body=" in eager
 
-    def test_body_digests_absent_by_default(self):
-        assert "body=" not in _flight_dump("lazy", False)
+class TestFlightDumpsArePinned:
+    """sha256 of the rendered dumps, as both retired modes produced them."""
 
-    def test_chaos_digest_identical_eager_vs_lazy(self):
-        """A chaos scenario's trace digest must not depend on when body
-        hashes are computed."""
-        from repro.chaos import run_scenario
+    def test_dump_without_body_digests(self):
+        dump = _flight_dump(False)
+        assert "body=" not in dump
+        assert _sha256(dump) == (
+            "01297d7e8c88f8d3bb2656134f65c00f88a1fbe93fb83b4d6bdfda66b18a6eb0"
+        )
 
-        lazy = run_scenario("pbft-delay", seed=5)
-        # Flip the mode by patching the default config the scenario
-        # builds; the scenario machinery has no knob, which is itself
-        # the point -- the mode must be invisible.
-        import repro.chaos.scenarios as scenarios_module
-
-        original = scenarios_module._standard_system
-
-        def eager_system(ctx, **overrides):
-            overrides.setdefault("hash_bodies", "eager")
-            return original(ctx, **overrides)
-
-        scenarios_module._standard_system = eager_system
-        try:
-            eager = run_scenario("pbft-delay", seed=5)
-        finally:
-            scenarios_module._standard_system = original
-        assert eager.trace_digest == lazy.trace_digest
-        assert eager.events == lazy.events
+    def test_dump_with_body_digests(self):
+        dump = _flight_dump(True)
+        assert "body=" in dump
+        assert _sha256(dump) == (
+            "dd7cc57e8db37e27d5be93f5c5714f40f791cfe225d8914d072e12a74f1c5176"
+        )

@@ -195,7 +195,7 @@ class TestZeroOverhead:
             pass
 
         kernel.call_at(1.0, callback)
-        event = next(kernel._queue.live())
+        event = kernel._queue.peek()
         assert event.callback is callback
         assert event.label is None
 

@@ -175,10 +175,21 @@ class TestFailureDetector:
     def test_suspect_callbacks_fire_once_per_transition(self):
         kernel, network, detector = _detector_rig(seed=0)
         calls = []
-        detector.on_suspect(calls.append)
+        detector.subscribe(on_suspect=calls.append)
         network.set_down(1)
         kernel.run(until=20_000.0)
         assert calls == [1]
+
+    def test_close_gives_the_mailboxes_back(self):
+        kernel, network, detector = _detector_rig(seed=0)
+        kernel.run(until=3_000.0)
+        sent = network.stats_total_messages
+        assert sent > 0
+        detector.close()
+        assert network._subscriptions == {} and network._handlers == {}
+        kernel.run(until=10_000.0)  # acks in flight find nobody home
+        assert network.stats_total_messages == sent
+        detector.close()  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +237,9 @@ class TestRoutingRepairer:
         replica = sorted(mesh.nodes)[0]
         router.publish(replica, guid)
         repairer.register(replica, guid)
-        paths = repairer._paths[(replica, guid)]
+        _, paths = repairer._paths[(replica, guid)]
         on_path = sorted(
-            {n for path in paths.values() for n in path} - {replica}
+            {n for trace in paths for n in trace.path} - {replica}
         )
         victim = on_path[-1]
         network.set_down(victim)
@@ -270,8 +281,8 @@ class TestRoutingRepairer:
         replica = sorted(mesh.nodes)[0]
         router.publish(replica, guid)
         repairer.register(replica, guid)
-        paths = repairer._paths[(replica, guid)]
-        on_path = {n for path in paths.values() for n in path}
+        _, paths = repairer._paths[(replica, guid)]
+        on_path = {n for trace in paths for n in trace.path}
         off_path = sorted(set(mesh.nodes) - on_path - {replica})
         if not off_path:
             pytest.skip("publish paths cover the whole mesh at this seed")
@@ -369,6 +380,31 @@ def _recovery_system(seed=0, *, enabled=True, telemetry=False, **overrides):
         **overrides,
     )
     return OceanStoreSystem(config)
+
+
+def test_closed_recovery_manager_is_unreachable_from_the_network():
+    """Sweep workers build and discard many systems per process: after
+    ``close()`` nothing the network holds may lead back to the detector."""
+    system = _recovery_system()
+    network, detector = system.network, system.recovery.detector
+
+    def subscribed():
+        return [
+            handler
+            for subscriptions in network._subscriptions.values()
+            for handler, _ in subscriptions
+            if getattr(handler, "__self__", None) is detector
+        ]
+
+    assert len(subscribed()) == len(detector.monitored) + 1
+    system.recovery.close()
+    assert subscribed() == []
+    assert not any(
+        getattr(handler, "__self__", None) is detector
+        for mailbox in network._handlers.values()
+        for handlers in mailbox.values()
+        for handler in handlers
+    )
 
 
 def _remote_client(system, guid):

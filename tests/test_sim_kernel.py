@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Kernel, SimulationError, Timer
+from repro.sim.kernel import SCHEDULERS
 
 
 class TestKernel:
@@ -106,6 +107,33 @@ class TestKernel:
         handle = kernel.call_at(2.0, lambda: None)
         handle.cancel()
         assert kernel.pending == 1
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_pending_counts_cancellations_wherever_they_wait(self, scheduler):
+        # one live + one cancelled event in each region of the wheel: the
+        # bucket under the cursor (_cur), a slot, and the overflow heap
+        kernel = Kernel(scheduler=scheduler)
+        handles = [
+            kernel.call_at(t, lambda: None)
+            for t in (1.0, 2.0, 500.0, 501.0, 60_000.0, 60_001.0)
+        ]
+        assert kernel.pending == 6
+        for handle in handles[1::2]:
+            handle.cancel()
+            handle.cancel()  # idempotent: counted once
+        assert kernel.pending == 3
+        kernel.run(until=10.0)  # fires 1.0, lazily discards 2.0
+        assert kernel.pending == 2
+        handles[0].cancel()  # already fired: a stale handle counts nothing
+        assert kernel.pending == 2
+        kernel.run(until=1_000.0)
+        assert kernel.pending == 1
+        late = kernel.call_after(5.0, lambda: None)
+        assert kernel.pending == 2
+        late.cancel()
+        kernel.run()
+        assert kernel.pending == 0
+        assert kernel.events_executed == 3
 
 
 class TestTimer:

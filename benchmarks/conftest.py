@@ -6,46 +6,60 @@ records the numbers as JSON under ``benchmarks/results/`` so
 EXPERIMENTS.md can cite them.  pytest-benchmark wraps a representative
 unit of work from each experiment for timing.
 
-Results are written in the common envelope schema
-(:mod:`repro.util.benchjson`): the sweep data lands under ``series``,
-with schema version, seed, and git revision alongside, so every
-recorded number states how to reproduce it.
+Results are written in one envelope shape: the sweep data lands under
+``series``, with schema version, seed, and git revision alongside, so
+every recorded number states how to reproduce it.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import subprocess
 import sys
-from typing import Any, Mapping
+from typing import Any
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.util.benchjson import result_envelope  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def record_result(
-    experiment: str,
-    data: Any,
-    seed: int = 0,
-    metrics: Mapping[str, float] | None = None,
-    config: Mapping[str, Any] | None = None,
-) -> None:
+def _git_rev() -> str:
+    """Short git revision of the working tree, or ``unknown``."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=pathlib.Path(__file__).parent,
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def record_result(experiment: str, data: Any) -> None:
     """Persist an experiment's series for EXPERIMENTS.md.
 
-    ``data`` becomes the envelope's ``series``; pass ``metrics`` for
-    numbers a regression gate could compare.
+    ``data`` becomes the envelope's ``series``.  ``metrics``, ``timings``
+    and ``meta.config`` are written empty: no paper-figure bench fills
+    them, and the keys stay so every committed result keeps one shape.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    envelope = result_envelope(
-        name=experiment,
-        seed=seed,
-        metrics=metrics or {},
-        config=config,
-        series=data,
-    )
+    envelope = {
+        "schema_version": 1,
+        "name": experiment,
+        "meta": {
+            "seed": 0,
+            "fast": False,
+            "git_rev": _git_rev(),
+            "config": {},
+        },
+        "metrics": {},
+        "timings": {},
+        "series": data,
+    }
     path = RESULTS_DIR / f"{experiment}.json"
     with open(path, "w") as f:
         json.dump(envelope, f, indent=2, sort_keys=True, default=str)

@@ -207,9 +207,7 @@ def _standard_system(ctx: ChaosContext, **overrides) -> OceanStoreSystem:
             slo_thresholds=ctx.chaos.slo_thresholds,
         ),
         chaos=ctx.chaos,
-        batch_size=ctx.chaos.batch_size,
-        batch_delay_ms=ctx.chaos.batch_delay_ms,
-        pipeline_depth=ctx.chaos.pipeline_depth,
+        batching=ctx.chaos.batching,
     )
     params.update(overrides)
     system = OceanStoreSystem(DeploymentConfig(**params))
@@ -386,9 +384,7 @@ def _pbft_quorum_violation(ctx: ChaosContext) -> None:
         m=m,
         telemetry=telemetry,
         allow_unsafe_size=True,
-        batch_size=ctx.chaos.batch_size,
-        batch_delay_ms=ctx.chaos.batch_delay_ms,
-        pipeline_depth=ctx.chaos.pipeline_depth,
+        batching=ctx.chaos.batching,
     )
     ctx.attach_ring(kernel, ring, telemetry)
     ctx.event(f"undersized ring up: n={n} for m={m} (needs {3 * m + 1})")

@@ -329,24 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="seed-parallel chaos or bench sweeps (opt-in multiprocessing)",
-    )
-    sweep.add_argument(
-        "--kind",
-        choices=("chaos", "bench"),
-        default="chaos",
-        help="what to sweep (default: chaos)",
+        help="seed-parallel chaos sweeps (opt-in multiprocessing)",
     )
     sweep.add_argument(
         "--scenario",
         choices=sorted(SCENARIOS) + ["all"],
         default="all",
         help="chaos scenario to sweep (default: all)",
-    )
-    sweep.add_argument(
-        "--bench",
-        default="events_per_second",
-        help="bench name for --kind bench (see benchmarks/harness.py list)",
     )
     sweep.add_argument(
         "--seeds",
@@ -360,9 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes; 1 (default) runs inline with no "
         "multiprocessing -- the byte-identical reference mode",
-    )
-    sweep.add_argument(
-        "--fast", action="store_true", help="fast bench variants"
     )
     sweep.add_argument(
         "--json", action="store_true", help="emit the merged result as JSON"
@@ -970,32 +956,12 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import (
-        merge_bench_results,
-        merge_chaos_results,
-        parse_seed_spec,
-        sweep_bench,
-        sweep_chaos,
-    )
+    from repro.sweep import merge_chaos_results, parse_seed_spec, sweep_chaos
 
     try:
         seeds = parse_seed_spec(args.seeds)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    if args.kind == "bench":
-        results = sweep_bench(
-            [args.bench], seeds, processes=args.processes, fast=args.fast
-        )
-        merged = merge_bench_results(results)
-        if args.json:
-            print(json.dumps(merged, indent=2, sort_keys=True))
-        else:
-            for name, envelopes in merged.items():
-                print(f"{name}: {len(envelopes)} seeds")
-                for envelope in envelopes:
-                    wall = envelope["timings"].get("wall_seconds", 0.0)
-                    print(f"  seed {envelope['meta']['seed']}: {wall:.2f}s wall")
-        return 0
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     results = sweep_chaos(names, seeds, processes=args.processes)
     merged = merge_chaos_results(results)

@@ -37,6 +37,7 @@ from repro.consistency.byzantine import (
 from repro.consistency.dissemination import DisseminationTree, TreeError
 from repro.consistency.pbft import (
     SMALL_MESSAGE_BYTES,
+    BatchingConfig,
     ClientRequest,
     CommitCertificate,
     FaultMode,
@@ -61,6 +62,7 @@ from repro.consistency.timestamps import (
 
 __all__ = [
     "AntiEntropyRequest",
+    "BatchingConfig",
     "ByzantineStrategy",
     "ClientRequest",
     "CommitCertificate",

@@ -4,7 +4,7 @@
 b = c1*n^2 + (u + c2)*n + c3.  This module drives updates through a
 bare simulated PBFT ring and reports what they *did* cost, split by
 protocol phase via :attr:`repro.sim.network.Network.phase_stats`.  The
-``repro costmodel --fit`` report and ``BENCH_fig6_costmodel.json`` fit
+``repro costmodel --fit`` report and ``tests/test_pbft_batching.py`` fit
 these measurements back to the equation across ring sizes, so a change
 that silently inflates the quadratic term shows up as a coefficient
 shift rather than a vibe.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.consistency.pbft import InnerRing
+from repro.consistency.pbft import BatchingConfig, InnerRing
 from repro.crypto import make_principal
 from repro.data import AppendBlock, TruePredicate, UpdateBranch, make_update
 from repro.naming import object_guid
@@ -79,8 +79,6 @@ def measure_update_traffic(
     seed: int = 0,
     updates: int = 1,
     batch_size: int = 1,
-    batch_delay_ms: float = 20.0,
-    pipeline_depth: int = 0,
 ) -> TrafficMeasurement:
     """Run ``updates`` updates through a bare PBFT ring, counting bytes.
 
@@ -103,9 +101,9 @@ def measure_update_traffic(
         list(range(n)),
         principals,
         m=m,
-        batch_size=batch_size,
-        batch_delay_ms=batch_delay_ms,
-        pipeline_depth=pipeline_depth,
+        # every request reaches the leader in the same instant, so only
+        # a partial final batch ever waits out the hold
+        batching=BatchingConfig(size=batch_size, delay_ms=20.0),
     )
     author = make_principal("author", rng, bits=256)
     total_update_bytes = 0

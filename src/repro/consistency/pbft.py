@@ -1299,6 +1299,35 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
 # -- the ring ------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class BatchingConfig:
+    """PBFT request batching and round pipelining (Castro-Liskov).
+
+    The one declaration of these knobs: ``DeploymentConfig.batching``,
+    ``ChaosConfig.batching`` and ``InnerRing(batching=)`` carry it whole.
+    """
+
+    #: updates per agreement round; 1 keeps the classic
+    #: one-round-per-update protocol, wire-identical whatever ``delay_ms``
+    #: is (every batch fills immediately)
+    size: int = 1
+    #: how long the leader holds a partial batch before sealing it (ms)
+    delay_ms: float = 50.0
+    #: max agreement rounds proposed but not yet executed (0 = unbounded,
+    #: the classic behaviour)
+    pipeline_depth: int = 0
+
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ValueError(f"batching size must be >= 1: {self.size}")
+        if self.delay_ms < 0:
+            raise ValueError(f"batching delay_ms must be >= 0: {self.delay_ms}")
+        if self.pipeline_depth < 0:
+            raise ValueError(
+                f"batching pipeline_depth must be >= 0: {self.pipeline_depth}"
+            )
+
+
 class InnerRing:
     """The primary tier: n = 3m + 1 replicas plus client-facing API.
 
@@ -1315,9 +1344,7 @@ class InnerRing:
         m: int,
         telemetry=None,
         allow_unsafe_size: bool = False,
-        batch_size: int = 1,
-        batch_delay_ms: float = 0.0,
-        pipeline_depth: int = 0,
+        batching: BatchingConfig = BatchingConfig(),
         subscribe_handlers: bool = False,
     ) -> None:
         if len(replica_nodes) != 3 * m + 1 and not allow_unsafe_size:
@@ -1332,22 +1359,16 @@ class InnerRing:
             )
         if len(principals) != len(replica_nodes):
             raise ValueError("one principal per replica required")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        if batch_delay_ms < 0:
-            raise ValueError(f"batch_delay_ms must be >= 0: {batch_delay_ms}")
-        if pipeline_depth < 0:
-            raise ValueError(f"pipeline_depth must be >= 0: {pipeline_depth}")
         self.kernel = kernel
         self.network = network
         self.telemetry = coalesce(telemetry)
         self.m = m
         #: updates per agreement round (1 = classic PBFT, wire-identical)
-        self.batch_size = batch_size
+        self.batch_size = batching.size
         #: how long the leader holds a partial batch before sealing it
-        self.batch_delay_ms = batch_delay_ms
+        self.batch_delay_ms = batching.delay_ms
         #: max proposed-but-unexecuted rounds in flight (0 = unbounded)
-        self.pipeline_depth = pipeline_depth
+        self.pipeline_depth = batching.pipeline_depth
         self.replicas = [
             PBFTReplica(i, node, principal, self)
             for i, (node, principal) in enumerate(zip(replica_nodes, principals))

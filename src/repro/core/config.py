@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.consistency.pbft import BatchingConfig
 from repro.recovery.config import RecoveryConfig
 from repro.sim.network import TopologyParams
 from repro.telemetry import TelemetryConfig
@@ -26,11 +27,9 @@ class ChaosConfig:
     intensity: float = 0.3
     #: Byzantine replicas to mark in PBFT scenarios (None = the ring's m)
     byzantine: int | None = None
-    #: PBFT batching knobs threaded into the scenario deployment, so
-    #: every chaos scenario can run with batched agreement rounds
-    batch_size: int = 1
-    batch_delay_ms: float = 200.0
-    pipeline_depth: int = 0
+    #: PBFT batching threaded into the scenario deployment, so every
+    #: chaos scenario can run with batched agreement rounds
+    batching: BatchingConfig = BatchingConfig()
     #: three-way recovery toggle for scenarios: ``None`` keeps each
     #: scenario's own default (the new recovery scenarios enable it),
     #: ``True``/``False`` force it -- forcing it off is how the oracle
@@ -51,12 +50,6 @@ class ChaosConfig:
             raise ValueError("intensity must be in [0, 1]")
         if self.byzantine is not None and self.byzantine < 0:
             raise ValueError("byzantine must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.batch_delay_ms < 0:
-            raise ValueError("batch_delay_ms must be >= 0")
-        if self.pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
 
 
 @dataclass
@@ -82,16 +75,10 @@ class DeploymentConfig:
     #: implementation.
     ring_count: int = 1
 
-    #: PBFT request batching (Castro-Liskov): updates per agreement
-    #: round.  1 keeps the classic one-round-per-update protocol,
-    #: wire-identical to the unbatched implementation.
-    batch_size: int = 1
-    #: how long the leader holds a partial batch before sealing it (ms);
-    #: irrelevant at batch_size=1 where every batch fills immediately
-    batch_delay_ms: float = 50.0
-    #: round pipelining: max agreement rounds proposed but not yet
-    #: executed (0 = unbounded, the classic behaviour)
-    pipeline_depth: int = 0
+    #: PBFT request batching and round pipelining; the default (one
+    #: update per round, unbounded pipeline) is wire-identical to the
+    #: unbatched implementation
+    batching: BatchingConfig = BatchingConfig()
 
     #: secondary replicas created per object
     secondaries_per_object: int = 4
@@ -133,12 +120,6 @@ class DeploymentConfig:
             raise ValueError("byzantine_m must be >= 1")
         if self.ring_count < 1:
             raise ValueError("ring_count must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.batch_delay_ms < 0:
-            raise ValueError("batch_delay_ms must be >= 0")
-        if self.pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
         if self.secondaries_per_object < 0:
             raise ValueError("secondaries_per_object must be >= 0")
         if not 1 <= self.archival_k < self.archival_n:

@@ -234,9 +234,7 @@ class OceanStoreSystem:
                 [self.servers[n].principal for n in members],
                 m=self.config.byzantine_m,
                 telemetry=self.telemetry,
-                batch_size=self.config.batch_size,
-                batch_delay_ms=self.config.batch_delay_ms,
-                pipeline_depth=self.config.pipeline_depth,
+                batching=self.config.batching,
             )
             self.wire_ring(shard_id, 0, ring)
             shards.append(

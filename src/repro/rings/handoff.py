@@ -398,9 +398,7 @@ class HandoffManager:
             [system.servers[n].principal for n in new_members],
             m=config.byzantine_m,
             telemetry=system.telemetry,
-            batch_size=config.batch_size,
-            batch_delay_ms=config.batch_delay_ms,
-            pipeline_depth=config.pipeline_depth,
+            batching=config.batching,
             subscribe_handlers=True,
         )
         system.wire_ring(shard_id, pending.epoch, new_ring)

@@ -26,16 +26,6 @@ from repro.sim.kernel import Kernel
 NodeId = int
 Handler = Callable[["Message"], None]
 
-#: body-digest accounting, module-wide: ``computed`` counts actual sha256
-#: evaluations, ``memoized`` counts digests served from a message's memo.
-#: ``tests/test_lazy_hashing.py`` asserts a digest-free run computes none.
-BODY_DIGEST_STATS = {"computed": 0, "memoized": 0}
-
-
-def reset_body_digest_stats() -> None:
-    BODY_DIGEST_STATS["computed"] = 0
-    BODY_DIGEST_STATS["memoized"] = 0
-
 
 def _render_body(obj: Any, out: list[str]) -> None:
     """Append a deterministic textual rendering of a payload.
@@ -127,12 +117,10 @@ class Message:
         """
         digest = self._digest
         if digest is not None:
-            BODY_DIGEST_STATS["memoized"] += 1
             return digest
         out: list[str] = [str(self.src), ">", str(self.dst), "|"]
         _render_body(self.payload, out)
         digest = hashlib.sha256("".join(out).encode()).hexdigest()
-        BODY_DIGEST_STATS["computed"] += 1
         self._digest = digest
         return digest
 

@@ -1,6 +1,6 @@
-"""Seed-parallel chaos and benchmark sweeps (opt-in multiprocessing).
+"""Seed-parallel chaos sweeps (opt-in multiprocessing).
 
-A sweep runs the same scenario or bench across many master seeds.  Every
+A sweep runs the same scenario across many master seeds.  Every
 task is independent -- one seed, one fresh deployment, one report -- so
 the work shards trivially across worker processes.  Determinism is
 preserved per task, not per sweep: a task's trace digest is a function
@@ -49,16 +49,6 @@ def _chaos_task(task: tuple[str, int, ChaosConfig | None]) -> dict[str, Any]:
     }
 
 
-def _bench_task(task: tuple[str, int, bool]) -> dict[str, Any]:
-    """Run one (bench, seed) pair; return the harness result envelope."""
-    # benchmarks/ lives at the repo root beside src/; resolved lazily so
-    # importing repro.sweep never requires the harness on sys.path.
-    from benchmarks.harness import _run_one
-
-    name, seed, fast = task
-    return _run_one(name, seed, fast)
-
-
 # ---------------------------------------------------------------------------
 # Sweep drivers
 # ---------------------------------------------------------------------------
@@ -89,17 +79,6 @@ def sweep_chaos(
         (name, seed, chaos) for name in scenarios for seed in seeds
     ]
     return _run_tasks(_chaos_task, tasks, processes)
-
-
-def sweep_bench(
-    names: Iterable[str],
-    seeds: Iterable[int],
-    processes: int = 1,
-    fast: bool = True,
-) -> list[dict[str, Any]]:
-    """Run every (bench, seed) pair; envelopes ordered bench-major."""
-    tasks = [(name, seed, fast) for name in names for seed in seeds]
-    return _run_tasks(_bench_task, tasks, processes)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +112,6 @@ def merge_chaos_results(results: Sequence[dict[str, Any]]) -> dict[str, Any]:
         },
         "all_passed": not failed,
     }
-
-
-def merge_bench_results(results: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Group bench envelopes by bench name, seeds in task order."""
-    merged: dict[str, Any] = {}
-    for envelope in results:
-        merged.setdefault(envelope["name"], []).append(envelope)
-    return merged
 
 
 def parse_seed_spec(spec: str) -> list[int]:

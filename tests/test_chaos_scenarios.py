@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario, scenario_descriptions
+from repro.consistency import BatchingConfig
 from repro.core import ChaosConfig
 
 SEEDS = (0, 3)
@@ -50,7 +51,9 @@ def chaos_config(batched: bool) -> ChaosConfig | None:
     """None = run_scenario's default (unbatched); batched packs rounds."""
     if not batched:
         return None
-    return ChaosConfig(batch_size=4, batch_delay_ms=200.0, pipeline_depth=2)
+    return ChaosConfig(
+        batching=BatchingConfig(size=4, delay_ms=200.0, pipeline_depth=2)
+    )
 
 
 BATCHING = pytest.mark.parametrize("batched", (False, True), ids=("b1", "b4"))

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -115,3 +121,32 @@ class TestCLI:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "removed",
+        (["--kind", "bench"], ["--bench", "read_path"], ["--fast"]),
+        ids=("kind", "bench", "fast"),
+    )
+    def test_sweep_rejects_the_retired_bench_flags(self, removed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--seeds", "0", *removed])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_runs_from_outside_the_repo_root(self, tmp_path):
+        """Nothing under ``repro`` may import from the checkout around it:
+        the command must work wherever the package is importable."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--seeds", "0",
+             "--scenario", "pbft-silent", "--json"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        merged = json.loads(result.stdout)
+        assert merged["all_passed"] and merged["total"] == 1
+        assert list(merged["digests"]) == ["pbft-silent:0"]

@@ -10,6 +10,7 @@ from repro.consistency import (
     FaultMode,
     InnerRing,
     crossover_update_size,
+    fit_cost_model,
     latency_estimate_ms,
     minimum_cost_bytes,
     normalized_cost,
@@ -90,6 +91,46 @@ class TestCostModel:
 
     def test_latency_estimate(self):
         assert latency_estimate_ms(100.0) == 600.0
+
+
+class TestCostModelFit:
+    def test_recovers_known_coefficients_from_synthetic_data(self):
+        constants = CostConstants(c1=120.0, c2=90.0, c3=250.0)
+        points = [
+            (n, float(u), update_cost_bytes(float(u), n, constants))
+            for n in (7, 10, 13, 16)
+            for u in (1_000, 10_000, 100_000)
+        ]
+        fit = fit_cost_model(points)
+        assert fit.c1 == pytest.approx(120.0, abs=1e-6)
+        assert fit.c2 == pytest.approx(90.0, abs=1e-6)
+        assert fit.c3 == pytest.approx(250.0, abs=1e-4)
+        assert fit.max_rel_error < 1e-9
+        assert fit.quadratic_ok
+
+    def test_flags_non_quadratic_traffic(self):
+        # Purely linear traffic: the n^2 coefficient fits to ~0 or below
+        # and the deviation flag must trip via c1 <= 0.
+        points = [
+            (n, 1_000.0, 1_000.0 * n + 500.0 * n) for n in (7, 10, 13)
+        ]
+        fit = fit_cost_model(points)
+        assert not fit.quadratic_ok or fit.c1 < 1.0
+
+    def test_requires_three_ring_sizes(self):
+        with pytest.raises(ValueError, match="3 distinct ring sizes"):
+            fit_cost_model([(7, 1.0, 10.0), (7, 2.0, 20.0), (10, 1.0, 15.0)])
+
+    def test_quadratic_share_grows_with_n(self):
+        constants = CostConstants()
+        points = [
+            (n, 10_000.0, update_cost_bytes(10_000.0, n, constants))
+            for n in (7, 10, 13)
+        ]
+        fit = fit_cost_model(points)
+        assert fit.quadratic_share(13, 10_000.0) > fit.quadratic_share(
+            7, 10_000.0
+        )
 
 
 class TestPBFTNormalCase:

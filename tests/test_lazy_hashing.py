@@ -16,15 +16,12 @@ import hashlib
 import dataclasses
 
 import networkx as nx
+import pytest
 
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
+from repro.sim import network as network_module
 from repro.sim.kernel import Kernel
-from repro.sim.network import (
-    BODY_DIGEST_STATS,
-    Message,
-    Network,
-    reset_body_digest_stats,
-)
+from repro.sim.network import Message, Network
 from repro.sim import TopologyParams
 from repro.telemetry import TelemetryConfig
 
@@ -65,31 +62,45 @@ _PINNED_MESSAGE_DIGESTS = (
 )
 
 
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """Every sha256 the network module evaluates while the test runs.
+
+    Swaps the module's ``hashlib`` binding for a counting stand-in, so
+    production carries no counter and nothing outlives the test."""
+    calls: list[bytes] = []
+
+    class _CountingHashlib:
+        @staticmethod
+        def sha256(data: bytes):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+    monkeypatch.setattr(network_module, "hashlib", _CountingHashlib)
+    return calls
+
+
 class TestDigestOnDemand:
     def test_digests_match_pinned_values(self):
         seen = _drive(record_digests=True)
         assert len(seen) == 10
         assert tuple(seen[:3]) == _PINNED_MESSAGE_DIGESTS
 
-    def test_message_digest_is_memoized(self):
-        reset_body_digest_stats()
+    def test_message_digest_is_memoized(self, sha256_calls):
         message = Message(0, 1, _Payload("put", b"abc"), 64)
         first = message.body_digest()
         again = message.body_digest()
         assert first == again
-        assert BODY_DIGEST_STATS["computed"] == 1
-        assert BODY_DIGEST_STATS["memoized"] == 1
+        assert len(sha256_calls) == 1
 
-    def test_nothing_is_hashed_unless_a_consumer_asks(self):
-        reset_body_digest_stats()
+    def test_nothing_is_hashed_unless_a_consumer_asks(self, sha256_calls):
         _drive(record_digests=False)
-        assert BODY_DIGEST_STATS["computed"] == 0
+        assert len(sha256_calls) == 0
 
-        reset_body_digest_stats()
         _drive(record_digests=True)
-        assert BODY_DIGEST_STATS["computed"] == 10  # only the observed node's
+        assert len(sha256_calls) == 10  # only the observed node's
 
-    def test_send_and_deliver_records_share_one_digest(self):
+    def test_send_and_deliver_records_share_one_digest(self, sha256_calls):
         class _Recorder:
             enabled = True
 
@@ -110,14 +121,13 @@ class TestDigestOnDemand:
         network = Network(kernel, _small_graph(), telemetry=recorder)
         network.record_body_digests = True
         network.register(2, lambda m: None)
-        reset_body_digest_stats()
         network.send(0, 2, _Payload("put", b"block-0"), 128)
         kernel.run()
         assert recorder.bodies == [
             ("send", _PINNED_MESSAGE_DIGESTS[0]),
             ("deliver", _PINNED_MESSAGE_DIGESTS[0]),
         ]
-        assert BODY_DIGEST_STATS == {"computed": 1, "memoized": 1}
+        assert len(sha256_calls) == 1
 
     def test_the_mode_knob_is_gone(self):
         assert "hash_bodies" not in {f.name for f in dataclasses.fields(DeploymentConfig)}

@@ -16,17 +16,21 @@ Batching may only change *when* updates share an agreement round, never
 *what* gets committed or in what order.
 """
 
+import dataclasses
+import inspect
 import random
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consistency import InnerRing
+import pytest
+
+from repro.consistency import BatchingConfig, InnerRing
 from repro.consistency.costmodel import fit_cost_model
 from repro.consistency.measure import measure_sweep
 from repro.consistency.pbft import update_digest
-from repro.core import DeploymentConfig, OceanStoreSystem, make_client
+from repro.core import ChaosConfig, DeploymentConfig, OceanStoreSystem, make_client
 from repro.core.system import serialize_state
 from repro.crypto import make_principal
 from repro.data import (
@@ -64,9 +68,11 @@ def run_workload(
         list(range(n)),
         principals,
         m=m,
-        batch_size=batch_size,
-        batch_delay_ms=batch_delay_ms if batch_size > 1 else 0.0,
-        pipeline_depth=pipeline_depth,
+        batching=BatchingConfig(
+            size=batch_size,
+            delay_ms=batch_delay_ms,
+            pipeline_depth=pipeline_depth,
+        ),
     )
     executed = {i: [] for i in range(n)}
     ring.on_execute(lambda rep, seq, up: executed[rep.index].append(up))
@@ -152,9 +158,9 @@ class TestFullSystemEquivalence:
             secondaries_per_object=3,
             archival_k=4,
             archival_n=8,
-            batch_size=batch_size,
-            batch_delay_ms=150.0,
-            pipeline_depth=2,
+            batching=BatchingConfig(
+                size=batch_size, delay_ms=150.0, pipeline_depth=2
+            ),
         )
         system = OceanStoreSystem(config)
         alice = make_client(system, "alice", seed=2)
@@ -187,6 +193,43 @@ class TestFullSystemEquivalence:
         ) == serialize_state(batched_primary.objects[batched_obj.guid].log.head)
 
 
+class TestBatchingConfig:
+    """One declaration, one validator, three carriers."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        ({"size": 0}, {"delay_ms": -1.0}, {"pipeline_depth": -1}),
+        ids=("size", "delay_ms", "pipeline_depth"),
+    )
+    def test_bad_values_never_reach_a_carrier(self, bad):
+        for carrier in (ChaosConfig, DeploymentConfig, InnerRing):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                carrier(batching=BatchingConfig(**bad))
+
+    def test_carriers_hold_the_object_and_redeclare_nothing(self):
+        batching = BatchingConfig(size=4, delay_ms=200.0, pipeline_depth=2)
+        assert DeploymentConfig(batching=batching).batching is batching
+        assert ChaosConfig(batching=batching).batching is batching
+        retired = {"batch_size", "batch_delay_ms", "pipeline_depth"}
+        for config in (ChaosConfig, DeploymentConfig):
+            assert not retired & {f.name for f in dataclasses.fields(config)}
+        assert not retired & set(inspect.signature(InnerRing).parameters)
+
+    def test_ring_unpacks_what_the_leader_reads(self):
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
+                ),
+                batching=BatchingConfig(size=4, delay_ms=75.0, pipeline_depth=3),
+            )
+        )
+        ring = system.ring
+        assert (ring.batch_size, ring.batch_delay_ms, ring.pipeline_depth) == (
+            4, 75.0, 3
+        )
+
+
 class TestAmortization:
     def test_batched_quadratic_term_amortizes(self):
         updates = 8
@@ -204,3 +247,13 @@ class TestAmortization:
         )
         assert fit_1.quadratic_ok and fit_b.quadratic_ok
         assert fit_b.c1 <= fit_1.c1 / 4
+        # Exact, not banded.  Pre-prepare (n-1), prepare (n-1)^2, commit
+        # and sign-share (n(n-1) each) are 3n^2 - 3n phase messages of
+        # 100 B, and each of the n request copies adds 100 B to the
+        # update's own bytes: b = 300n^2 + (u - 200)n.  A fourth round, a
+        # dropped one, or a resized phase message moves c1 off 300.
+        assert fit_1.c1 == pytest.approx(300.0)
+        assert fit_1.c2 == pytest.approx(-200.0)
+        assert fit_1.c3 == pytest.approx(0.0, abs=1e-6)
+        # One shared round for all eight updates: exactly c1/u each.
+        assert fit_b.c1 == pytest.approx(300.0 / updates)

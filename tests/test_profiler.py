@@ -13,7 +13,6 @@ preserved, behavioural digest byte-identical to the committed baseline.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 
@@ -21,7 +20,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _telemetry_off_digest import telemetry_off_digest  # noqa: E402
+import golden  # noqa: E402
 
 from repro.chaos import run_scenario  # noqa: E402
 from repro.core import (  # noqa: E402
@@ -32,8 +31,6 @@ from repro.core import (  # noqa: E402
 from repro.sim import Kernel, TopologyParams  # noqa: E402
 from repro.telemetry import KernelProfiler, Telemetry, TelemetryConfig  # noqa: E402
 from repro.telemetry.profiler import classify, render_snapshot  # noqa: E402
-
-DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestClassify:
@@ -216,7 +213,7 @@ class TestZeroOverhead:
         """The guard: a same-seed telemetry-off run must reproduce the
         behavioural digest captured before the observatory existed --
         proof the opt-in features cost the default path nothing."""
-        committed = json.loads((DATA / "telemetry_off_digest.json").read_text())
-        current = telemetry_off_digest()
+        committed = golden.load_golden()["core_telemetry_off"]
+        current = golden.core_observables(telemetry=False)
         assert current["digest"] == committed["digest"]
         assert current == committed

@@ -7,8 +7,6 @@ arbitrary crash/handoff interleavings, driven through the very same
 handoff manager uses, every GUID must resolve to exactly one live ring.
 """
 
-import json
-import pathlib
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +14,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.chaos import InvariantChecker
+from repro.consistency import BatchingConfig, FaultMode
 from repro.core import (
     DeploymentConfig,
     OceanStoreSystem,
@@ -43,7 +42,7 @@ from repro.sim import Kernel, Network, TopologyParams
 from repro.telemetry import TelemetryConfig
 from repro.util import GUID, GUID_BITS
 
-import _ring_fingerprint
+import golden
 
 AUTHOR = make_principal("rings-test-author", random.Random(77), bits=256)
 
@@ -549,16 +548,87 @@ def test_every_guid_owned_by_exactly_one_live_ring(data):
 # Differential: ring_count=1 is byte-identical to the pre-sharding HEAD
 # ---------------------------------------------------------------------------
 
-HEAD_FINGERPRINT = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "head_fingerprint.json").read_text()
-)
+
+
+# ---------------------------------------------------------------------------
+# Section 4.4.3: small independent rings scale the control plane
+# ---------------------------------------------------------------------------
+
+
+def _drain_one_object_per_shard(ring_count, updates_per_shard=12):
+    """Submit a burst to one object per shard; ``(committed, sim-ms)``.
+
+    Everything but the ring count is held fixed: 32 transit nodes (room
+    for eight 4-replica rings), one SILENT non-leader per ring (tolerated
+    at m=1 with no view change), and one agreement round in flight per
+    ring, so a ring drains its queue serially and the aggregate rate is
+    bounded by how many rings work in parallel.
+    """
+    system = _sharded_system(
+        ring_count=ring_count,
+        topology=TopologyParams(
+            transit_nodes=32, stubs_per_transit=1, nodes_per_stub=2
+        ),
+        secondaries_per_object=2,
+        batching=BatchingConfig(pipeline_depth=1),
+    )
+    for shard in system.rings.shards:
+        shard.ring.set_fault(shard.ring.n - 1, FaultMode.SILENT)
+    author = make_principal("bench-ring-author", random.Random(101), bits=256)
+    guid_by_shard = {}
+    name_index = 0
+    while len(guid_by_shard) < ring_count:
+        guid = object_guid(author.public_key, f"bench-ring-{name_index}")
+        name_index += 1
+        shard_id = system.rings.shard_of(guid).shard_id
+        if shard_id not in guid_by_shard:
+            guid_by_shard[shard_id] = guid
+            system.create_object(guid)
+    system.settle()
+    stubs = sorted(
+        n for n, d in system.graph.nodes(data=True) if d["kind"] == "stub"
+    )
+    pending = {}
+    start_ms = system.kernel.now
+    # The whole burst goes in up front, each shard's from its own stub,
+    # so the rings drain concurrently in simulated time.
+    for shard_id, guid in sorted(guid_by_shard.items()):
+        for i in range(updates_per_shard):
+            payload = f"shard-{shard_id}-u{i}".encode() * 8
+            update = make_update(
+                author,
+                guid,
+                [UpdateBranch(TruePredicate(), (AppendBlock(payload),))],
+                float(i),
+            )
+            system.submit_update(stubs[shard_id % len(stubs)], update)
+            pending[update.update_id] = guid
+
+    def executed(update_id, guid):
+        return any(
+            update_id in replica.executed_updates
+            for replica in system.rings.ring_for(guid).replicas
+            if replica.fault_mode is FaultMode.HONEST
+        )
+
+    for _ in range(600):
+        system.settle(100.0)
+        if all(executed(uid, guid) for uid, guid in pending.items()):
+            break
+    committed = sum(executed(uid, guid) for uid, guid in pending.items())
+    return committed, system.kernel.now - start_ms
+
+
+class TestRingScaling:
+    def test_one_and_four_ring_drain_times_are_exact(self):
+        """Exact on the simulated clock (polled every 100 ms): one ring
+        commits its 12 updates in 2 200 ms; four rings commit 48 in
+        2 500 ms, 3.52x the aggregate rate."""
+        assert _drain_one_object_per_shard(1) == (12, 2_200.0)
+        assert _drain_one_object_per_shard(4) == (48, 2_500.0)
 
 
 class TestSingleRingDifferential:
     def test_core_fingerprint_matches_head(self):
-        current = _ring_fingerprint.core_fingerprint(ring_count=1)
-        assert current == HEAD_FINGERPRINT["core"]
-
-    def test_chaos_digests_match_head(self):
-        current = _ring_fingerprint.chaos_fingerprint()
-        assert current == HEAD_FINGERPRINT["chaos"]
+        current = golden.core_observables(telemetry=True, ring_count=1)
+        assert current == golden.load_golden()["core_telemetry_on"]

@@ -15,13 +15,10 @@ Three layers of proof:
 2. Directed cases pin the wheel's known edge geometry: bucket
    boundaries, the overflow window, cancels racing the cursor.
 3. ``test_chaos_seed0_digests_pinned`` replays every chaos scenario at
-   seed 0 against digests recorded before the wheel landed
-   (``tests/data/chaos_seed0_digests.json``) -- the whole-system,
-   byte-identical check.
+   seed 0 against digests recorded before the wheel landed (the
+   ``chaos_seed0`` section of ``tests/data/golden.json``) -- the
+   whole-system, byte-identical check.
 """
-
-import json
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import SCHEDULERS, Kernel
 
-DATA_DIR = pathlib.Path(__file__).parent / "data"
+import golden
 
 # Delays chosen to straddle the wheel's geometry: bucket size 16 ms,
 # 1024 slots, so 16384 ms is the overflow horizon.
@@ -249,18 +246,17 @@ class TestPinnedDigests:
         event slab, lazy hashing, and dispatch changes landed."""
         from repro.chaos import SCENARIOS, run_scenario
 
-        expected = json.loads(
-            (DATA_DIR / "chaos_seed0_digests.json").read_text()
-        )
+        expected = golden.load_golden()["chaos_seed0"]
         assert sorted(expected) == sorted(SCENARIOS), (
-            "scenario registry drifted; re-pin tests/data/chaos_seed0_digests.json"
+            "scenario registry drifted; re-pin with tests/golden.py --write"
         )
         mismatches = {}
         for name in sorted(SCENARIOS):
             report = run_scenario(name, seed=0)
             assert report.passed, report.render(include_trace=True)
-            if report.trace_digest != expected[name]:
-                mismatches[name] = report.trace_digest
+            observed = {"digest": report.trace_digest, "passed": report.passed}
+            if observed != expected[name]:
+                mismatches[name] = observed
         assert not mismatches, (
             f"seed-0 trace digests drifted: {mismatches}"
         )

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sweep import (
-    merge_bench_results,
-    merge_chaos_results,
-    parse_seed_spec,
-    sweep_chaos,
-)
+from repro.sweep import merge_chaos_results, parse_seed_spec, sweep_chaos
 
 
 class TestSeedSpec:
@@ -62,14 +57,3 @@ class TestChaosSweep:
         assert merged["failed"] == []
         assert "pbft-delay:0" in merged["digests"]
 
-
-class TestBenchMerge:
-    def test_groups_by_bench_name(self):
-        envelopes = [
-            {"name": "a", "meta": {"seed": 0}},
-            {"name": "b", "meta": {"seed": 0}},
-            {"name": "a", "meta": {"seed": 1}},
-        ]
-        merged = merge_bench_results(envelopes)
-        assert sorted(merged) == ["a", "b"]
-        assert [e["meta"]["seed"] for e in merged["a"]] == [0, 1]

@@ -72,8 +72,6 @@ class ChaosReport:
     #: request) -- byte-identical across runs with the same master seed
     flight_dump: str = ""
     summary: str = ""
-    #: kernel-profiler snapshot, present when the run profiled
-    profile: dict | None = None
     #: per-operation SLO latency summary, present when recorded
     slo: dict | None = None
     #: Perfetto/Chrome trace-event JSON, auto-attached on invariant
@@ -99,8 +97,6 @@ class ChaosReport:
             "events": list(self.events),
             "perfetto_attached": bool(self.perfetto),
         }
-        if self.profile is not None:
-            out["profile"] = self.profile
         if self.slo is not None:
             out["slo"] = self.slo
         return out
@@ -203,7 +199,6 @@ def _standard_system(ctx: ChaosContext, **overrides) -> OceanStoreSystem:
         telemetry=TelemetryConfig(
             enabled=True,
             flight_capacity=65_536,
-            profile=ctx.chaos.profile,
             slo_thresholds=ctx.chaos.slo_thresholds,
         ),
         chaos=ctx.chaos,
@@ -972,20 +967,15 @@ def run_scenario(
         (not passed or capture_flight)
         and ctx.telemetry is not None
         and ctx.telemetry.enabled
-        and ctx.telemetry.flight is not None
     ):
         flight_dump = ctx.telemetry.flight.render()
         # The Perfetto export rides along with the postmortem: load it
         # into ui.perfetto.dev to see the same timeline visually.
         perfetto = export_telemetry(ctx.telemetry)
-    profile_snapshot: dict | None = None
     slo_summary: dict | None = None
     if ctx.telemetry is not None and ctx.telemetry.enabled:
-        profiler = ctx.telemetry.profiler
-        if profiler is not None and profiler.events_total:
-            profile_snapshot = profiler.snapshot()
         slo = ctx.telemetry.slo
-        if slo is not None and slo.ops():
+        if slo.ops():
             slo_summary = slo.summary()
     if passed and not ctx.expect_violations:
         summary = "all invariants held"
@@ -1011,7 +1001,6 @@ def run_scenario(
         span_dump=span_dump,
         flight_dump=flight_dump,
         summary=summary,
-        profile=profile_snapshot,
         slo=slo_summary,
         perfetto=perfetto,
     )

@@ -19,8 +19,6 @@ Commands:
 * ``rings``     -- stand up a sharded control plane, drive one update
                    per shard, and print the ring directory, membership,
                    and per-ring commit stats;
-* ``profile``   -- run a chaos scenario under the kernel profiler and
-                   print the (subsystem, phase) wall-time attribution;
 * ``slo``       -- drive an end-user workload (or a chaos scenario) and
                    print per-operation latency percentiles with SLO
                    threshold verdicts;
@@ -48,7 +46,6 @@ from repro.recovery import RecoveryConfig
 from repro.sim import TopologyParams
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import export_telemetry
-from repro.telemetry.profiler import render_snapshot
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit reports as JSON"
     )
     chaos.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under the kernel profiler and print the attribution "
-        "table per scenario",
-    )
-    chaos.add_argument(
         "--slo",
         action="append",
         default=None,
@@ -253,24 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rings.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="kernel wall-time attribution for a chaos scenario",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="mid-handoff-crash",
-        help="chaos scenario to profile (default: mid-handoff-crash)",
-    )
-    profile.add_argument(
-        "--top", type=int, default=10, help="hot buckets to show"
-    )
-    profile.add_argument(
-        "--json", action="store_true", help="emit the full snapshot as JSON"
     )
 
     slo = sub.add_parser(
@@ -694,7 +667,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         intensity=args.intensity,
         duration_ms=args.duration,
         recovery=False if args.no_recovery else None,
-        profile=args.profile,
         slo_thresholds=_parse_slo_thresholds(args.slo),
     )
     reports = [
@@ -716,8 +688,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         for report in reports:
             print(report.render(include_trace=args.trace))
-            if args.profile and report.profile is not None:
-                print(render_snapshot(report.profile))
             print()
         passed = sum(1 for r in reports if r.passed)
         print(f"{passed}/{len(reports)} scenarios passed (seed {args.seed})")
@@ -816,25 +786,6 @@ def cmd_rings(args: argparse.Namespace) -> int:
         print(f"  shard {row['shard']} epoch {row['epoch']}: "
               f"{row['committed']} committed{retired}")
     return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    report = run_scenario(
-        args.scenario, seed=args.seed, chaos=ChaosConfig(profile=True)
-    )
-    print(
-        f"{'PASS' if report.passed else 'FAIL'}  {report.scenario}  "
-        f"seed={report.seed}",
-        file=sys.stderr,
-    )
-    if report.profile is None:
-        print("no events profiled", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.profile, indent=2))
-    else:
-        print(render_snapshot(report.profile, top=args.top))
-    return 0 if report.passed else 1
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
@@ -990,7 +941,6 @@ _COMMANDS = {
     "flightrec": cmd_flightrec,
     "chaos": cmd_chaos,
     "rings": cmd_rings,
-    "profile": cmd_profile,
     "slo": cmd_slo,
     "health": cmd_health,
     "sweep": cmd_sweep,

@@ -35,9 +35,6 @@ class ChaosConfig:
     #: ``True``/``False`` force it -- forcing it off is how the oracle
     #: is shown to catch the unrepaired failures
     recovery: bool | None = None
-    #: run the scenario with the kernel profiler attached; the report
-    #: then carries a (subsystem, phase) attribution snapshot
-    profile: bool = False
     #: SLO limits threaded into the scenario's TelemetryConfig; when
     #: non-empty the runner judges them as an ``operation-slo``
     #: invariant (default empty: record, never judge, digests unchanged)

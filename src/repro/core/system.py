@@ -133,26 +133,17 @@ class OceanStoreSystem:
             # Callbacks scheduled while a span is active inherit it, so
             # one client update yields a single causal trace.
             self.kernel.trace_wrapper = self.telemetry.wrap
-            if (
-                self.telemetry.flight is not None
-                and self.config.telemetry.flight_kernel
-            ):
+            if self.config.telemetry.flight_kernel:
                 flight = self.telemetry.flight
                 self.kernel.event_hook = (
                     lambda kind, time_ms, label: flight.record(
                         "kernel", kind, at=time_ms, callback=label
                     )
                 )
-            if self.telemetry.profiler is not None:
-                # Opt-in kernel profiler: every fired callback is wall-
-                # clocked and attributed to a (subsystem, phase) bucket.
-                self.kernel.profiler = self.telemetry.profiler
         self.graph = build_transit_stub_topology(
             self.config.topology, seeds.derive("topology")
         )
         self.network = Network(self.kernel, self.graph, telemetry=self.telemetry)
-        if self.config.telemetry.net_body_digests:
-            self.network.record_body_digests = True
         self.injector = FailureInjector(self.kernel, self.network, seeds.derive("failures"))
         #: per-link message fault schedules; attached only when chaos is
         #: enabled so ordinary deployments skip the per-send rule check

@@ -28,16 +28,23 @@ new event objects.  :class:`EventHandle` carries a generation stamp so
 cancelling a handle whose event already fired (and whose record has
 since been recycled for an unrelated event) is a safe no-op.
 
-Two optional safety/observability hooks (both default off):
+The kernel has exactly two observer seams (both default off; a fired
+event is otherwise ``callback()`` and nothing else):
 
 * :attr:`Kernel.trace_wrapper` -- a callable applied to every callback
   at scheduling time.  The telemetry subsystem installs one that binds
   the callback to the trace span current when it was scheduled, which is
   how causal traces cross scheduling boundaries.
-* :attr:`Kernel.step_cap` / :attr:`Kernel.wall_time_budget` -- guards
-  against a mis-wired callback that reschedules itself forever: exceed
-  either inside one :meth:`Kernel.run` and the kernel raises
-  :class:`SimulationError` naming the offending callback.
+* :attr:`Kernel.event_hook` -- called with ``(kind, time_ms, label)`` at
+  every ``"schedule"`` and ``"fire"``; the flight recorder installs it
+  when ``flight_kernel`` is on.  An event scheduled without a label is
+  named after its callback only while the hook is set.
+
+And two safety guards, :attr:`Kernel.step_cap` and
+:attr:`Kernel.wall_time_budget`, against a mis-wired callback that
+reschedules itself forever: exceed either inside one :meth:`Kernel.run`
+and the kernel raises :class:`SimulationError` naming the offending
+callback.
 """
 
 from __future__ import annotations
@@ -67,14 +74,6 @@ def _callback_name(callback: Callable[[], None]) -> str:
     """A deterministic name for a callback -- never ``repr``, whose
     embedded address would break byte-identical flight-recorder replay."""
     return getattr(callback, "__qualname__", None) or type(callback).__name__
-
-
-def _describe_event(event: _ScheduledEvent | None) -> str:
-    if event is None:
-        return "<no event executed>"
-    if event.label is not None:
-        return event.label
-    return _callback_name(event.callback)
 
 
 class EventHandle:
@@ -328,10 +327,6 @@ class Kernel:
         #: Labels are captured before trace wrapping so they name the
         #: real callback, deterministically.
         self.event_hook: Callable[[str, float, str], None] | None = None
-        #: optional callback profiler (kernel stays telemetry-import-free:
-        #: any object with on_fire(label, elapsed_s, time_ms, pending));
-        #: when installed, every fired event is wall-clocked and labelled
-        self.profiler = None
         #: max events per run() before SimulationError (None = unlimited)
         self.step_cap: int | None = None
         #: max real seconds per run() before SimulationError (None = unlimited)
@@ -398,9 +393,7 @@ class Kernel:
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        if label is None and (
-            self.event_hook is not None or self.profiler is not None
-        ):
+        if label is None and self.event_hook is not None:
             # Name the event now, while the callback is still unwrapped;
             # the label also improves guard diagnostics for free.
             label = _callback_name(callback)
@@ -439,9 +432,7 @@ class Kernel:
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        if label is None and (
-            self.event_hook is not None or self.profiler is not None
-        ):
+        if label is None and self.event_hook is not None:
             label = _callback_name(callback)
         if self.trace_wrapper is not None:
             callback = self.trace_wrapper(callback)
@@ -465,9 +456,7 @@ class Kernel:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         time = self._now + delay
-        if label is None and (
-            self.event_hook is not None or self.profiler is not None
-        ):
+        if label is None and self.event_hook is not None:
             label = _callback_name(callback)
         if self.trace_wrapper is not None:
             callback = self.trace_wrapper(callback)
@@ -539,18 +528,7 @@ class Kernel:
             self._release(event)
             if self.event_hook is not None:
                 self.event_hook("fire", self._now, label or "<callable>")
-            profiler = self.profiler
-            if profiler is None:
-                callback()
-            else:
-                started = time.perf_counter()
-                callback()
-                profiler.on_fire(
-                    label,
-                    time.perf_counter() - started,
-                    self._now,
-                    queue.queued,
-                )
+            callback()
             last_label = label
             last_callback = callback
             executed += 1
@@ -581,18 +559,7 @@ class Kernel:
         self._release(event)
         if self.event_hook is not None:
             self.event_hook("fire", self._now, label or "<callable>")
-        profiler = self.profiler
-        if profiler is None:
-            callback()
-        else:
-            started = time.perf_counter()
-            callback()
-            profiler.on_fire(
-                label,
-                time.perf_counter() - started,
-                self._now,
-                queue.queued,
-            )
+        callback()
         self._events_executed += 1
         return True
 

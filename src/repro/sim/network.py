@@ -14,9 +14,8 @@ experiments (Figure 6).
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable
 
 import networkx as nx
@@ -25,55 +24,6 @@ from repro.sim.kernel import Kernel
 
 NodeId = int
 Handler = Callable[["Message"], None]
-
-
-def _render_body(obj: Any, out: list[str]) -> None:
-    """Append a deterministic textual rendering of a payload.
-
-    Follows dataclass fields recursively, hex-encodes bytes, and never
-    falls back to ``repr`` of arbitrary objects (whose embedded memory
-    addresses would break byte-identical digests across runs)."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out.append(type(obj).__name__)
-        out.append("(")
-        for f in fields(obj):
-            # underscore fields are internal memo slots (e.g. an update's
-            # cached encoding), not protocol content: their fill state
-            # depends on call timing, so they must not enter the digest
-            if f.name.startswith("_"):
-                continue
-            out.append(f.name)
-            out.append("=")
-            _render_body(getattr(obj, f.name), out)
-            out.append(",")
-        out.append(")")
-    elif isinstance(obj, bytes):
-        out.append("0x")
-        out.append(obj.hex())
-    elif isinstance(obj, (str, int, float, bool)) or obj is None:
-        out.append(repr(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for item in obj:
-            _render_body(item, out)
-            out.append(",")
-        out.append("]")
-    elif isinstance(obj, (set, frozenset)):
-        out.append("{")
-        for item in sorted(obj, key=repr):
-            _render_body(item, out)
-            out.append(",")
-        out.append("}")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for key in sorted(obj, key=repr):
-            _render_body(key, out)
-            out.append(":")
-            _render_body(obj[key], out)
-            out.append(",")
-        out.append("}")
-    else:
-        out.append(f"<{type(obj).__name__}>")
 
 
 class Message:
@@ -91,7 +41,7 @@ class Message:
     out to every handler.
     """
 
-    __slots__ = ("src", "dst", "payload", "size_bytes", "_digest")
+    __slots__ = ("src", "dst", "payload", "size_bytes")
 
     def __init__(
         self, src: NodeId, dst: NodeId, payload: Any, size_bytes: int
@@ -100,29 +50,12 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.size_bytes = size_bytes
-        #: memoized body digest; ``None`` until someone asks
-        self._digest: str | None = None
 
     def __repr__(self) -> str:
         return (
             f"Message(src={self.src}, dst={self.dst}, "
             f"payload={self.payload!r}, size_bytes={self.size_bytes})"
         )
-
-    def body_digest(self) -> str:
-        """sha256 over a deterministic rendering of the payload, memoized.
-
-        Computed on demand: nobody pays for a digest unless the flight
-        recorder (or a chaos oracle) actually records one.
-        """
-        digest = self._digest
-        if digest is not None:
-            return digest
-        out: list[str] = [str(self.src), ">", str(self.dst), "|"]
-        _render_body(self.payload, out)
-        digest = hashlib.sha256("".join(out).encode()).hexdigest()
-        self._digest = digest
-        return digest
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,10 +176,6 @@ class Network:
         #: a leaf package; see :mod:`repro.telemetry`).  ``None`` means
         #: uninstrumented -- the hot path guards on it.
         self.telemetry = telemetry
-        #: opt-in: stamp ``body=<digest>`` onto flight-recorder net
-        #: send/deliver records (wired from TelemetryConfig.net_body_digests;
-        #: default off so pinned dumps stay byte-identical)
-        self.record_body_digests = False
         #: per-node subscriptions in subscription order: (handler, the
         #: exact payload classes it acts on, or ``None`` for every message)
         self._subscriptions: dict[
@@ -480,11 +409,7 @@ class Network:
         tel = self.telemetry
         instrumented = tel is not None and tel.enabled
         if instrumented:
-            tel.count("net_messages_total", kind=type(payload).__name__)
             tel.observe("net_message_bytes", size_bytes)
-            tel.count("net_phase_messages_total", subsystem=sub, phase=ph)
-            tel.count("net_phase_bytes_total", size_bytes, subsystem=sub, phase=ph)
-            body = {"body": message.body_digest()} if self.record_body_digests else {}
             tel.record(
                 "net",
                 "send",
@@ -494,7 +419,6 @@ class Network:
                 bytes=size_bytes,
                 subsystem=sub,
                 phase=ph,
-                **body,
             )
         down = self._down
         if (
@@ -589,7 +513,6 @@ class Network:
                     )
                 return
             if instrumented:
-                body = {"body": message.body_digest()} if self.record_body_digests else {}
                 tel.record(
                     "net",
                     "deliver",
@@ -598,7 +521,6 @@ class Network:
                     type=type(message.payload).__name__,
                     subsystem=sub,
                     phase=ph,
-                    **body,
                 )
             # handler tuples are replaced copy-on-write at (un)subscribe,
             # so iterating directly is the same snapshot a copy would give
@@ -614,9 +536,9 @@ class Network:
         # span that was current at send time.  Duplicated copies trail
         # the original by one processing overhead each.
         kernel = self.kernel
-        if kernel.event_hook is None and kernel.profiler is None:
-            # Labels only reach observers through the hook/profiler; keep
-            # the unobserved case label-free exactly as before the memo.
+        if kernel.event_hook is None:
+            # Labels only reach observers through the hook; keep the
+            # unobserved case label-free exactly as before the memo.
             label = None
         if copies == 1:
             kernel.post_after(delay, deliver, label=label)

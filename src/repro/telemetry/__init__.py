@@ -8,7 +8,7 @@ reproduction itself, answering "where did this update's latency go?" and
 
 Two pieces:
 
-* a process-wide **metrics registry** (:mod:`repro.telemetry.metrics`)
+* a per-deployment **metrics registry** (:mod:`repro.telemetry.metrics`)
   -- counters, gauges, and histograms keyed by name + label tuples, with
   label-cardinality limits and JSON export compatible with the
   ``benchmarks/results/*.json`` shape;
@@ -39,7 +39,6 @@ from repro.telemetry.metrics import (
     flatten_name,
     label_key,
 )
-from repro.telemetry.profiler import KernelProfiler
 from repro.telemetry.slo import SLORecorder, SLOViolation
 from repro.telemetry.tracing import NULL_SPAN, Span, Tracer
 
@@ -56,8 +55,6 @@ class NullTelemetry:
     enabled = False
     #: no recorder when disabled (mirrors :attr:`Telemetry.flight`)
     flight = None
-    #: no kernel profiler when disabled (mirrors :attr:`Telemetry.profiler`)
-    profiler = None
     #: no SLO recorder when disabled (mirrors :attr:`Telemetry.slo`)
     slo = None
 
@@ -103,28 +100,15 @@ class TelemetryConfig:
     """Deployment knob for the telemetry subsystem (default: off)."""
 
     enabled: bool = False
-    #: record causal trace spans (metrics stay on regardless)
-    trace: bool = True
     #: distinct label sets per metric before folding into overflow
     max_label_sets: int = 64
     #: spans retained per run before new spans are dropped
     max_spans: int = 20_000
-    #: keep a flight recorder (bounded structured-event ring buffer)
-    flight: bool = True
     #: flight-recorder ring size; old events evict past this
     flight_capacity: int = 4096
     #: also record kernel schedule/fire events (noisy: one event per
     #: scheduled callback, so protocol events evict fast; opt-in)
     flight_kernel: bool = False
-    #: kernel profiler: per-(subsystem, phase) wall/event attribution of
-    #: callback execution (opt-in -- wall clocks are machine-dependent)
-    profile: bool = False
-    #: attach a body digest to every flight-recorder net send/deliver
-    #: record (forces a sha256 per recorded message even under lazy
-    #: hashing; opt-in so default dumps stay byte-identical to history)
-    net_body_digests: bool = False
-    #: record end-user operation SLO latencies (cheap sim-time histograms)
-    slo: bool = True
     #: quantiles reported in metric histogram summaries and tables
     quantiles: tuple[float, ...] = (50.0, 90.0, 95.0, 99.0)
     #: declarative SLO limits: op -> {"p95": limit_ms, ...}; empty means
@@ -174,22 +158,11 @@ class Telemetry:
         self.config = config or TelemetryConfig(enabled=True)
         self.metrics = MetricsRegistry(max_label_sets=self.config.max_label_sets)
         self.tracer = Tracer(clock=clock, max_spans=self.config.max_spans)
-        self.flight: FlightRecorder | None = (
-            FlightRecorder(capacity=self.config.flight_capacity, clock=clock)
-            if self.config.flight
-            else None
-        )
-        #: kernel callback profiler; the deployment installs it as
-        #: ``kernel.profiler`` (the kernel stays telemetry-import-free)
-        self.profiler: KernelProfiler | None = (
-            KernelProfiler() if self.config.profile else None
+        self.flight = FlightRecorder(
+            capacity=self.config.flight_capacity, clock=clock
         )
         #: end-user operation latency recorder (sim time, deterministic)
-        self.slo: SLORecorder | None = (
-            SLORecorder(clock=clock, thresholds=self.config.slo_thresholds)
-            if self.config.slo
-            else None
-        )
+        self.slo = SLORecorder(clock=clock, thresholds=self.config.slo_thresholds)
 
     # -- metrics ----------------------------------------------------------
 
@@ -205,22 +178,16 @@ class Telemetry:
     # -- flight recorder --------------------------------------------------
 
     def record(self, category: str, kind: str, **detail: object) -> None:
-        """Append one structured event to the flight recorder (if kept)."""
-        recorder = self.flight
-        if recorder is not None:
-            recorder.record(category, kind, **detail)
+        """Append one structured event to the flight recorder."""
+        self.flight.record(category, kind, **detail)
 
     # -- tracing ----------------------------------------------------------
 
     def span(self, name: str, **labels: object):
-        if not self.config.trace:
-            return NULL_SPAN
         return self.tracer.span(name, **labels)
 
     def wrap(self, callback: Callable[[], None]) -> Callable[[], None]:
         """Kernel trace hook: bind a callback to the current span."""
-        if not self.config.trace:
-            return callback
         return self.tracer.wrap(callback)
 
     # -- export -----------------------------------------------------------
@@ -231,16 +198,14 @@ class Telemetry:
         out = self.metrics.export(quantiles=self.config.quantiles)
         if spans:
             out["spans"] = self.tracer.span_tree()
-        if flight and self.flight is not None:
+        if flight:
             out["flight"] = {
                 "total_recorded": self.flight.total_recorded,
                 "evicted": self.flight.evicted,
                 "events": self.flight.to_dicts(),
             }
-        if self.slo is not None and self.slo.ops():
+        if self.slo.ops():
             out["slo"] = self.slo.summary()
-        if self.profiler is not None and self.profiler.events_total:
-            out["profile"] = self.profiler.snapshot()
         return out
 
     def render_spans(self, max_depth: int | None = None) -> str:
@@ -249,12 +214,8 @@ class Telemetry:
     def reset(self) -> None:
         self.metrics.reset()
         self.tracer.reset()
-        if self.flight is not None:
-            self.flight.reset()
-        if self.profiler is not None:
-            self.profiler.reset()
-        if self.slo is not None:
-            self.slo.reset()
+        self.flight.reset()
+        self.slo.reset()
 
     @classmethod
     def from_config(
@@ -272,7 +233,6 @@ __all__ = [
     "DISABLED",
     "FlightEvent",
     "FlightRecorder",
-    "KernelProfiler",
     "MetricsRegistry",
     "NULL_SPAN",
     "NullTelemetry",

@@ -134,9 +134,10 @@ def export_telemetry(telemetry, process_name: str = "repro-sim") -> str:
     and flight timeline; empty-but-valid JSON when telemetry is off."""
     if telemetry is None or not telemetry.enabled:
         return perfetto_json((), (), process_name=process_name)
-    flight = telemetry.flight.events() if telemetry.flight is not None else ()
     return perfetto_json(
-        telemetry.tracer.spans, flight, process_name=process_name
+        telemetry.tracer.spans,
+        telemetry.flight.events(),
+        process_name=process_name,
     )
 
 

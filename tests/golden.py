@@ -11,7 +11,7 @@ byte-for-byte, in three sections:
     pre-sharding tree.
 ``core_telemetry_off``
     the same workload with telemetry disabled, plus kernel event count
-    and final time.  ``tests/test_profiler.py`` rebuilds it: opt-in
+    and final time.  ``tests/test_telemetry.py`` rebuilds it: opt-in
     observability costs the default path nothing.
 ``chaos_seed0``
     trace digest and oracle verdict of every chaos scenario at seed 0

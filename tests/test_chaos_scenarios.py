@@ -280,6 +280,7 @@ def test_report_round_trips_through_json():
         "liveness",
         "quorum-feasibility",
     ]
+    assert "profile" not in payload
 
 
 def test_render_names_scenario_and_seed():

@@ -53,11 +53,16 @@ class TestCLI:
         assert len(report["directory"]) == 1
         assert report["commits"][0]["committed"] == 2
 
-    def test_profile(self, capsys):
-        assert main(["profile", "--scenario", "pbft-silent", "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel profile:" in out
-        assert "attributed wall time:" in out
+    @pytest.mark.parametrize(
+        "argv",
+        (["profile"], ["chaos", "--scenario", "pbft-silent", "--profile"]),
+        ids=("profile-subcommand", "chaos-profile-flag"),
+    )
+    def test_retired_profiler_surface_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
     def test_slo_workload_with_thresholds(self, capsys):
         assert main([

@@ -10,6 +10,8 @@ the per-phase accounting in ``Network.send`` matches actual call counts.
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -79,11 +81,6 @@ class TestRingBuffer:
 
 
 class TestTelemetryIntegration:
-    def test_flight_off_leaves_recorder_none(self):
-        tel = Telemetry(TelemetryConfig(enabled=True, flight=False))
-        assert tel.flight is None
-        tel.record("net", "send")  # must not raise
-
     def test_export_includes_flight_on_request(self):
         tel = Telemetry(TelemetryConfig(enabled=True))
         tel.record("net", "send", src=0, dst=1)
@@ -152,6 +149,34 @@ class TestDeterminism:
         assert kernel_events, "flight_kernel must record schedule/fire events"
         for event in kernel_events:
             assert "0x" not in dict(event.detail)["callback"]
+
+
+class TestFlightDumpsArePinned:
+    """sha256 of a rendered dump, unchanged since the eager-hashing and
+    lazy-hashing networks both produced it (body digests, now retired,
+    were never stamped into a default dump)."""
+
+    def test_dump_without_body_digests(self):
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=3,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
+                ),
+                archive_every_commit=False,
+                telemetry=TelemetryConfig(enabled=True),
+            )
+        )
+        client = make_client(system, "lazy-hash-test", seed=4)
+        obj = client.create_object("hash-parity-object")
+        client.write(obj, b"parity-payload" * 8)
+        client.read(obj)
+        system.settle(5_000.0)
+        dump = system.telemetry.flight.render()
+        assert "body=" not in dump
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "01297d7e8c88f8d3bb2656134f65c00f88a1fbe93fb83b4d6bdfda66b18a6eb0"
+        )
 
 
 class TestChaosFailureDump:

@@ -3,7 +3,7 @@
 The timer wheel replaced the one-heap-entry-per-event scheduler as the
 kernel's default; its correctness contract is *total behavioural
 equivalence* -- same fire order, same ``now`` trajectory, same cancel
-semantics, same hook/profiler observations -- because every pinned trace
+semantics, same event-hook observations -- because every pinned trace
 digest in this repo depends on it.
 
 Three layers of proof:

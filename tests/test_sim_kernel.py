@@ -233,23 +233,22 @@ class TestSchedulerGuardsAndHooks:
             assert kernel.now == 5.0
 
     def test_hook_and_profiler_counts_match_across_schedulers(self):
-        counts = {}
+        # The event hook is the kernel's one per-event observer (the
+        # profiler that shared this test is retired): both schedulers
+        # must show it the same events and the same pending depth at
+        # every fire, cancelled-but-undiscarded records included.
+        observed = {}
         for scheduler in ("wheel", "heap"):
             kernel = Kernel(scheduler=scheduler)
             hook_events = []
-            kernel.event_hook = lambda kind, t, label: hook_events.append(kind)
+            pendings = []
 
-            class CountingProfiler:
-                def __init__(self):
-                    self.fires = 0
-                    self.pendings = []
+            def hook(kind, t, label):  # only called inside this iteration
+                hook_events.append(kind)
+                if kind == "fire":
+                    pendings.append(kernel.pending)
 
-                def on_fire(self, label, elapsed_s, time_ms, pending):
-                    self.fires += 1
-                    self.pendings.append(pending)
-
-            profiler = CountingProfiler()
-            kernel.profiler = profiler
+            kernel.event_hook = hook
             doomed = []
             for i in range(6):
                 handle = kernel.call_after(10.0 * i + 1.0, lambda: None)
@@ -258,39 +257,43 @@ class TestSchedulerGuardsAndHooks:
             for handle in doomed:
                 handle.cancel()
             kernel.run()
-            counts[scheduler] = (
+            observed[scheduler] = (
                 hook_events.count("schedule"),
                 hook_events.count("fire"),
-                profiler.fires,
-                profiler.pendings,
+                pendings,
             )
-        assert counts["wheel"] == counts["heap"]
+        assert observed["wheel"] == observed["heap"]
+        assert observed["wheel"] == (6, 4, [3, 2, 1, 0])
 
     def test_describe_event_fallback_has_no_memory_address(self):
         # Regression: the unlabeled fallback used repr(callback), whose
-        # 0x... address broke cross-run diffability.
-        from repro.sim.kernel import _describe_event, _ScheduledEvent
+        # 0x... address broke cross-run diffability.  Trip the guard the
+        # way production does and read the error it raises.
+        import functools
 
         def my_callback():
             pass
 
-        event = _ScheduledEvent()
-        event.time = 1.0
-        event.seq = 0
-        event.callback = my_callback
-        event.cancelled = False
-        event.label = None
-        text = _describe_event(event)
-        assert "0x" not in text
-        assert "my_callback" in text
+        for callback, name in (
+            (my_callback, "my_callback"),
+            (lambda: None, "<lambda>"),
+            (functools.partial(my_callback), "partial"),
+        ):
+            kernel = Kernel()
+            kernel.call_at(1.0, callback)
+            kernel.call_at(2.0, callback)
+            kernel.step_cap = 1
+            with pytest.raises(SimulationError) as excinfo:
+                kernel.run()
+            text = str(excinfo.value)
+            assert "0x" not in text
+            assert text.endswith(name)
 
     def test_labeled_describe_event_uses_label(self):
-        from repro.sim.kernel import _describe_event, _ScheduledEvent
-
-        event = _ScheduledEvent()
-        event.time = 2.0
-        event.seq = 1
-        event.callback = lambda: None
-        event.cancelled = False
-        event.label = "recovery.heartbeat"
-        assert "recovery.heartbeat" in _describe_event(event)
+        kernel = Kernel()
+        kernel.call_at(1.0, lambda: None, label="recovery.heartbeat")
+        kernel.call_at(2.0, lambda: None)
+        kernel.step_cap = 1
+        with pytest.raises(SimulationError) as excinfo:
+            kernel.run()
+        assert "last callback: recovery.heartbeat" in str(excinfo.value)

@@ -125,7 +125,7 @@ class TestThresholdConfig:
 
         on = Telemetry.from_config(TelemetryConfig(enabled=True))
         assert on.slo is not None
-        off = Telemetry.from_config(TelemetryConfig(enabled=True, slo=False))
+        off = Telemetry.from_config(TelemetryConfig(enabled=False))
         assert off.slo is None
 
 

@@ -3,6 +3,7 @@ kernel propagation, runaway guards, and the instrumented deployment."""
 
 import pytest
 
+import golden
 from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.network import TopologyParams
 from repro.sim.stats import Distribution, EmptyDistributionError
@@ -233,20 +234,91 @@ class TestDisabledPath:
         live = Telemetry.from_config(TelemetryConfig(enabled=True))
         assert live.enabled is True
 
-    def test_trace_off_keeps_metrics_on(self):
-        telemetry = Telemetry(TelemetryConfig(enabled=True, trace=False))
-        assert telemetry.span("x") is NULL_SPAN
-        def callback():
-            pass
-        assert telemetry.wrap(callback) is callback
-        telemetry.count("c")
-        assert telemetry.metrics.counter_value("c") == 1
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(max_label_sets=0)
         with pytest.raises(ValueError):
             TelemetryConfig(max_spans=-1)
+
+
+class TestZeroOverhead:
+    def test_disabled_telemetry_installs_no_hooks(self):
+        from repro.core import DeploymentConfig, OceanStoreSystem
+
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=5,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
+                ),
+                telemetry=TelemetryConfig(enabled=False),
+            )
+        )
+        assert system.kernel.trace_wrapper is None
+        assert system.kernel.event_hook is None
+        assert system.telemetry.flight is None
+        assert system.telemetry.slo is None
+
+    def test_callback_identity_preserved_without_hooks(self):
+        kernel = Kernel()
+
+        def callback() -> None:
+            pass
+
+        kernel.call_at(1.0, callback)
+        event = kernel._queue.peek()
+        assert event.callback is callback
+        assert event.label is None
+
+    def test_telemetry_off_digest_matches_committed_baseline(self):
+        """The guard: a same-seed telemetry-off run must reproduce the
+        behavioural digest captured before the observatory existed --
+        proof the opt-in features cost the default path nothing."""
+        committed = golden.load_golden()["core_telemetry_off"]
+        current = golden.core_observables(telemetry=False)
+        assert current["digest"] == committed["digest"]
+        assert current == committed
+
+
+class TestRemovedSurface:
+    def test_retired_instruments_stay_retired(self):
+        """The kernel profiler, message-body digests and the switches
+        nobody flipped are gone, not gated: no attribute, no field, no
+        keyword left to turn them back on."""
+        import dataclasses
+
+        import networkx as nx
+
+        from repro.chaos.scenarios import ChaosReport
+        from repro.core import ChaosConfig, DeploymentConfig
+        from repro.sim.network import Message, Network
+
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert names(TelemetryConfig) == {
+            "enabled",
+            "max_label_sets",
+            "max_spans",
+            "flight_capacity",
+            "flight_kernel",
+            "quantiles",
+            "slo_thresholds",
+        }
+        assert "profile" not in names(ChaosConfig)
+        assert "profile" not in names(ChaosReport)
+        assert "hash_bodies" not in names(DeploymentConfig)
+        kernel = Kernel()
+        assert not hasattr(kernel, "profiler")
+        message = Message(0, 1, b"payload", 8)
+        assert not hasattr(message, "body_digest")
+        assert not hasattr(message, "_digest")
+        network = Network(kernel, nx.Graph())
+        assert not hasattr(network, "record_body_digests")
+        with pytest.raises(TypeError):
+            Network(kernel, nx.Graph(), hash_bodies="eager")
+        assert not hasattr(Telemetry(), "profiler")
+        assert not hasattr(DISABLED, "profiler")
 
 
 class TestDistributionEdgeCases:

@@ -24,7 +24,10 @@ Commands:
                    threshold verdicts;
 * ``health``    -- stand up a deployment and dump the control-plane
                    health snapshot (ring epochs, degraded shards,
-                   suspected members, handoff progress) as JSON.
+                   suspected members, handoff progress) as JSON;
+* ``sweep``     -- run chaos scenarios over a seed range, optionally
+                   across worker processes, with per-task digests that
+                   match at any process count.
 """
 
 from __future__ import annotations

@@ -82,19 +82,22 @@ class PrePrepare:
     large-update bandwidth floor -- the Figure 6 equation's (u+c2)*n
     term counts the body crossing the network once per replica.
 
-    ``batch`` is the Castro-Liskov batching extension: an ordered tuple
-    of member update digests sharing this agreement slot.  Empty means a
-    classic single-update slot whose ``digest`` is the update digest
-    itself (wire-identical to the unbatched protocol); non-empty means
-    ``digest`` commits to the whole ordered membership via
-    :func:`batch_digest`, so prepare/commit votes bind the composition,
-    not just an opaque label.
+    Every slot holds an ordered tuple of member update digests (the
+    Castro-Liskov batching extension) and ``digest`` is their
+    :func:`slot_digest`, so prepare/commit votes bind the composition,
+    not just an opaque label.  A one-member slot travels with
+    ``batch=()``: its digest is its member's, which keeps it
+    wire-identical to the unbatched protocol.
     """
 
     view: int
     seq: int
     digest: bytes
     batch: tuple[bytes, ...] = ()
+
+    @property
+    def members(self) -> tuple[bytes, ...]:
+        return self.batch or (self.digest,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,16 +167,11 @@ class BodyFetchRequest:
 
 @dataclass(frozen=True, slots=True)
 class BodyFetchResponse:
-    update: Update
+    """Body-fetch answer: a slot's ordered member bodies.
 
-
-@dataclass(frozen=True, slots=True)
-class BatchBodyFetchResponse:
-    """Body-fetch answer for a *batched* slot.
-
-    Carries the ordered member bodies plus the slot digest they hash to,
-    so the requester learns both the missing bodies and the composition
-    (which it may never have seen if the batch pre-prepare was lost).
+    ``digest`` is the slot digest they hash to, so the requester learns
+    both the missing bodies and the composition (which it may never have
+    seen if the pre-prepare was lost).
     """
 
     digest: bytes
@@ -185,8 +183,8 @@ class CommitCertificate:
     """Proof that the primary tier serialized ``updates`` at slot ``seq``.
 
     Verifiable offline: check 2m+1 distinct valid signatures over
-    (seq, digest) against the ring's known replica keys.  A batched slot
-    carries its whole ordered membership; ``digest`` recomputes from the
+    (seq, digest) against the ring's known replica keys.  The slot's
+    whole ordered membership rides along; ``digest`` recomputes from the
     member digests, so a helper cannot splice bodies into a certificate.
     """
 
@@ -194,11 +192,6 @@ class CommitCertificate:
     digest: bytes
     updates: tuple[Update, ...]
     signatures: tuple[tuple[int, bytes], ...]
-
-    @property
-    def update(self) -> Update:
-        """The sole member of a single-update slot (legacy accessor)."""
-        return self.updates[0]
 
     @staticmethod
     def signed_payload(seq: int, digest: bytes) -> bytes:
@@ -242,7 +235,7 @@ class ExecutedClaim:
     m+1 *distinct* replicas have validly signed (seq, digest): at least
     one signer is honest, and honest replicas sign only after a commit
     quorum, so no conflicting digest can gather m+1 honest-backed
-    signatures at the same slot.  Batched slots claim their whole
+    signatures at the same slot.  A claim carries the slot's whole
     ordered membership, validated against the digest like certificates.
     """
 
@@ -250,11 +243,6 @@ class ExecutedClaim:
     digest: bytes
     updates: tuple[Update, ...]
     signatures: tuple[tuple[int, bytes], ...]
-
-    @property
-    def update(self) -> Update:
-        """The sole member of a single-update slot (legacy accessor)."""
-        return self.updates[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,21 +267,21 @@ def update_digest(update: Update) -> bytes:
     return sha256(update.signed_bytes())
 
 
-def batch_digest(member_digests: tuple[bytes, ...]) -> bytes:
-    """Slot digest of a multi-update batch: binds order and membership."""
-    return sha256(b"pbft-batch" + b"".join(member_digests))
+def slot_digest(members: tuple[bytes, ...]) -> bytes:
+    """The digest a slot with these ordered member digests advertises.
+
+    A one-member slot keeps its member's digest (wire-compatible with
+    the unbatched protocol); larger slots hash the ordered membership,
+    binding order and composition.
+    """
+    if len(members) == 1:
+        return members[0]
+    return sha256(b"pbft-batch" + b"".join(members))
 
 
 def slot_digest_for(updates: tuple[Update, ...]) -> bytes:
-    """The digest a slot carrying ``updates`` must advertise.
-
-    Single-member slots keep the raw update digest (wire-compatible with
-    the unbatched protocol); larger slots hash the ordered membership.
-    """
-    digests = tuple(update_digest(u) for u in updates)
-    if len(digests) == 1:
-        return digests[0]
-    return batch_digest(digests)
+    """The digest a slot carrying ``updates`` must advertise."""
+    return slot_digest(tuple(update_digest(u) for u in updates))
 
 
 #: Digest of the null request used to fill sequence gaps after a view
@@ -313,7 +301,6 @@ _PHASE_BY_TYPE: dict[type, str] = {
     NewViewMsg: "new_view",
     BodyFetchRequest: "body_fetch",
     BodyFetchResponse: "body_fetch",
-    BatchBodyFetchResponse: "body_fetch",
     CatchUpRequest: "catch_up",
     CatchUpResponse: "catch_up",
 }
@@ -332,8 +319,7 @@ class _Instance:
     """
 
     digest: bytes | None = None
-    #: ordered member bodies (None for a noop slot); a single-update
-    #: slot is a one-element tuple
+    #: ordered member bodies (None for a noop slot)
     updates: tuple[Update, ...] | None = None
     #: member update digests, () for noop slots; used to answer "is this
     #: request already riding some slot?" without rehashing bodies
@@ -372,13 +358,14 @@ class PBFTReplica:
         self.executed_by_seq: dict[int, bytes] = {}
         self.last_executed_seq = -1
         self.execution_queue: dict[int, tuple[bytes, tuple[Update, ...] | None]] = {}
-        self.known_requests: dict[bytes, Update] = {}
+        #: update digest -> body, for every request this replica has seen
         self.known_by_digest: dict[bytes, Update] = {}
-        #: batch slot digest -> ordered member digests (composition of
-        #: every batched slot this replica has seen proposed or proven)
-        self.known_batches: dict[bytes, tuple[bytes, ...]] = {}
+        #: slot digest -> ordered member digests, for every slot of more
+        #: than one member this replica has seen proposed or proven (see
+        #: :meth:`_members_of`)
+        self.slot_members: dict[bytes, tuple[bytes, ...]] = {}
         #: pre-prepares that arrived before their client request(s),
-        #: keyed by slot digest; batch slots wait for *all* member bodies
+        #: keyed by slot digest; each waits for *all* its member bodies
         self._deferred_pre_prepares: dict[bytes, PrePrepare] = {}
         #: leader-side batch buffer (requests waiting to be proposed)
         self._batch_queue: list[Update] = []
@@ -394,8 +381,8 @@ class PBFTReplica:
         #: view -> {sender -> that sender's prepared-slot reports}
         self.view_change_votes: dict[int, dict[int, tuple[PreparedReport, ...]]] = {}
         self._pending_timeouts: dict[bytes, object] = {}
-        #: digest -> sequence slot reserved for it while the body is
-        #: fetched from peers (view-change recovery of a lost request)
+        #: slot digest -> sequence number reserved for it while its bodies
+        #: are fetched from peers (view-change recovery of lost requests)
         self._awaiting_body: dict[bytes, int] = {}
 
     # -- helpers ---------------------------------------------------------------
@@ -479,36 +466,26 @@ class PBFTReplica:
             return  # replicas drop unauthenticated requests
         if self.ring.authorizer is not None and not self.ring.authorizer(update):
             return  # write not allowed by the object's ACL (Section 4.2)
-        self.known_requests[update.update_id] = update
         digest = update_digest(update)
         self.known_by_digest[digest] = update
-        deferred = self._deferred_pre_prepares.pop(digest, None)
-        reserved = self._awaiting_body.pop(digest, None)
         # Every replica times the request -- including one that believes
         # it is the leader.  A view-desynced replica whose stale view
         # maps the leader role onto itself would otherwise propose into
         # the void and never fire the catch-up/view-change machinery
         # that is its only way back to the ring.
         self._arm_view_change_timer(update)
-        if self.is_leader:
-            if reserved is not None:
-                # A view change reserved this slot for the digest; now
-                # that the body is here, fill it at its original number.
-                self._propose_batch_at(reserved, (update,))
-            elif (
-                not self._already_in_flight(digest)
-                and digest not in self._queued_digests
-                and not self._member_of_awaiting_batch(digest)
-            ):
-                self._enqueue_update(update)
-        else:
-            if deferred is not None:
-                self._on_pre_prepare(deferred)
-        # A newly-known body may complete a *batched* slot that is held
-        # back on other digests: retry deferred batch pre-prepares and
-        # (as leader) batch slots reserved by a view change.
-        self._retry_deferred_batches()
-        self._retry_awaiting_batches()
+        if (
+            self.is_leader
+            and not self._already_in_flight(digest)
+            and digest not in self._queued_digests
+            and not self._reserved(digest)
+        ):
+            self._enqueue_update(update)
+        # The body may complete slots held back on it: a pre-prepare
+        # deferred for missing bodies, or (as leader) a slot a view
+        # change reserved, which fills at its original number.
+        self._retry_deferred(digest)
+        self._retry_reserved(digest)
 
     def _already_in_flight(self, digest: bytes) -> bool:
         """True if some slot already carries this request (client retry),
@@ -559,7 +536,7 @@ class PBFTReplica:
                 self._queued_digests.discard(update_digest(member))
             seq = self.next_seq
             self.next_seq += 1
-            self._propose_batch_at(seq, members)
+            self._propose_slot_at(seq, members)
         self._cancel_batch_timer()
 
     def _arm_batch_timer(self) -> None:
@@ -581,84 +558,87 @@ class PBFTReplica:
 
     def _reset_batch_queue(self) -> None:
         """Drop the buffer (view change / leadership loss).  The bodies
-        stay in ``known_requests``; the new leader's gap-fill step or a
+        stay in ``known_by_digest``; the new leader's gap-fill step or a
         client retry re-proposes them."""
         self._batch_queue.clear()
         self._queued_digests.clear()
         self._cancel_batch_timer()
 
+    # -- slot membership -----------------------------------------------------------
+
+    def _members_of(self, slot: bytes) -> tuple[bytes, ...]:
+        """A slot digest's ordered member digests.
+
+        Unrecorded means one member whose digest is the slot's own -- or
+        a batch whose composition is still unknown, which is the same
+        answer for every caller: no body ever hashes to a batch digest.
+        """
+        return self.slot_members.get(slot, (slot,))
+
+    def _learn_members(self, slot: bytes, members: tuple[bytes, ...]) -> None:
+        if members != (slot,):
+            self.slot_members[slot] = members
+
     def _updates_for_digest(self, digest: bytes) -> tuple[Update, ...] | None:
         """Resolve a slot digest to its ordered member bodies, if all
-        are locally known; None while any body (or a batch's
-        composition) is missing."""
-        update = self.known_by_digest.get(digest)
-        if update is not None:
-            return (update,)
-        members = self.known_batches.get(digest)
-        if members is not None and all(d in self.known_by_digest for d in members):
+        are locally known; None while any body (or the composition) is
+        missing."""
+        members = self._members_of(digest)
+        if all(d in self.known_by_digest for d in members):
             return tuple(self.known_by_digest[d] for d in members)
         return None
 
     def _register_slot_bodies(
-        self, slot_digest: bytes, updates: tuple[Update, ...]
+        self, slot: bytes, updates: tuple[Update, ...]
     ) -> None:
-        """Learn a proven slot's bodies (and composition, if batched)."""
+        """Learn a proven slot's bodies and composition."""
         digests = tuple(update_digest(u) for u in updates)
         for member_digest, update in zip(digests, updates):
-            self.known_requests[update.update_id] = update
             self.known_by_digest[member_digest] = update
-        if len(updates) > 1:
-            self.known_batches[slot_digest] = digests
+        self._learn_members(slot, digests)
 
-    def _member_of_awaiting_batch(self, digest: bytes) -> bool:
-        """True if this request digest belongs to a batch slot reserved
-        by a view change -- the reservation, not a fresh slot, must
-        carry it once the remaining members arrive."""
-        for slot_digest in self._awaiting_body:
-            members = self.known_batches.get(slot_digest)
-            if members is not None and digest in members:
-                return True
-        return False
+    def _reserved(self, digest: bytes) -> bool:
+        """True if this request digest belongs to a slot reserved by a
+        view change -- the reservation, not a fresh slot, must carry it
+        once every member is here."""
+        return any(digest in self._members_of(slot) for slot in self._awaiting_body)
 
-    def _retry_deferred_batches(self) -> None:
-        ready = [
-            slot_digest
-            for slot_digest, msg in self._deferred_pre_prepares.items()
-            if msg.batch and all(d in self.known_by_digest for d in msg.batch)
-        ]
-        for slot_digest in ready:
-            self._on_pre_prepare(self._deferred_pre_prepares.pop(slot_digest))
+    def _retry_deferred(self, digest: bytes) -> None:
+        """Process deferred pre-prepares whose bodies are all known now:
+        ``digest``'s own slot first, then the rest in arrival order."""
+        deferred = self._deferred_pre_prepares
+        ready = sorted(
+            (
+                slot
+                for slot, msg in deferred.items()
+                if all(d in self.known_by_digest for d in msg.members)
+            ),
+            key=lambda slot: slot != digest,
+        )
+        for slot in ready:
+            self._on_pre_prepare(deferred.pop(slot))
 
-    def _retry_awaiting_batches(self) -> None:
+    def _retry_reserved(self, digest: bytes) -> None:
+        """As leader, propose reserved slots whose bodies are all known
+        now, in the same order as :meth:`_retry_deferred`."""
         if not self._awaiting_body or not self.is_leader:
             return
-        for slot_digest, seq in list(self._awaiting_body.items()):
-            if slot_digest not in self.known_batches:
-                continue
-            updates = self._updates_for_digest(slot_digest)
+        for slot in sorted(self._awaiting_body, key=lambda slot: slot != digest):
+            updates = self._updates_for_digest(slot)
             if updates is not None:
-                del self._awaiting_body[slot_digest]
-                self._propose_batch_at(seq, updates)
+                self._propose_slot_at(self._awaiting_body.pop(slot), updates)
 
-    def _propose_at(self, seq: int, update: Update) -> None:
-        self._propose_batch_at(seq, (update,))
-
-    def _propose_batch_at(self, seq: int, updates: tuple[Update, ...]) -> None:
+    def _propose_slot_at(self, seq: int, updates: tuple[Update, ...]) -> None:
         digests = tuple(update_digest(u) for u in updates)
-        if len(digests) == 1:
-            slot_digest: bytes = digests[0]
-            batch: tuple[bytes, ...] = ()
-        else:
-            slot_digest = batch_digest(digests)
-            batch = digests
-            self.known_batches[slot_digest] = digests
+        slot = slot_digest(digests)
+        self._learn_members(slot, digests)
         instance = self._instance(self.view, seq)
-        instance.digest = slot_digest
+        instance.digest = slot
         instance.updates = updates
         instance.members = digests
         instance.prepares.add(self.index)
-        instance.prepares |= instance.early_prepares.pop(slot_digest, set())
-        instance.commits |= instance.early_commits.pop(slot_digest, set())
+        instance.prepares |= instance.early_prepares.pop(slot, set())
+        instance.commits |= instance.early_commits.pop(slot, set())
         for member_digest, update in zip(digests, updates):
             self.known_by_digest[member_digest] = update
         tel = self.ring.telemetry
@@ -676,10 +656,13 @@ class PBFTReplica:
                     size=len(updates),
                     members=",".join(u.update_id[:4].hex() for u in updates),
                 )
-        size = SMALL_MESSAGE_BYTES + 32 * len(batch)
+        # A one-member slot's digest names its member, so it travels
+        # without a membership list, as the unbatched protocol's did.
+        batch = digests if len(digests) > 1 else ()
         with self.ring.telemetry.span("pbft.pre_prepare", seq=seq, leader=self.index):
             self._broadcast(
-                PrePrepare(self.view, seq, slot_digest, batch), size=size
+                PrePrepare(self.view, seq, slot, batch),
+                size=SMALL_MESSAGE_BYTES + 32 * len(batch),
             )
         self._maybe_prepared(self.view, seq)
 
@@ -700,38 +683,29 @@ class PBFTReplica:
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
         if msg.view != self.view:
             return
-        updates: tuple[Update, ...] | None
-        if msg.digest == NOOP_DIGEST:
-            updates = None
-        elif msg.batch:
-            if batch_digest(msg.batch) != msg.digest:
+        updates: tuple[Update, ...] | None = None
+        members: tuple[bytes, ...] = ()
+        if msg.digest != NOOP_DIGEST:
+            members = msg.members
+            if slot_digest(members) != msg.digest:
                 return  # membership does not hash to the slot digest
             # Record the composition even while bodies are missing: the
             # view-change and body-fetch paths need to know which member
-            # digests a reserved batch slot stands for.
-            self.known_batches[msg.digest] = msg.batch
-            if any(d not in self.known_by_digest for d in msg.batch):
-                # Some member bodies have not arrived yet; hold the
-                # proposal until the client copies (or fetches) land.
+            # digests a reserved slot stands for.
+            self._learn_members(msg.digest, members)
+            known = self.known_by_digest
+            if any(d not in known for d in members):
+                # Some client copies have not arrived yet; hold the
+                # proposal until they (or fetched bodies) land.
                 self._deferred_pre_prepares[msg.digest] = msg
                 return
-            updates = tuple(self.known_by_digest[d] for d in msg.batch)
-        else:
-            update = self.known_by_digest.get(msg.digest)
-            if update is None:
-                # The client's copy of the request has not arrived yet;
-                # hold the proposal until it does.
-                self._deferred_pre_prepares[msg.digest] = msg
-                return
-            updates = (update,)
+            updates = tuple(known[d] for d in members)
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is not None and instance.digest != msg.digest:
             return  # conflicting pre-prepare for the slot
         instance.digest = msg.digest
         instance.updates = updates
-        instance.members = msg.batch if msg.batch else (
-            () if updates is None else (msg.digest,)
-        )
+        instance.members = members
         for update in updates or ():
             if (
                 update.update_id not in self.executed_updates
@@ -1046,8 +1020,8 @@ class PBFTReplica:
                 continue
             updates = self._updates_for_digest(preserved[seq])
             if updates is None:
-                # The digest is committed to this slot but a body (or a
-                # batch's composition) was lost en route here.  Reserve
+                # The digest is committed to this slot but a body (or the
+                # composition) was lost en route here.  Reserve
                 # the number (padding must NOT reuse it -- that
                 # re-executes the slot divergently) and fetch from
                 # peers; client retries also satisfy the reservation.
@@ -1058,26 +1032,23 @@ class PBFTReplica:
                     size=SMALL_MESSAGE_BYTES,
                 )
                 continue
-            self._propose_batch_at(seq, updates)
-            proposed_digests.add(preserved[seq])
+            self._propose_slot_at(seq, updates)
             proposed_digests.update(update_digest(u) for u in updates)
             used_seqs.add(seq)
-        # Members of reserved batch slots with known composition must not
-        # be re-proposed as fresh singles below -- the reservation owns
-        # them (executing them twice is safe but wasteful).
-        for slot_digest in self._awaiting_body:
-            members = self.known_batches.get(slot_digest)
-            if members is not None:
-                proposed_digests.update(members)
+        # Members of reserved slots must not be re-proposed as fresh
+        # slots below -- the reservation owns them (executing them twice
+        # is safe but wasteful).
+        for slot in self._awaiting_body:
+            proposed_digests.update(self._members_of(slot))
 
         # 2. Fill remaining gaps with known-but-unexecuted requests not
         #    already covered by a preserved slot.
         pending = sorted(
             (
                 u
-                for u in self.known_requests.values()
+                for digest, u in self.known_by_digest.items()
                 if u.update_id not in self.executed_updates
-                and update_digest(u) not in proposed_digests
+                and digest not in proposed_digests
             ),
             key=lambda u: (u.timestamp, u.update_id),
         )
@@ -1085,7 +1056,7 @@ class PBFTReplica:
         for update in pending:
             while seq in used_seqs:
                 seq += 1
-            self._propose_at(seq, update)
+            self._propose_slot_at(seq, (update,))
             used_seqs.add(seq)
             seq += 1
 
@@ -1109,38 +1080,25 @@ class PBFTReplica:
     def _on_body_fetch(self, msg: BodyFetchRequest) -> None:
         if not 0 <= msg.sender < self.ring.n:
             return
-        update = self.known_by_digest.get(msg.digest)
-        if update is not None:
-            self.ring.network.send(
-                self.network_id,
-                self.ring.replicas[msg.sender].network_id,
-                BodyFetchResponse(update),
-                size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
-                phase="body_fetch",
-                subsystem="pbft",
-            )
-            return
-        # A batch slot digest: answer with whatever full membership this
-        # replica holds (a replica that prepared the batch has it all).
+        # Answer only with the full membership (a replica that prepared
+        # the slot has it all).
         updates = self._updates_for_digest(msg.digest)
         if updates is None:
             return
         self.ring.network.send(
             self.network_id,
             self.ring.replicas[msg.sender].network_id,
-            BatchBodyFetchResponse(msg.digest, updates),
+            BodyFetchResponse(msg.digest, updates),
             size_bytes=sum(u.size_bytes() for u in updates) + SMALL_MESSAGE_BYTES,
             phase="body_fetch",
             subsystem="pbft",
         )
 
-    def _on_batch_body_fetch_response(self, msg: BatchBodyFetchResponse) -> None:
-        if len(msg.updates) < 2:
-            return
+    def _on_body_fetch_response(self, msg: BodyFetchResponse) -> None:
         digests = tuple(update_digest(u) for u in msg.updates)
-        if batch_digest(digests) != msg.digest:
+        if not digests or slot_digest(digests) != msg.digest:
             return  # bodies do not hash to the requested slot digest
-        self.known_batches[msg.digest] = digests
+        self._learn_members(msg.digest, digests)
         # Register each member through the request path: it dedupes,
         # verifies signatures, arms progress timers, and (via the retry
         # hooks) completes any reservation or deferred pre-prepare that
@@ -1289,8 +1247,7 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
     ViewChangeMsg: PBFTReplica._on_view_change,
     NewViewMsg: PBFTReplica._on_new_view,
     BodyFetchRequest: PBFTReplica._on_body_fetch,
-    BodyFetchResponse: lambda replica, p: replica._on_request(p.update),
-    BatchBodyFetchResponse: PBFTReplica._on_batch_body_fetch_response,
+    BodyFetchResponse: PBFTReplica._on_body_fetch_response,
     CatchUpRequest: PBFTReplica._on_catch_up_request,
     CatchUpResponse: PBFTReplica._on_catch_up_response,
 }
@@ -1345,7 +1302,6 @@ class InnerRing:
         telemetry=None,
         allow_unsafe_size: bool = False,
         batching: BatchingConfig = BatchingConfig(),
-        subscribe_handlers: bool = False,
     ) -> None:
         if len(replica_nodes) != 3 * m + 1 and not allow_unsafe_size:
             raise ValueError(
@@ -1374,13 +1330,11 @@ class InnerRing:
             for i, (node, principal) in enumerate(zip(replica_nodes, principals))
         ]
         for replica in self.replicas:
-            if subscribe_handlers:
-                # A ring installed mid-run (membership handoff) must not
-                # clobber handlers other subsystems -- failure detector,
-                # dissemination tier -- already hold on these nodes.
-                network.subscribe(replica.network_id, replica.handle, _PBFT_DISPATCH)
-            else:
-                network.register(replica.network_id, replica.handle, _PBFT_DISPATCH)
+            # Subscribe, never register: a ring installed mid-run
+            # (membership handoff) must not clobber handlers other
+            # subsystems -- failure detector, dissemination tier -- already
+            # hold on these nodes.
+            network.subscribe(replica.network_id, replica.handle, _PBFT_DISPATCH)
         #: optional ACL check every honest replica runs on client requests
         self.authorizer: Callable[[Update], bool] | None = None
         self._execute_callbacks: list[Callable[[PBFTReplica, int, Update], None]] = []

@@ -218,16 +218,7 @@ class OceanStoreSystem:
             members = transit_nodes[
                 shard_id * ring_size : (shard_id + 1) * ring_size
             ]
-            ring = InnerRing(
-                self.kernel,
-                self.network,
-                members,
-                [self.servers[n].principal for n in members],
-                m=self.config.byzantine_m,
-                telemetry=self.telemetry,
-                batching=self.config.batching,
-            )
-            self.wire_ring(shard_id, 0, ring)
+            ring = self.build_ring(shard_id, 0, members)
             shards.append(
                 RingShard(
                     shard_id=shard_id,
@@ -726,14 +717,26 @@ class OceanStoreSystem:
         # Honest replicas compute identical outcomes; record the first.
         self._outcomes.setdefault(update.update_id, outcome)
 
-    def wire_ring(self, shard_id: int, epoch: int, ring: InnerRing) -> None:
-        """Attach a shard's ring to the system's commit plumbing.
+    def build_ring(
+        self, shard_id: int, epoch: int, members: list[NodeId]
+    ) -> InnerRing:
+        """Build a shard's ring on ``members`` and attach it to the
+        system's commit plumbing.
 
         Used at construction (epoch 0 for every shard) and by the
         handoff manager when it installs a replacement ring; the
         certificate callback closes over ``(shard_id, epoch)`` so
         delivery is epoch-fenced per shard.
         """
+        ring = InnerRing(
+            self.kernel,
+            self.network,
+            members,
+            [self.servers[n].principal for n in members],
+            m=self.config.byzantine_m,
+            telemetry=self.telemetry,
+            batching=self.config.batching,
+        )
         ring.authorizer = self._authorize
         ring.on_execute(self._on_execute)
         key = (shard_id, epoch)
@@ -742,6 +745,7 @@ class OceanStoreSystem:
         ring.on_certificate(
             lambda certificate: self._on_certificate(shard_id, epoch, certificate)
         )
+        return ring
 
     def _on_certificate(
         self, shard_id: int, epoch: int, certificate: CommitCertificate

@@ -16,17 +16,11 @@ real (keys actually sign and verify; forgeries fail), just short.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.hashes import sha256
 
 _MILLER_RABIN_ROUNDS = 24
-
-#: memoized signature checks (pure function of key + message + signature);
-#: cleared wholesale at the cap -- simpler than LRU and the working set
-#: of any one simulation is far below it
-_VERIFY_CACHE: dict[tuple[int, int, bytes, bytes], bool] = {}
-_VERIFY_CACHE_CAP = 8192
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -72,6 +66,11 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 class PublicKey:
     n: int
     e: int
+    #: (message, signature) -> verdict; bounded by what was signed with
+    #: (or forged against) this key
+    _verified: dict[tuple[bytes, bytes], bool] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def to_bytes(self) -> bytes:
         n_bytes = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
@@ -95,13 +94,13 @@ class PublicKey:
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Check a full-domain-hash RSA signature.  Never raises on bad input.
 
-        Results are memoized process-wide: verification is a pure
-        function of ``(n, e, message, signature)``, and PBFT re-verifies
-        the same share or client signature at every replica that receives
-        it -- one modular exponentiation instead of n.
+        Results are memoized on the key: verification is a pure function
+        of ``(n, e, message, signature)``, and PBFT re-verifies the same
+        share or client signature at every replica that receives it --
+        one modular exponentiation instead of n.
         """
-        key = (self.n, self.e, message, signature)
-        cached = _VERIFY_CACHE.get(key)
+        key = (message, signature)
+        cached = self._verified.get(key)
         if cached is not None:
             return cached
         sig_int = int.from_bytes(signature, "big")
@@ -109,9 +108,7 @@ class PublicKey:
             result = False
         else:
             result = pow(sig_int, self.e, self.n) == _fdh(message, self.n)
-        if len(_VERIFY_CACHE) >= _VERIFY_CACHE_CAP:
-            _VERIFY_CACHE.clear()
-        _VERIFY_CACHE[key] = result
+        self._verified[key] = result
         return result
 
 

@@ -361,8 +361,6 @@ class HandoffManager:
     # -- stage 3: install ----------------------------------------------------
 
     def _finalize(self, shard_id: int) -> None:
-        from repro.consistency.pbft import InnerRing
-
         system = self.system
         pending = self._active.pop(shard_id)
         self._unsubscribe(shard_id)
@@ -378,9 +376,9 @@ class HandoffManager:
         for replica in old_ring.replicas:
             if system.network.is_down(replica.network_id):
                 continue
-            for uid, update in replica.known_requests.items():
-                if uid not in executed:
-                    carry.setdefault(uid, update)
+            for update in replica.known_by_digest.values():
+                if update.update_id not in executed:
+                    carry.setdefault(update.update_id, update)
 
         # Fence the old epoch: detach every old replica's mailbox, so the
         # stale ring can make no further progress; the certificate-path
@@ -389,19 +387,8 @@ class HandoffManager:
         for replica in old_ring.replicas:
             system.network.unsubscribe(replica.network_id, replica.handle)
 
-        config = system.config
         new_members = list(pending.new_members)
-        new_ring = InnerRing(
-            system.kernel,
-            system.network,
-            new_members,
-            [system.servers[n].principal for n in new_members],
-            m=config.byzantine_m,
-            telemetry=system.telemetry,
-            batching=config.batching,
-            subscribe_handlers=True,
-        )
-        system.wire_ring(shard_id, pending.epoch, new_ring)
+        new_ring = system.build_ring(shard_id, pending.epoch, new_members)
         system.rings.install_ring(
             shard_id, pending.epoch, new_ring, new_members
         )

@@ -8,19 +8,15 @@ sequence so runs are fully deterministic.
 Virtual time is measured in milliseconds (floats), matching the paper's
 "assume each message takes 100 ms" framing in Section 4.4.5.
 
-Two interchangeable ready-queue implementations sit behind the kernel
-(``Kernel(scheduler=...)``); both produce the exact same fire order --
-``(time, sequence)`` ascending -- and the differential suite in
-``tests/test_scheduler_differential.py`` holds them to it:
-
-* ``"wheel"`` (default) -- a hierarchical timer wheel: near-future
-  events land in fixed-width buckets by plain ``list.append`` (O(1), no
-  comparisons), the bucket under the cursor is kept as a small heap, and
-  far-future events wait in an overflow heap that refills the wheel as
-  the cursor reaches them.  This is the fast path for the message-delay
-  traffic that dominates simulations.
-* ``"heap"`` -- the classic single binary heap, kept in-tree as the
-  obviously-correct reference scheduler.
+The ready queue is a hierarchical timer wheel: near-future events land
+in fixed-width buckets by plain ``list.append`` (O(1), no comparisons),
+the bucket under the cursor is kept as a small heap, and far-future
+events wait in an overflow heap that refills the wheel as the cursor
+reaches them -- the fast path for the message-delay traffic that
+dominates simulations.  It fires in exactly the order of one binary
+heap, ``(time, sequence)`` ascending; that heap is the reference the
+differential suite in ``tests/test_scheduler_differential.py`` holds
+the wheel to.
 
 Event records are recycled through a bounded freelist (slab), so
 steady-state traffic -- heartbeats, message deliveries -- allocates no
@@ -116,44 +112,6 @@ class EventHandle:
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past) or for a
     run that blows through its step cap / wall-time budget."""
-
-
-class _HeapScheduler:
-    """Reference ready queue: one binary heap of ``(time, seq, event)``.
-
-    Kept in-tree as the ground truth the timer wheel is differentially
-    tested against.  Entries are tuples so heap comparisons stay in C
-    (``seq`` is unique, so the event record itself is never compared).
-    """
-
-    __slots__ = ("_heap", "_discard")
-
-    def __init__(self, discard: Callable[[_ScheduledEvent], None]) -> None:
-        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
-        self._discard = discard
-
-    def push(self, event: _ScheduledEvent) -> None:
-        heappush(self._heap, (event.time, event.seq, event))
-
-    def peek(self) -> _ScheduledEvent | None:
-        """Next live event, discarding cancelled records along the way."""
-        heap = self._heap
-        while heap:
-            event = heap[0][2]
-            if event.cancelled:
-                heappop(heap)
-                self._discard(event)
-                continue
-            return event
-        return None
-
-    def pop(self) -> _ScheduledEvent:
-        """Remove the head; only valid right after a non-None peek()."""
-        return heappop(self._heap)[2]
-
-    @property
-    def queued(self) -> int:
-        return len(self._heap)
 
 
 class _TimerWheel:
@@ -286,8 +244,6 @@ class _TimerWheel:
 #: surplus records fall to the garbage collector
 _FREELIST_CAP = 4096
 
-SCHEDULERS = ("wheel", "heap")
-
 
 class Kernel:
     """Deterministic discrete-event loop.
@@ -297,21 +253,11 @@ class Kernel:
         kernel = Kernel()
         kernel.call_at(10.0, lambda: print("at t=10ms"))
         kernel.run()
-
-    ``scheduler`` selects the ready-queue implementation: ``"wheel"``
-    (default, fast) or ``"heap"`` (the reference); both fire callbacks
-    in identical order.
     """
 
-    def __init__(self, scheduler: str = "wheel") -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (known: {', '.join(SCHEDULERS)})"
-            )
-        self.scheduler_kind = scheduler
+    def __init__(self) -> None:
         self._free: list[_ScheduledEvent] = []
-        queue_cls = _TimerWheel if scheduler == "wheel" else _HeapScheduler
-        self._queue = queue_cls(self._discard)
+        self._queue = _TimerWheel(self._discard)
         #: cancelled records the scheduler has not met and discarded yet
         self._cancelled_queued = 0
         self._seq = 0

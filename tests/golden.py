@@ -1,7 +1,7 @@
 """The repo's pinned behaviour: one golden file, one regen command.
 
 ``tests/data/golden.json`` holds every whole-system value the suite pins
-byte-for-byte, in three sections:
+byte-for-byte, in four sections:
 
 ``core_telemetry_on``
     the seed-1234 three-write workload with the flight recorder on --
@@ -16,8 +16,13 @@ byte-for-byte, in three sections:
 ``chaos_seed0``
     trace digest and oracle verdict of every chaos scenario at seed 0
     (``tests/test_scheduler_differential.py``).
+``pbft_recovery``
+    commit order, per-replica views and executed slots, phase ledger,
+    traffic totals and kernel event count of each slot-recovery case of
+    :func:`recovery_run`, at one update per slot and at four
+    (``tests/test_pbft_edge_cases.py``).
 
-``python tests/golden.py --check`` recomputes all three and diffs them
+``python tests/golden.py --check`` recomputes all four and diffs them
 against the file (exit 1 on any difference); ``--write`` regenerates the
 file.  Regenerating is a deliberate act: a PR that does it says which
 values moved and why.
@@ -30,6 +35,7 @@ import hashlib
 import json
 import pathlib
 import sys
+from typing import NamedTuple
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -105,11 +111,181 @@ def chaos_seed0() -> dict:
     return observed
 
 
+#: the slot-recovery paths of a view change, each run with one update per
+#: slot and with four (``tests/test_pbft_edge_cases.py``)
+RECOVERY_CASES = (
+    "deferred_pre_prepare",
+    "body_fetch",
+    "reservation_filled_by_request",
+    "noop_padding",
+)
+RECOVERY_BATCH_SIZES = (1, 4)
+#: the client's node; replicas are nodes 0-3 and replica 0 leads view 0
+RECOVERY_CLIENT = 4
+
+
+class Send(NamedTuple):
+    """One network send of a recovery run."""
+
+    time_ms: float
+    src: int
+    dst: int
+    phase: str | None
+    size_bytes: int
+    payload: object
+
+
+def recovery_run(case: str, batch_size: int):
+    """Drive one slot-recovery case to quiescence.
+
+    A 4-replica ring and one client sit on a complete graph with 40 ms
+    links; every case submits full slots of ``batch_size`` updates, so a
+    slot holds one update at size 1 and a batch of four at size 4:
+
+    ``deferred_pre_prepare``
+        the client cannot reach replica 3, which holds two slots'
+        pre-prepares until a retry after healing brings the bodies;
+    ``body_fetch``
+        the client cannot reach replica 1 and the leader falls silent at
+        t = 100 ms; replica 1 leads the next view, reserves the slot it
+        never saw bodies for, and fetches them from its peers;
+    ``reservation_filled_by_request``
+        the same, but the client retries at t = 3 050 ms and the retry
+        reaches the new leader before the fetched bodies do;
+    ``noop_padding``
+        update A reaches only the leader, a slot of B updates reaches
+        everyone, and the leader falls silent: the next leader keeps B's
+        slot and pads A's with a no-op.  A client retry of A commits it
+        last.
+
+    Returns ``(kernel, network, ring, submitted, sends)``: ``submitted``
+    lists every update once, in submission order; ``sends`` logs every
+    network send as a :class:`Send`.
+    """
+    import random
+
+    import networkx as nx
+
+    from repro.consistency import BatchingConfig, FaultMode, InnerRing
+    from repro.crypto import make_principal
+    from repro.data import AppendBlock, TruePredicate, UpdateBranch, make_update
+    from repro.naming import object_guid
+    from repro.sim import Kernel, Network
+
+    kernel = Kernel()
+    graph = nx.complete_graph(RECOVERY_CLIENT + 1)
+    nx.set_edge_attributes(graph, 40.0, "latency_ms")
+    network = Network(kernel, graph)
+    rng = random.Random(0)
+    principals = [make_principal(f"r{i}", rng, bits=256) for i in range(4)]
+    ring = InnerRing(
+        kernel,
+        network,
+        list(range(4)),
+        principals,
+        m=1,
+        batching=BatchingConfig(size=batch_size),
+    )
+    sends: list[Send] = []
+    send = network.send
+
+    def logged_send(src, dst, payload, size_bytes, phase=None, subsystem=None):
+        sends.append(Send(kernel.now, src, dst, phase, size_bytes, payload))
+        send(src, dst, payload, size_bytes, phase=phase, subsystem=subsystem)
+
+    network.send = logged_send
+    author = make_principal("recovery-author", random.Random(70), bits=256)
+    guid = object_guid(author.public_key, "recovery")
+    pool = [
+        make_update(
+            author,
+            guid,
+            [UpdateBranch(TruePredicate(), (AppendBlock(b"u%d" % i),))],
+            float(i + 1),
+        )
+        for i in range(2 * batch_size + 1)
+    ]
+
+    def submit(batch: list) -> None:
+        for update in batch:
+            ring.submit(RECOVERY_CLIENT, update)
+
+    def heal_and_submit(batch: list) -> None:
+        network.heal_partitions()
+        submit(batch)
+
+    def silence_leader() -> None:
+        ring.set_fault(0, FaultMode.SILENT)
+
+    if case == "deferred_pre_prepare":
+        submitted = pool[: 2 * batch_size]
+        network.add_asymmetric_partition({RECOVERY_CLIENT}, {3})
+        submit(submitted)
+        kernel.call_at(2_000.0, lambda: heal_and_submit(submitted))
+    elif case in ("body_fetch", "reservation_filled_by_request"):
+        submitted = pool[:batch_size]
+        network.add_asymmetric_partition({RECOVERY_CLIENT}, {1})
+        submit(submitted)
+        kernel.call_at(100.0, silence_leader)
+        if case == "reservation_filled_by_request":
+            # Replica 1 enters view 1 at ~3 080 ms and its peers' bodies
+            # land at ~3 160 ms; this retry lands in between.
+            kernel.call_at(3_050.0, lambda: heal_and_submit(submitted))
+    elif case == "noop_padding":
+        lone, slot = pool[:1], pool[1 : 1 + batch_size]
+        submitted = slot + lone
+        network.add_asymmetric_partition({RECOVERY_CLIENT}, {1, 2, 3})
+        submit(lone)
+        kernel.call_at(200.0, lambda: heal_and_submit(slot))
+        kernel.call_at(300.0, silence_leader)
+        kernel.call_at(10_000.0, lambda: submit(lone))
+    else:
+        raise ValueError(f"unknown recovery case {case!r}")
+    kernel.run(until=60_000.0)
+    return kernel, network, ring, submitted, sends
+
+
+def recovery_observables(kernel, network, ring) -> dict:
+    """The pinned outcome of one recovery run (no flight digest)."""
+    return {
+        "committed_order": [u.update_id.hex() for u in ring.committed_order],
+        "replicas": [
+            {
+                "view": replica.view,
+                "executed_by_seq": {
+                    str(seq): digest.hex()
+                    for seq, digest in sorted(replica.executed_by_seq.items())
+                },
+            }
+            for replica in ring.replicas
+        ],
+        "phase_stats": {
+            f"{sub}/{phase}": [stats.messages, stats.bytes]
+            for (sub, phase), stats in sorted(network.phase_stats.items())
+        },
+        "messages_total": network.stats_total_messages,
+        "bytes_total": network.stats_total_bytes,
+        "events_executed": kernel.events_executed,
+    }
+
+
+def pbft_recovery() -> dict:
+    observed = {}
+    for case in RECOVERY_CASES:
+        for size in RECOVERY_BATCH_SIZES:
+            kernel, network, ring, _, _ = recovery_run(case, size)
+            observed[f"{case}/size{size}"] = recovery_observables(
+                kernel, network, ring
+            )
+    return observed
+
+
 def compute_golden() -> dict:
     return {
         "core_telemetry_on": core_observables(telemetry=True),
         "core_telemetry_off": core_observables(telemetry=False),
         "chaos_seed0": chaos_seed0(),
+        "pbft_recovery": pbft_recovery(),
     }
 
 

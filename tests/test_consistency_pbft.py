@@ -153,7 +153,7 @@ class TestPBFTNormalCase:
         kernel.run(until=10_000.0)
         assert len(certs) == 1
         cert = certs[0]
-        assert cert.update.update_id == update.update_id
+        assert [u.update_id for u in cert.updates] == [update.update_id]
         assert cert.verify(ring)
 
     def test_tampered_certificate_fails(self, author):

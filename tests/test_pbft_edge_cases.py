@@ -8,11 +8,18 @@ import networkx as nx
 import pytest
 
 from repro.consistency import FaultMode, InnerRing, update_digest
-from repro.consistency.pbft import CommitCertificate
+from repro.consistency.pbft import (
+    NOOP_DIGEST,
+    SMALL_MESSAGE_BYTES,
+    CommitCertificate,
+    slot_digest_for,
+)
 from repro.crypto import make_principal
 from repro.data import AppendBlock, CompareVersion, TruePredicate, UpdateBranch, make_update
 from repro.naming import object_guid
 from repro.sim import Kernel, Network
+
+import golden
 
 
 def make_ring(m=1, clients=2, seed=0, latency=40.0):
@@ -182,7 +189,8 @@ class TestCertificates:
 
     def test_digest_matches_update(self, author):
         ring, cert = self.make_certified(author)
-        assert cert.digest == update_digest(cert.update)
+        (update,) = cert.updates
+        assert cert.digest == update_digest(update)
 
     def test_signed_payload_stable(self):
         a = CommitCertificate.signed_payload(3, b"d" * 32)
@@ -211,3 +219,95 @@ class TestDeferredPrePrepare:
         ring.submit(clients[0], update)  # client retry reaches replica 3
         kernel.run(until=60_000.0)
         assert 3 in executed
+
+
+def recovery(case, size):
+    """Run a pinned slot-recovery case; check it against golden.json."""
+    kernel, network, ring, submitted, sends = golden.recovery_run(case, size)
+    assert golden.recovery_observables(kernel, network, ring) == (
+        golden.load_golden()["pbft_recovery"][f"{case}/size{size}"]
+    )
+    assert [u.update_id for u in ring.committed_order] == [
+        u.update_id for u in submitted
+    ]
+    return ring, submitted, sends
+
+
+def first_index(sends, predicate):
+    return next(i for i, send in enumerate(sends) if predicate(send))
+
+
+@pytest.mark.parametrize("size", golden.RECOVERY_BATCH_SIZES)
+class TestSlotRecovery:
+    """The recovery paths of a slot, with one update per slot and four.
+
+    Every case runs through the public ring API (``golden.recovery_run``
+    describes the schedules); each test checks that its path ran, the
+    commit order, and the pinned observables.
+    """
+
+    def test_pre_prepare_waits_for_its_bodies(self, size):
+        ring, submitted, sends = recovery("deferred_pre_prepare", size)
+        retry = first_index(
+            sends, lambda s: s.time_ms > 0 and s.src == golden.RECOVERY_CLIENT
+        )
+        prepared = first_index(sends, lambda s: s.src == 3 and s.phase == "prepare")
+        slots = {
+            (s.payload.view, s.payload.seq)
+            for s in sends
+            if s.src == 3 and s.phase == "prepare"
+        }
+        # Replica 3 held both view-0 pre-prepares until the retry brought
+        # the bodies, then prepared them where the leader put them.
+        assert retry < prepared
+        assert sorted(slots) == [(0, 0), (0, 1)]
+        assert not any(s.phase == "view_change" for s in sends)
+        assert len({tuple(r.executed_by_seq.items()) for r in ring.replicas}) == 1
+
+    def test_new_leader_fetches_reserved_bodies(self, size):
+        ring, submitted, sends = recovery("body_fetch", size)
+        bodies = sum(u.size_bytes() for u in submitted) + SMALL_MESSAGE_BYTES
+        reply = first_index(
+            sends,
+            lambda s: s.dst == 1 and s.phase == "body_fetch" and s.size_bytes == bodies,
+        )
+        proposal = first_index(sends, lambda s: s.src == 1 and s.phase == "pre_prepare")
+        # One reply carries every member's body, and only then does the
+        # new leader re-propose the slot at its reserved number.
+        assert sends[reply].src in (2, 3)
+        assert reply < proposal
+        assert sends[proposal].payload.seq == 0
+        assert not any(
+            s.time_ms > 0 and s.src == golden.RECOVERY_CLIENT for s in sends
+        )
+        # Pinned quirk: each member of the stalled slot has its own
+        # progress timer, and each timer escalates one view in the same
+        # instant -- a slot of four ends three views on, not one.
+        assert [r.view for r in ring.replicas[1:]] == [{1: 1, 4: 3}[size]] * 3
+
+    def test_late_request_fills_reservation(self, size):
+        ring, submitted, sends = recovery("reservation_filled_by_request", size)
+        fetch = first_index(sends, lambda s: s.src == 1 and s.phase == "body_fetch")
+        proposal = first_index(sends, lambda s: s.src == 1 and s.phase == "pre_prepare")
+        reply = first_index(sends, lambda s: s.dst == 1 and s.phase == "body_fetch")
+        # The new leader reserved the slot and asked for its bodies, but
+        # the client's retry filled it before any peer answered.
+        assert fetch < proposal < reply
+        assert sends[proposal].payload.seq == 0
+
+    def test_noop_pads_a_slot_nobody_prepared(self, size):
+        ring, submitted, sends = recovery("noop_padding", size)
+        *slot, lone = submitted
+        padding = first_index(
+            sends,
+            lambda s: s.phase == "pre_prepare"
+            and s.payload.view > 0
+            and s.payload.digest == NOOP_DIGEST,
+        )
+        assert sends[padding].payload.seq == 0
+        for replica in ring.replicas[1:]:
+            assert replica.executed_by_seq == {
+                0: NOOP_DIGEST,
+                1: slot_digest_for(tuple(slot)),
+                2: update_digest(lone),
+            }

@@ -1,7 +1,8 @@
 """Scheduler-differential harness: timer wheel vs reference heap.
 
 The timer wheel replaced the one-heap-entry-per-event scheduler as the
-kernel's default; its correctness contract is *total behavioural
+kernel's only ready queue (the heap lives on in ``heap_scheduler.py`` as
+the reference); its correctness contract is *total behavioural
 equivalence* -- same fire order, same ``now`` trajectory, same cancel
 semantics, same event-hook observations -- because every pinned trace
 digest in this repo depends on it.
@@ -20,13 +21,11 @@ Three layers of proof:
    whole-system, byte-identical check.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import SCHEDULERS, Kernel
-
 import golden
+from heap_scheduler import SCHEDULERS, make_kernel
 
 # Delays chosen to straddle the wheel's geometry: bucket size 16 ms,
 # 1024 slots, so 16384 ms is the overflow horizon.
@@ -72,7 +71,7 @@ def run_program(scheduler: str, ops, ops_per_fire: int = 2):
     *during* the run -- exercising the wheel's cursor/adoption logic, not
     just a pre-loaded queue.
     """
-    kernel = Kernel(scheduler=scheduler)
+    kernel = make_kernel(scheduler)
     fired: list[tuple[int, float]] = []
     handles: list = []
     pending = list(ops)
@@ -132,7 +131,7 @@ class TestDifferentialProperties:
         on both schedulers (the (time, seq) total order)."""
         results = []
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             order: list[int] = []
             for i, delay in enumerate(delays):
                 # Round to bucket-sized values so collisions are common.
@@ -149,7 +148,7 @@ class TestDifferentialProperties:
         an installed hook matches between schedulers."""
         streams = []
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             seen: list[tuple[str, float]] = []
             kernel.event_hook = (
                 lambda kind, time_ms, label: seen.append((kind, time_ms))
@@ -176,7 +175,7 @@ class TestDifferentialProperties:
 class TestDirectedEquivalence:
     def test_cancel_after_fire_is_noop(self):
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             fired = []
             handle = kernel.call_at(5.0, lambda: fired.append("a"))
             kernel.call_at(10.0, lambda: fired.append("b"))
@@ -193,7 +192,7 @@ class TestDirectedEquivalence:
         """Cancel an event in a future wheel slot before the cursor
         reaches it; both schedulers skip it silently."""
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             fired = []
             victim = kernel.call_at(160.0, lambda: fired.append("victim"))
             kernel.call_at(8.0, lambda: victim.cancel())
@@ -207,7 +206,7 @@ class TestDirectedEquivalence:
         the overflow heap and must still interleave correctly with
         near-future slot events scheduled later from callbacks."""
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             fired = []
             kernel.call_at(40_000.0, lambda: fired.append("far"))
             kernel.call_at(20_000.0, lambda: fired.append("mid"))
@@ -222,7 +221,7 @@ class TestDirectedEquivalence:
 
     def test_schedule_exactly_at_now(self):
         for scheduler in SCHEDULERS:
-            kernel = Kernel(scheduler=scheduler)
+            kernel = make_kernel(scheduler)
             fired = []
 
             def reenter() -> None:
@@ -233,10 +232,6 @@ class TestDirectedEquivalence:
             kernel.call_at(100.5, lambda: fired.append("after"))
             kernel.run()
             assert fired == ["outer", "inner", "after"], scheduler
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Kernel(scheduler="calendar")
 
 
 class TestPinnedDigests:

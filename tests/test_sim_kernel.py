@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import Kernel, SimulationError, Timer
-from repro.sim.kernel import SCHEDULERS
+
+from heap_scheduler import SCHEDULERS, make_kernel
 
 
 class TestKernel:
@@ -112,7 +113,7 @@ class TestKernel:
     def test_pending_counts_cancellations_wherever_they_wait(self, scheduler):
         # one live + one cancelled event in each region of the wheel: the
         # bucket under the cursor (_cur), a slot, and the overflow heap
-        kernel = Kernel(scheduler=scheduler)
+        kernel = make_kernel(scheduler)
         handles = [
             kernel.call_at(t, lambda: None)
             for t in (1.0, 2.0, 500.0, 501.0, 60_000.0, 60_001.0)
@@ -188,8 +189,8 @@ class TestSchedulerGuardsAndHooks:
     def test_step_cap_trips_mid_bucket(self):
         # Many events inside one 16 ms wheel bucket; the cap must trip
         # partway through the bucket and name the last callback.
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for scheduler in SCHEDULERS:
+            kernel = make_kernel(scheduler)
             fired = []
             for i in range(10):
                 kernel.call_at(1.0 + i * 0.1, lambda i=i: fired.append(i), label=f"ev-{i}")
@@ -202,8 +203,8 @@ class TestSchedulerGuardsAndHooks:
     def test_wall_budget_trips_mid_bucket(self):
         import time as _time
 
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for scheduler in SCHEDULERS:
+            kernel = make_kernel(scheduler)
             kernel.wall_time_budget = 0.0  # trips on the first check
             kernel.call_at(1.0, lambda: _time.sleep(0))
             with pytest.raises(SimulationError):
@@ -212,8 +213,8 @@ class TestSchedulerGuardsAndHooks:
     def test_cancel_of_already_fired_event_is_isolated(self):
         # After an event fires, its record returns to the slab and may
         # be reused; a stale handle must never cancel the new tenant.
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for scheduler in SCHEDULERS:
+            kernel = make_kernel(scheduler)
             fired = []
             stale = kernel.call_at(1.0, lambda: fired.append("first"))
             kernel.run()
@@ -224,8 +225,8 @@ class TestSchedulerGuardsAndHooks:
             assert fired == ["first", "second"], scheduler
 
     def test_schedule_exactly_at_now_runs_this_pass(self):
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for scheduler in SCHEDULERS:
+            kernel = make_kernel(scheduler)
             fired = []
             kernel.call_at(5.0, lambda: kernel.call_at(5.0, lambda: fired.append("inner")))
             kernel.run()
@@ -238,8 +239,8 @@ class TestSchedulerGuardsAndHooks:
         # must show it the same events and the same pending depth at
         # every fire, cancelled-but-undiscarded records included.
         observed = {}
-        for scheduler in ("wheel", "heap"):
-            kernel = Kernel(scheduler=scheduler)
+        for scheduler in SCHEDULERS:
+            kernel = make_kernel(scheduler)
             hook_events = []
             pendings = []
 

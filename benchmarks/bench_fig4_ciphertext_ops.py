@@ -35,7 +35,7 @@ def test_fig4_insert_without_reencryption(benchmark):
     """The Figure 4 walk-through: insert touches no existing ciphertext."""
     principal, guid, codec = make_env()
     state = DataObjectState()
-    apply_update(
+    _, state = apply_update(
         state,
         UpdateBuilder(codec, state)
         .append(b"block-41")
@@ -48,16 +48,14 @@ def test_fig4_insert_without_reencryption(benchmark):
     }
 
     def do_insert():
-        working = state.copy()
         update = (
-            UpdateBuilder(codec, working)
+            UpdateBuilder(codec, state)
             .insert(1, b"block-41.5")
             .build(principal, guid, 2.0)
         )
-        outcome = apply_update(working, update)
-        return working, outcome
+        return apply_update(state, update)
 
-    working, outcome = benchmark(do_insert)
+    outcome, working = benchmark(do_insert)
     assert outcome.committed
     assert codec.read_document(working.data) == b"block-41block-41.5block-42block-43"
     # No pre-existing block was re-encrypted (the server never learned
@@ -72,7 +70,7 @@ def test_fig4_predicate_repertoire(benchmark):
     """All four predicates evaluate correctly on ciphertext alone."""
     principal, guid, codec = make_env(seed=2)
     state = DataObjectState()
-    apply_update(
+    _, state = apply_update(
         state,
         UpdateBuilder(codec, state)
         .append(b"alpha-block")
@@ -109,8 +107,9 @@ def test_fig4_server_learns_only_structure(benchmark):
         .append(secret)  # same plaintext twice
         .build(principal, guid, 1.0)
     )
-    benchmark.pedantic(lambda: apply_update(state.copy(), update), rounds=3, iterations=1)
-    apply_update(state, update)
+    _, state = benchmark.pedantic(
+        lambda: apply_update(state, update), rounds=3, iterations=1
+    )
     stored = state.data.logical_ciphertext()
     assert all(secret not in ct for ct in stored)
     assert stored[0] != stored[1]  # position-dependence hides equality
@@ -125,7 +124,7 @@ def test_fig4_structural_overhead_and_reencryption_escape(benchmark):
     re-encryption (the paper's escape hatch) resets it."""
     principal, guid, codec = make_env(seed=4)
     state = DataObjectState()
-    apply_update(
+    _, state = apply_update(
         state,
         UpdateBuilder(codec, state).append(b"seed").build(principal, guid, 1.0),
     )
@@ -137,7 +136,7 @@ def test_fig4_structural_overhead_and_reencryption_escape(benchmark):
             builder.insert(slot, f"ins-{i}".encode())
         else:
             builder.delete(slot)
-        apply_update(state, builder.build(principal, guid, float(i + 2)))
+        _, state = apply_update(state, builder.build(principal, guid, float(i + 2)))
     logical = state.data.logical_length
     total_blocks = len(state.data.blocks)
     overhead = total_blocks / max(logical, 1)
@@ -149,8 +148,7 @@ def test_fig4_structural_overhead_and_reencryption_escape(benchmark):
         update = UpdateBuilder(codec, fresh).append(plaintext).build(
             principal, guid, 100.0
         )
-        apply_update(fresh, update)
-        return fresh
+        return apply_update(fresh, update)[1]
 
     fresh = benchmark(reencrypt_whole)
     fresh_overhead = len(fresh.data.blocks) / max(fresh.data.logical_length, 1)
@@ -175,7 +173,7 @@ def test_fig4_search_reveals_only_positions(benchmark):
     server cannot mint its own trapdoors."""
     principal, guid, codec = make_env(seed=5)
     state = DataObjectState()
-    apply_update(
+    _, state = apply_update(
         state,
         UpdateBuilder(codec, state)
         .index_words(["urgent", "routine", "urgent"])

@@ -98,9 +98,9 @@ class LocalBackend:
             raise UnknownObject(
                 f"object {object_guid} below requested version {min_version}"
             )
-        # Snapshot: callers build guards against what they read; handing
-        # out the live state would let concurrent commits mutate it.
-        return state.copy()
+        # States are values: a later commit replaces the head rather than
+        # mutating it, so the guards a caller builds against this stay put.
+        return state
 
     def submit_update(self, client_node: int, update: Update) -> None:
         obj = self._object(update.object_guid)
@@ -128,7 +128,7 @@ class LocalBackend:
 
         obj = self._object(object_guid)
         try:
-            return obj.log.version(version).state.copy()
+            return obj.log.version(version).state
         except VersionNotFound:
             raise UnknownObject(
                 f"version {version} of {object_guid} unavailable"

@@ -548,18 +548,12 @@ _SCENARIOS = {
 
 def _print_metrics_table(export: dict) -> None:
     counters = export.get("counters", {})
-    gauges = export.get("gauges", {})
     histograms = export.get("histograms", {})
     if counters:
         print("counters:")
         width = max(len(k) for k in counters)
         for name in sorted(counters):
             print(f"  {name:<{width}}  {counters[name]}")
-    if gauges:
-        print("gauges:")
-        width = max(len(k) for k in gauges)
-        for name in sorted(gauges):
-            print(f"  {name:<{width}}  {gauges[name]}")
     if histograms:
         print("histograms:")
         width = max(len(k) for k in histograms)

@@ -112,9 +112,9 @@ class SecondaryReplica:
         that satisfy their predicates.
         """
         if self._tentative_cache is None:
-            state = self.committed_log.head.copy()
+            state = self.committed_log.head
             for update in tentative_order(self.tentative.values()):
-                apply_update(state, update)
+                _, state = apply_update(state, update)
             self._tentative_cache = state
         return self._tentative_cache
 

@@ -39,17 +39,12 @@ class PositionDependentCipher:
 
     def _keystream(self, position: int, length: int) -> bytes:
         """Keystream for a block at logical ``position``."""
-        chunks = []
-        counter = 0
-        while sum(len(c) for c in chunks) < length:
-            material = (
-                self._key
-                + position.to_bytes(8, "big")
-                + counter.to_bytes(8, "big")
-            )
-            chunks.append(sha256(material))
-            counter += 1
-        return b"".join(chunks)[:length]
+        prefix = self._key + position.to_bytes(8, "big")
+        chunks = -(-length // 32)  # SHA-256 digests needed
+        stream = b"".join(
+            sha256(prefix + counter.to_bytes(8, "big")) for counter in range(chunks)
+        )
+        return stream[:length]
 
     def encrypt_block(self, position: int, plaintext: bytes) -> bytes:
         """Encrypt one block at ``position``.
@@ -60,8 +55,10 @@ class PositionDependentCipher:
         """
         if position < 0:
             raise ValueError(f"negative block position: {position}")
-        stream = self._keystream(position, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        length = len(plaintext)
+        stream = self._keystream(position, length)
+        mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(length, "big")
 
     def decrypt_block(self, position: int, ciphertext: bytes) -> bytes:
         """Decryption is the same XOR under the same keystream."""

@@ -91,7 +91,7 @@ class BranchingVersionLog:
         )
         if existing is None:
             base = self.main.version(built_against_version)
-            fork_log = VersionLog(head=base.state.copy())
+            fork_log = VersionLog(head=base.state)
             self._branch_counter += 1
             existing = Branch(
                 name=f"branch-{self._branch_counter}",

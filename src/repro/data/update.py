@@ -42,7 +42,11 @@ from repro.util.ids import GUID
 @dataclass
 class DataObjectState:
     """One version's worth of replica-visible state: ciphertext blocks,
-    unencrypted metadata, and the searchable-word index."""
+    unencrypted metadata, and the searchable-word index.
+
+    A state is a value once published: only :func:`apply_update` mutates
+    one, and only the working copy it has just made.
+    """
 
     data: CipherObject = field(default_factory=CipherObject)
     version: int = 0
@@ -53,6 +57,7 @@ class DataObjectState:
         return self.data.size_bytes()
 
     def copy(self) -> "DataObjectState":
+        """The working copy an applied update edits (one per update)."""
         return DataObjectState(
             data=self.data.copy(),
             version=self.version,
@@ -454,28 +459,30 @@ class UpdateOutcome:
     new_version: int | None
 
 
-def apply_update(state: DataObjectState, update: Update) -> UpdateOutcome:
+def apply_update(
+    state: DataObjectState, update: Update
+) -> tuple[UpdateOutcome, DataObjectState]:
     """Apply an update per Section 4.4.1 semantics.
 
-    Predicates are evaluated in order against the *current* state; the
-    first true predicate's actions are applied atomically (all-or-nothing
-    -- a failing action rolls the state back), and the version number is
-    bumped.  Returns the outcome; mutates ``state`` only on commit.
+    Predicates are evaluated in order against ``state``; the first true
+    predicate's actions are applied atomically to one working copy, whose
+    version is then bumped.  Returns the outcome and the resulting state:
+    the working copy on commit, ``state`` itself otherwise (a failing
+    action just discards the copy).  ``state`` is never mutated, so a
+    published version stays a value.
     """
     for i, branch in enumerate(update.branches):
         if not branch.predicate.evaluate(state):
             continue
-        snapshot = state.copy()
+        working = state.copy()
         try:
             for action in branch.actions:
-                action.apply(state)
+                action.apply(working)
         except BlockStructureError:
-            state.data = snapshot.data
-            state.search_cells = snapshot.search_cells
-            state.version = snapshot.version
-            return UpdateOutcome(committed=False, branch_index=i, new_version=None)
-        state.version += 1
-        return UpdateOutcome(
-            committed=True, branch_index=i, new_version=state.version
+            return UpdateOutcome(committed=False, branch_index=i, new_version=None), state
+        working.version += 1
+        return (
+            UpdateOutcome(committed=True, branch_index=i, new_version=working.version),
+            working,
         )
-    return UpdateOutcome(committed=False, branch_index=None, new_version=None)
+    return UpdateOutcome(committed=False, branch_index=None, new_version=None), state

@@ -9,7 +9,7 @@ reproduction itself, answering "where did this update's latency go?" and
 Two pieces:
 
 * a per-deployment **metrics registry** (:mod:`repro.telemetry.metrics`)
-  -- counters, gauges, and histograms keyed by name + label tuples, with
+  -- counters and histograms keyed by name + label tuples, with
   label-cardinality limits and JSON export compatible with the
   ``benchmarks/results/*.json`` shape;
 * **causal trace spans** (:mod:`repro.telemetry.tracing`) propagated
@@ -62,9 +62,6 @@ class NullTelemetry:
         return None
 
     def record(self, category: str, kind: str, **detail: object) -> None:
-        return None
-
-    def gauge(self, name: str, value: float, **labels: object) -> None:
         return None
 
     def observe(self, name: str, value: float, **labels: object) -> None:
@@ -168,9 +165,6 @@ class Telemetry:
 
     def count(self, name: str, value: float = 1, **labels: object) -> None:
         self.metrics.inc(name, value, **labels)
-
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        self.metrics.set_gauge(name, value, **labels)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         self.metrics.observe(name, value, **labels)

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, and histograms.
+"""Per-deployment metrics registry: counters and histograms.
 
 Metrics are keyed by name plus a tuple of ``label=value`` pairs, in the
 style of Prometheus client libraries.  Histograms reuse
@@ -37,7 +37,7 @@ def flatten_name(name: str, key: LabelKey) -> str:
 
 
 class MetricsRegistry:
-    """Counters, gauges, and histograms with label-cardinality limits.
+    """Counters and histograms with label-cardinality limits.
 
     All mutation methods are cheap (a dict lookup and an add); the
     zero-overhead disabled path lives one level up, in
@@ -49,7 +49,6 @@ class MetricsRegistry:
             raise ValueError("max_label_sets must be >= 1")
         self.max_label_sets = max_label_sets
         self._counters: dict[str, dict[LabelKey, float]] = {}
-        self._gauges: dict[str, dict[LabelKey, float]] = {}
         self._histograms: dict[str, dict[LabelKey, Distribution]] = {}
         #: label sets folded into the overflow series, by metric name
         self.dropped_label_sets: dict[str, int] = {}
@@ -70,11 +69,6 @@ class MetricsRegistry:
         key = self._key_for(name, series, labels)
         series[key] = series.get(key, 0) + value
 
-    def set_gauge(self, name: str, value: float, **labels: object) -> None:
-        series = self._gauges.setdefault(name, {})
-        key = self._key_for(name, series, labels)
-        series[key] = float(value)
-
     def observe(self, name: str, value: float, **labels: object) -> None:
         series = self._histograms.setdefault(name, {})
         key = self._key_for(name, series, labels)
@@ -85,7 +79,6 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self.dropped_label_sets.clear()
 
@@ -93,9 +86,6 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, **labels: object) -> float:
         return self._counters.get(name, {}).get(label_key(labels), 0)
-
-    def gauge_value(self, name: str, **labels: object) -> float | None:
-        return self._gauges.get(name, {}).get(label_key(labels))
 
     def histogram(self, name: str, **labels: object) -> Distribution | None:
         return self._histograms.get(name, {}).get(label_key(labels))
@@ -105,7 +95,7 @@ class MetricsRegistry:
         return sum(self._counters.get(name, {}).values())
 
     def label_sets(self, name: str) -> list[LabelKey]:
-        for table in (self._counters, self._gauges, self._histograms):
+        for table in (self._counters, self._histograms):
             if name in table:
                 return list(table[name])
         return []
@@ -120,13 +110,10 @@ class MetricsRegistry:
         ``quantiles`` overrides the default p50/p90/p95/p99 keys in
         histogram summaries (SLO reporting wants p99.9 and friends).
         """
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        out: dict = {"counters": {}, "histograms": {}}
         for name, series in sorted(self._counters.items()):
             for key, value in sorted(series.items()):
                 out["counters"][flatten_name(name, key)] = value
-        for name, series in sorted(self._gauges.items()):
-            for key, value in sorted(series.items()):
-                out["gauges"][flatten_name(name, key)] = value
         for name, series in sorted(self._histograms.items()):
             for key, dist in sorted(series.items()):
                 out["histograms"][flatten_name(name, key)] = dist.summary(

@@ -79,7 +79,7 @@ class TestUpdateSemantics:
             ],
             timestamp=1.0,
         )
-        outcome = apply_update(state, update)
+        outcome, state = apply_update(state, update)
         assert outcome.committed and outcome.branch_index == 1
         assert state.data.logical_ciphertext() == [b"right"]
 
@@ -91,8 +91,9 @@ class TestUpdateSemantics:
             [UpdateBranch(CompareVersion(5), (AppendBlock(b"x"),))],
             timestamp=1.0,
         )
-        outcome = apply_update(state, update)
+        outcome, after = apply_update(state, update)
         assert not outcome.committed
+        assert after is state
         assert state.version == 0
         assert state.data.logical_length == 0
 
@@ -104,8 +105,10 @@ class TestUpdateSemantics:
             [UpdateBranch(TruePredicate(), (AppendBlock(b"x"),))],
             timestamp=1.0,
         )
-        assert apply_update(state, update).new_version == 1
-        assert state.version == 1
+        outcome, after = apply_update(state, update)
+        assert outcome.new_version == 1
+        assert after.version == 1
+        assert state.version == 0  # the input is a value: never mutated
 
     def test_failing_action_rolls_back(self, alice):
         state = DataObjectState()
@@ -120,9 +123,10 @@ class TestUpdateSemantics:
             ],
             timestamp=1.0,
         )
-        outcome = apply_update(state, update)
+        outcome, after = apply_update(state, update)
         assert not outcome.committed
-        assert state.data.logical_length == 0  # the append was rolled back
+        assert after is state  # the working copy with the append is discarded
+        assert state.data.logical_length == 0
         assert state.version == 0
 
     def test_compare_size(self, alice):
@@ -134,7 +138,7 @@ class TestUpdateSemantics:
             [UpdateBranch(CompareSize(5), (AppendBlock(b"more"),))],
             timestamp=1.0,
         )
-        assert apply_update(state, update).committed
+        assert apply_update(state, update)[0].committed
 
     def test_signature_verifies(self, alice):
         update = make_update(
@@ -196,7 +200,8 @@ class TestClientCodec:
             .append(text)
             .build(alice, guid_for(alice), timestamp=1.0)
         )
-        assert apply_update(state, update).committed
+        outcome, state = apply_update(state, update)
+        assert outcome.committed
         assert codec.read_document(state.data) == text
 
     def test_insert_round_trip(self, alice, codec):
@@ -207,18 +212,19 @@ class TestClientCodec:
             .append(b"world")
             .build(alice, guid_for(alice), 1.0)
         )
-        apply_update(state, up1)
+        _, state = apply_update(state, up1)
         up2 = (
             UpdateBuilder(codec, state)
             .insert(1, b"cruel ")
             .build(alice, guid_for(alice), 2.0)
         )
-        assert apply_update(state, up2).committed
+        outcome, state = apply_update(state, up2)
+        assert outcome.committed
         assert codec.read_document(state.data) == b"hello cruel world"
 
     def test_replace_and_delete(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state)
             .append(b"a")
@@ -226,7 +232,7 @@ class TestClientCodec:
             .append(b"c")
             .build(alice, guid_for(alice), 1.0),
         )
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state)
             .replace(0, b"A")
@@ -237,7 +243,7 @@ class TestClientCodec:
 
     def test_version_guard_aborts_on_conflict(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state).append(b"base").build(alice, guid_for(alice), 1.0),
         )
@@ -249,13 +255,14 @@ class TestClientCodec:
             .append(b"theirs")
             .build(alice, guid_for(alice), 2.0)
         )
-        assert apply_update(state, concurrent).committed
-        outcome = apply_update(state, stale.build(alice, guid_for(alice), 3.0))
+        outcome, state = apply_update(state, concurrent)
+        assert outcome.committed
+        outcome, _ = apply_update(state, stale.build(alice, guid_for(alice), 3.0))
         assert not outcome.committed
 
     def test_block_guard(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state).append(b"block0").build(alice, guid_for(alice), 1.0),
         )
@@ -266,7 +273,8 @@ class TestClientCodec:
             .replace(0, b"BLOCK0")
             .build(alice, guid_for(alice), 2.0)
         )
-        assert apply_update(state, guarded).committed
+        outcome, state = apply_update(state, guarded)
+        assert outcome.committed
         stale = (
             UpdateBuilder(codec, state)
             .guard_block(0)
@@ -275,11 +283,11 @@ class TestClientCodec:
         )
         # The builder re-reads current state, so re-guard against the old
         # ciphertext by hand: craft from a stale snapshot instead.
-        assert apply_update(state, stale).committed  # fresh guard passes
+        assert apply_update(state, stale)[0].committed  # fresh guard passes
 
     def test_search_guard(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state)
             .append(b"body")
@@ -292,18 +300,19 @@ class TestClientCodec:
             .append(b"!!")
             .build(alice, guid_for(alice), 2.0)
         )
-        assert apply_update(state, hit).committed
+        outcome, state = apply_update(state, hit)
+        assert outcome.committed
         miss = (
             UpdateBuilder(codec, state)
             .guard_contains_word("absent")
             .append(b"??")
             .build(alice, guid_for(alice), 3.0)
         )
-        assert not apply_update(state, miss).committed
+        assert not apply_update(state, miss)[0].committed
 
     def test_multiple_guards_conjunction(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state).append(b"x").build(alice, guid_for(alice), 1.0),
         )
@@ -314,7 +323,7 @@ class TestClientCodec:
             .append(b"y")
             .build(alice, guid_for(alice), 2.0)
         )
-        assert apply_update(state, both).committed
+        assert apply_update(state, both)[0].committed
 
     def test_server_sees_only_ciphertext(self, alice, codec):
         state = DataObjectState()
@@ -322,13 +331,13 @@ class TestClientCodec:
         update = (
             UpdateBuilder(codec, state).append(secret).build(alice, guid_for(alice), 1.0)
         )
-        apply_update(state, update)
+        _, state = apply_update(state, update)
         stored = b"".join(state.data.logical_ciphertext())
         assert secret not in stored
 
     def test_read_logical_block(self, alice, codec):
         state = DataObjectState()
-        apply_update(
+        _, state = apply_update(
             state,
             UpdateBuilder(codec, state)
             .append(b"one")

@@ -100,7 +100,7 @@ class TestConcurrentClients:
         states = {i: data_mod.DataObjectState() for i in range(4)}
 
         def execute(rep, seq, update):
-            outcome = data_mod.apply_update(states[rep.index], update)
+            outcome, states[rep.index] = data_mod.apply_update(states[rep.index], update)
             outcomes.setdefault(update.update_id, outcome.committed)
 
         ring.on_execute(execute)

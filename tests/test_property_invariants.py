@@ -147,8 +147,8 @@ def test_update_application_deterministic(actions, ts):
         AUTHOR, GUID_FOR, [UpdateBranch(TruePredicate(), tuple(actions))], ts
     )
     s1, s2 = DataObjectState(), DataObjectState()
-    o1 = apply_update(s1, update)
-    o2 = apply_update(s2, update)
+    o1, s1 = apply_update(s1, update)
+    o2, s2 = apply_update(s2, update)
     assert o1 == o2
     assert s1.data.logical_ciphertext() == s2.data.logical_ciphertext()
     assert s1.version == s2.version
@@ -165,8 +165,9 @@ def test_failing_update_leaves_state_untouched(actions):
     state = DataObjectState()
     state.data.append(b"pre-existing")
     before = state.data.logical_ciphertext()
-    outcome = apply_update(state, update)
+    outcome, after = apply_update(state, update)
     assert not outcome.committed
+    assert after is state
     assert state.data.logical_ciphertext() == before
     assert state.version == 0
 
@@ -183,7 +184,7 @@ def test_state_serialization_round_trip(actions, words):
     update = make_update(
         AUTHOR, GUID_FOR, [UpdateBranch(TruePredicate(), tuple(actions))], 1.0
     )
-    apply_update(state, update)
+    _, state = apply_update(state, update)
     state.search_cells = [w.encode().ljust(24, b"\0")[:24] for w in words]
     restored = deserialize_state(serialize_state(state))
     assert restored.version == state.version

@@ -32,13 +32,6 @@ class TestMetricsRegistry:
         assert reg.counter_value("msgs", phase="commit") == 1
         assert reg.counter_total("msgs") == 4
 
-    def test_gauge_overwrites(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("depth", 3, node=1)
-        reg.set_gauge("depth", 5, node=1)
-        assert reg.gauge_value("depth", node=1) == 5.0
-        assert reg.gauge_value("depth", node=2) is None
-
     def test_histogram_reuses_distribution(self):
         reg = MetricsRegistry()
         for v in (1.0, 2.0, 3.0):
@@ -71,11 +64,10 @@ class TestMetricsRegistry:
 
         reg = MetricsRegistry()
         reg.inc("c", phase="x")
-        reg.set_gauge("g", 1.5)
         reg.observe("h", 10.0, tier="fast")
         out = json.loads(json.dumps(reg.export()))
         assert out["counters"]["c{phase=x}"] == 1
-        assert out["gauges"]["g"] == 1.5
+        assert set(out) == {"counters", "histograms"}
         summary = out["histograms"]["h{tier=fast}"]
         assert summary["count"] == 1.0
         assert summary["p50"] == 10.0
@@ -218,7 +210,6 @@ class TestDisabledPath:
         null = NullTelemetry()
         assert null.enabled is False
         null.count("x", 5, a="b")
-        null.gauge("x", 1.0)
         null.observe("x", 2.0)
         assert null.span("x", a="b") is NULL_SPAN
         assert null.export() == {}

@@ -13,6 +13,9 @@ written; inserting reorganizes pointers, not ciphertext.
   both (Figure 4).
 * delete at slot *i*: replace the block with an empty pointer block.
 
+Each block has one parent, so ``replace`` and ``delete`` detach a whole
+subtree, which the object drops: a state holds only the blocks it reaches.
+
 The server manipulating this structure sees only ciphertext and pointer
 topology; plaintext handling lives in :mod:`repro.data.ciphertext_ops`.
 """
@@ -64,11 +67,15 @@ class CipherObject:
     serialization order, so concurrent appends commute.  Structural
     (index) blocks carry no ciphertext and use the server's sequential
     counter ``next_block_id``.
+
+    The cipher keys on block ids, so an id is never reused: ids below the
+    counter are spent, and a dropped id above it goes to ``retired``.
     """
 
     blocks: dict[int, Block] = field(default_factory=dict)
     slots: list[int] = field(default_factory=list)
     next_block_id: int = 0
+    retired: set[int] = field(default_factory=set)
 
     # -- allocation ---------------------------------------------------------
 
@@ -80,10 +87,14 @@ class CipherObject:
     def _place_data_block(self, ciphertext: bytes, block_id: int | None) -> int:
         if block_id is None:
             block_id = self.allocate_id()
-        elif block_id in self.blocks:
-            raise BlockStructureError(f"block id collision: {block_id}")
         elif block_id < 0:
             raise BlockStructureError(f"negative block id: {block_id}")
+        elif (
+            block_id < self.next_block_id
+            or block_id in self.blocks
+            or block_id in self.retired
+        ):
+            raise BlockStructureError(f"block id collision: {block_id}")
         self.blocks[block_id] = DataBlock(ciphertext)
         return block_id
 
@@ -108,6 +119,7 @@ class CipherObject:
         """
         self._check_slot(slot)
         block_id = self._place_data_block(ciphertext, block_id)
+        self._drop(self.slots[slot])
         self.slots[slot] = block_id
         return block_id
 
@@ -133,8 +145,20 @@ class CipherObject:
         self._check_slot(slot)
         index_id = self.allocate_id()
         self.blocks[index_id] = IndexBlock(children=())
+        self._drop(self.slots[slot])
         self.slots[slot] = index_id
         return index_id
+
+    def _drop(self, root: int) -> None:
+        """Remove the subtree under ``root``, which just lost its parent."""
+        pending = [root]
+        while pending:
+            block_id = pending.pop()
+            block = self.blocks.pop(block_id)
+            if block_id >= self.next_block_id:
+                self.retired.add(block_id)
+            if isinstance(block, IndexBlock):
+                pending.extend(block.children)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < len(self.slots):
@@ -185,10 +209,11 @@ class CipherObject:
         return sum(len(b.ciphertext) for _, b in self.logical_blocks())
 
     def copy(self) -> "CipherObject":
-        """Snapshot for versioning; blocks are immutable, so sharing them
-        between versions is safe (copy-on-write)."""
+        """The data of an update's working copy: blocks are immutable, so
+        both objects share them; only the containers are new."""
         return CipherObject(
             blocks=dict(self.blocks),
             slots=list(self.slots),
             next_block_id=self.next_block_id,
+            retired=set(self.retired),
         )

@@ -17,6 +17,7 @@ tracking the id counter so multi-action updates stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.blockcipher import BLOCK_SIZE, PositionDependentCipher
 from repro.crypto.hashes import sha256
@@ -61,7 +62,11 @@ class ClientCodec:
     def __init__(self, object_key: ObjectKey) -> None:
         self.object_key = object_key
         self._cipher = PositionDependentCipher(object_key.subkey("blocks"))
-        self._search = SearchableCipher(object_key.subkey("search"))
+
+    @cached_property
+    def _search(self) -> SearchableCipher:
+        """Built on first use: most handles read and never search."""
+        return SearchableCipher(self.object_key.subkey("search"))
 
     # -- encryption ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.routing.bloom import (
     AttenuatedMatch,
     BloomFilter,
     guid_bit_positions,
+    guid_mask,
 )
 from repro.routing.membership import MembershipManager
 from repro.routing.multicast import (
@@ -64,4 +65,5 @@ __all__ = [
     "SaltedRouter",
     "Tier",
     "guid_bit_positions",
+    "guid_mask",
 ]

@@ -61,6 +61,18 @@ def guid_bit_positions(guid: GUID, width: int, hashes: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
+def guid_mask(guid: GUID, width: int, hashes: int) -> int:
+    """The bits a GUID sets in a ``width``-bit filter, as one int.
+
+    A filter claims the GUID iff ``bits & mask == mask``, so a query
+    computes the mask once and probes every filter it meets with it.
+    """
+    mask = 0
+    for pos in guid_bit_positions(guid, width, hashes):
+        mask |= 1 << pos
+    return mask
+
+
 class BloomFilter:
     """A fixed-width Bloom filter over GUIDs."""
 
@@ -74,25 +86,15 @@ class BloomFilter:
         self.bits = bits
 
     def add(self, guid: GUID) -> None:
-        for pos in guid_bit_positions(guid, self.width, self.hashes):
-            self.bits |= 1 << pos
-
-    def remove_all(self) -> None:
-        self.bits = 0
+        self.bits |= guid_mask(guid, self.width, self.hashes)
 
     def __contains__(self, guid: GUID) -> bool:
-        return all(
-            self.bits & (1 << pos)
-            for pos in guid_bit_positions(guid, self.width, self.hashes)
-        )
+        mask = guid_mask(guid, self.width, self.hashes)
+        return self.bits & mask == mask
 
     def union(self, other: "BloomFilter") -> "BloomFilter":
         self._check_compatible(other)
         return BloomFilter(self.width, self.hashes, self.bits | other.bits)
-
-    def union_update(self, other: "BloomFilter") -> None:
-        self._check_compatible(other)
-        self.bits |= other.bits
 
     def _check_compatible(self, other: "BloomFilter") -> None:
         if self.width != other.width or self.hashes != other.hashes:
@@ -104,9 +106,6 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         return self.popcount / self.width
-
-    def copy(self) -> "BloomFilter":
-        return BloomFilter(self.width, self.hashes, self.bits)
 
     def size_bytes(self) -> int:
         """Wire size: the bit array, rounded up to bytes."""
@@ -135,7 +134,9 @@ class AttenuatedBloomFilter:
     Level 0 summarizes the objects on the edge's far endpoint; level i
     summarizes objects reachable i further hops beyond it.  Stored per
     *directed edge*, computed by each node from its own content plus the
-    attenuated filters advertised by its neighbors.
+    attenuated filters advertised by its neighbors.  An advertisement is
+    a value once published: every neighbor holds the same object, and a
+    changed advertisement is a new object, never an edit of the old one.
     """
 
     def __init__(self, depth: int, width: int = 1024, hashes: int = 4) -> None:
@@ -151,24 +152,20 @@ class AttenuatedBloomFilter:
             raise ValueError(f"distance out of range: {distance}")
         self.levels[distance].add(guid)
 
-    def first_match(self, guid: GUID) -> AttenuatedMatch | None:
-        """Smallest level whose filter claims the GUID, if any."""
+    def first_level(self, mask: int) -> int | None:
+        """Smallest level holding every bit of ``mask`` (see :func:`guid_mask`)."""
         for distance, level in enumerate(self.levels):
-            if guid in level:
-                return AttenuatedMatch(distance=distance)
+            if level.bits & mask == mask:
+                return distance
         return None
 
-    def clear(self) -> None:
-        for level in self.levels:
-            level.remove_all()
+    def first_match(self, guid: GUID) -> AttenuatedMatch | None:
+        """Smallest level whose filter claims the GUID, if any."""
+        distance = self.first_level(guid_mask(guid, self.width, self.hashes))
+        return None if distance is None else AttenuatedMatch(distance=distance)
 
     def size_bytes(self) -> int:
         return sum(level.size_bytes() for level in self.levels)
-
-    def copy(self) -> "AttenuatedBloomFilter":
-        clone = AttenuatedBloomFilter(self.depth, self.width, self.hashes)
-        clone.levels = [level.copy() for level in self.levels]
-        return clone
 
     @classmethod
     def from_local_and_neighbors(
@@ -187,13 +184,14 @@ class AttenuatedBloomFilter:
         node recomputes its advertisement from neighbor advertisements, so
         a change propagates one hop per refresh round.
         """
+        for nf in neighbor_filters:
+            if nf.depth != depth or nf.width != width or nf.hashes != hashes:
+                raise ValueError("incompatible attenuated filter parameters")
         result = cls(depth, width, hashes)
-        result.levels[0] = local.copy()
+        result.levels[0].bits = local.bits
         for level in range(1, depth):
-            merged = BloomFilter(width, hashes)
+            merged = 0
             for nf in neighbor_filters:
-                if nf.depth != depth or nf.width != width or nf.hashes != hashes:
-                    raise ValueError("incompatible attenuated filter parameters")
-                merged.union_update(nf.levels[level - 1])
-            result.levels[level] = merged
+                merged |= nf.levels[level - 1].bits
+            result.levels[level].bits = merged
         return result

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.routing.bloom import AttenuatedBloomFilter, BloomFilter
+from repro.routing.bloom import AttenuatedBloomFilter, BloomFilter, guid_mask
 from repro.sim.network import Network, NodeId
 from repro.telemetry import coalesce
 from repro.util.ids import GUID
@@ -48,8 +48,13 @@ class QueryResult:
 class _NodeState:
     content: set[GUID] = field(default_factory=set)
     local_filter: BloomFilter | None = None
-    #: filter this node advertises to its neighbors
+    #: filter this node advertises to its neighbors; published as a value
+    #: and replaced, never edited
     advertisement: AttenuatedBloomFilter | None = None
+    #: live neighbors, ascending, as of the locator's liveness epoch
+    live: tuple[NodeId, ...] = ()
+    #: the live neighbors ``advertisement`` was built from (None: never built)
+    built_from: tuple[NodeId, ...] | None = None
     #: filters received from each neighbor, keyed by neighbor id
     neighbor_filters: dict[NodeId, AttenuatedBloomFilter] = field(default_factory=dict)
     #: reliability penalty per neighbor (added to filter distance)
@@ -60,11 +65,17 @@ class ProbabilisticLocator:
     """Attenuated-Bloom-filter location layer over a simulated network.
 
     Filter state converges via :meth:`refresh_round`: each round, every
-    node rebuilds its advertisement from neighbors' previous
-    advertisements, so information propagates one hop per round (run
-    ``depth`` rounds after content changes for full convergence --
-    exactly the soft-state maintenance cost the design trades for
-    constant storage).
+    node's advertisement is recomputed from its neighbors' previous
+    advertisements and pushed to every live neighbor, so information
+    propagates one hop per round (run ``depth`` rounds after content
+    changes for full convergence -- exactly the soft-state maintenance
+    cost the design trades for constant storage).
+
+    Only the recomputation is incremental: a node is rebuilt when one of
+    its inputs moved (its local filter, its live neighbors, or a
+    neighbor's advertisement replaced last round), and a rebuild with
+    unchanged bits keeps the old object, so a change stops spreading
+    where it stops mattering.  Every push still happens every round.
     """
 
     def __init__(
@@ -86,6 +97,14 @@ class ProbabilisticLocator:
             state.local_filter = BloomFilter(width, hashes)
             state.advertisement = AttenuatedBloomFilter(depth, width, hashes)
             self._nodes[node] = state
+        #: ``network.liveness_epoch`` the ``live`` tuples were taken at
+        self._live_epoch: int | None = None
+        #: (node, its state, its live neighbors' states) per live node
+        self._senders: list[tuple[NodeId, _NodeState, tuple[_NodeState, ...]]] = []
+        #: live directed edges: the pushes one round makes
+        self._live_edges = 0
+        #: nodes whose advertisement was replaced in the last round
+        self._replaced: set[NodeId] = set()
         self.stats_refresh_bytes = 0
 
     # -- content management -------------------------------------------------
@@ -111,35 +130,63 @@ class ProbabilisticLocator:
     def refresh_round(self) -> None:
         """One synchronous advertisement round.
 
-        Each node rebuilds its advertisement from neighbors' *previous*
-        advertisements and pushes it to every neighbor.  Byte cost is
+        Each node's advertisement is recomputed from neighbors' *previous*
+        advertisements and pushed to every live neighbor.  Byte cost is
         tracked for overhead accounting.
         """
-        bytes_before = self.stats_refresh_bytes
+        nodes = self._nodes
+        if self._live_epoch != self.network.liveness_epoch:
+            self._relink()
+        replaced = self._replaced
         new_ads: dict[NodeId, AttenuatedBloomFilter] = {}
-        for node, state in self._nodes.items():
-            neighbor_ads = [
-                self._nodes[n].advertisement
-                for n in self.network.neighbors(node)
-                if not self.network.is_down(n)
-            ]
-            new_ads[node] = AttenuatedBloomFilter.from_local_and_neighbors(
-                self.depth, self.width, self.hashes, state.local_filter, neighbor_ads
+        for node, state in nodes.items():
+            ad = state.advertisement
+            if (
+                state.built_from == state.live
+                and ad.levels[0].bits == state.local_filter.bits
+                and replaced.isdisjoint(state.live)
+            ):
+                continue  # same inputs as last build, so the same bits
+            state.built_from = state.live
+            built = AttenuatedBloomFilter.from_local_and_neighbors(
+                self.depth,
+                self.width,
+                self.hashes,
+                state.local_filter,
+                [nodes[n].advertisement for n in state.live],
             )
+            if built.levels != ad.levels:
+                new_ads[node] = built
         for node, ad in new_ads.items():
-            self._nodes[node].advertisement = ad
-            for neighbor in self.network.neighbors(node):
-                if self.network.is_down(node) or self.network.is_down(neighbor):
-                    continue
-                self._nodes[neighbor].neighbor_filters[node] = ad.copy()
-                self.stats_refresh_bytes += ad.size_bytes()
+            nodes[node].advertisement = ad
+        self._replaced = set(new_ads)
+        for node, state, receivers in self._senders:
+            ad = state.advertisement
+            for receiver in receivers:
+                receiver.neighbor_filters[node] = ad
+        pushed_bytes = self._live_edges * self.depth * ((self.width + 7) // 8)
+        self.stats_refresh_bytes += pushed_bytes
         tel = self.telemetry
         if tel.enabled:
             tel.count("bloom_refresh_rounds_total")
-            tel.count(
-                "bloom_refresh_bytes_total",
-                self.stats_refresh_bytes - bytes_before,
+            tel.count("bloom_refresh_bytes_total", pushed_bytes)
+
+    def _relink(self) -> None:
+        """Re-take every node's live neighbors after a liveness change.
+
+        A live node pushes to each live neighbor, in ascending order; a
+        down node keeps recomputing its advertisement but pushes nothing.
+        """
+        network, nodes = self.network, self._nodes
+        self._live_epoch = network.liveness_epoch
+        self._senders = []
+        for node, state in nodes.items():
+            state.live = tuple(
+                n for n in network.neighbors(node) if not network.is_down(n)
             )
+            if not network.is_down(node):
+                self._senders.append((node, state, tuple(nodes[n] for n in state.live)))
+        self._live_edges = sum(len(receivers) for _, _, receivers in self._senders)
 
     def converge(self) -> None:
         """Run enough rounds for full depth-D convergence."""
@@ -170,6 +217,7 @@ class ProbabilisticLocator:
     def _query(self, start: NodeId, guid: GUID, ttl: int | None) -> QueryResult:
         if ttl is None:
             ttl = 2 * self.depth
+        mask = guid_mask(guid, self.width, self.hashes)
         path = [start]
         latency = 0.0
         visited = {start}
@@ -182,11 +230,11 @@ class ProbabilisticLocator:
             for neighbor, filt in state.neighbor_filters.items():
                 if neighbor in visited or self.network.is_down(neighbor):
                     continue
-                match = filt.first_match(guid)
-                if match is None:
+                distance = filt.first_level(mask)
+                if distance is None:
                     continue
                 hop_latency = self.network.latency_ms(current, neighbor)
-                effective = match.distance + state.penalties.get(neighbor, 0.0)
+                effective = distance + state.penalties.get(neighbor, 0.0)
                 candidate = (effective, hop_latency, neighbor)
                 if best is None or candidate < best:
                     best = candidate

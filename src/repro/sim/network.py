@@ -214,6 +214,7 @@ class Network:
         self.fault_injector = None
         self._latency_cache: dict[NodeId, dict[NodeId, float]] = {}
         self._hops_cache: dict[NodeId, dict[NodeId, int]] = {}
+        self._neighbors: dict[NodeId, tuple[NodeId, ...]] = {}
         self.stats_total_messages = 0
         self.stats_total_bytes = 0
         self.stats_dropped = 0
@@ -346,8 +347,12 @@ class Network:
         except KeyError:
             raise ValueError(f"no path from {src} to {dst}") from None
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        return sorted(self.graph.neighbors(node))
+    def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
+        """Adjacent nodes in ascending order, cached like the path caches."""
+        cached = self._neighbors.get(node)
+        if cached is None:
+            cached = self._neighbors[node] = tuple(sorted(self.graph.neighbors(node)))
+        return cached
 
     # -- delivery ----------------------------------------------------------
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto import KeyRing, make_principal
+from repro.crypto.searchable import SearchableCipher
 from repro.data import (
     AppendBlock,
     ClientCodec,
@@ -13,6 +14,7 @@ from repro.data import (
     DataObjectState,
     DeleteBlock,
     PersistentObject,
+    SearchPredicate,
     TruePredicate,
     UpdateBranch,
     UpdateBuilder,
@@ -345,6 +347,30 @@ class TestClientCodec:
             .build(alice, guid_for(alice), 1.0),
         )
         assert codec.read_logical_block(state.data, 1) == b"two"
+
+    def test_search_cipher_built_on_first_use(self, alice, codec):
+        # A handle that only reads and writes never derives the search
+        # keys; the first search call does, and produces exactly what an
+        # eagerly built cipher over the same subkey produces.
+        state = DataObjectState()
+        _, state = apply_update(
+            state,
+            UpdateBuilder(codec, state).append(b"one").build(alice, guid_for(alice), 1.0),
+        )
+        assert codec.read_document(state.data) == b"one"
+        assert "_search" not in vars(codec)
+        eager = SearchableCipher(codec.object_key.subkey("search"))
+        trapdoor = eager.trapdoor("urgent")
+        assert codec.search_predicate("urgent") == SearchPredicate(
+            encrypted_word=trapdoor.encrypted_word, word_key=trapdoor.word_key
+        )
+        assert "_search" in vars(codec)
+        words = ["urgent", "invoice"]
+        assert codec.encrypt_search_words(words, 3) == eager.encrypt_words(
+            words, base_position=3
+        )
+        cells = eager.encrypt_words(words, base_position=0)
+        assert codec.decrypt_search_words(cells) == words
 
 
 class TestVersionLog:

@@ -262,6 +262,84 @@ class TestProbabilisticLocator:
         assert locator.stats_refresh_bytes > 0
 
 
+def count_builds(monkeypatch, locator):
+    """Record the node of every advertisement the locator rebuilds."""
+    built = []
+    original = AttenuatedBloomFilter.from_local_and_neighbors
+    owner = {id(state.local_filter): node for node, state in locator._nodes.items()}
+
+    def counting(depth, width, hashes, local, neighbor_filters):
+        built.append(owner[id(local)])
+        return original(depth, width, hashes, local, neighbor_filters)
+
+    monkeypatch.setattr(AttenuatedBloomFilter, "from_local_and_neighbors", counting)
+    return built
+
+
+class TestIncrementalRefresh:
+    """Refresh costs what changed: the work, pinned by counting it."""
+
+    def test_converged_round_builds_nothing(self, monkeypatch):
+        _, locator = make_grid_locator(side=5)
+        locator.add_object(12, GUID.hash_of(b"obj"))
+        locator.converge()
+        bytes_before = locator.stats_refresh_bytes
+        built = count_builds(monkeypatch, locator)
+        locator.refresh_round()
+        assert built == []
+        # ...yet every live edge was still pushed, at the full wire size.
+        edges = 2 * 5 * 4 * 2  # directed edges of a 5x5 grid
+        assert locator.stats_refresh_bytes - bytes_before == edges * 3 * 4096 // 8
+
+    def test_add_rebuilds_only_within_depth(self, monkeypatch):
+        network, locator = make_grid_locator(side=6, depth=2)
+        locator.add_object(35, GUID.hash_of(b"elsewhere"))
+        locator.converge()
+        built = count_builds(monkeypatch, locator)
+        locator.add_object(0, GUID.hash_of(b"obj"))
+        locator.converge()
+        assert 0 in built
+        assert {network.hop_count(node, 0) for node in built} == {0, 1, 2}
+        assert len(set(built)) < network.graph.number_of_nodes()
+
+    def test_neighbors_share_one_published_advertisement(self):
+        network, locator = make_grid_locator()
+        locator.add_object(5, GUID.hash_of(b"obj"))
+        locator.converge()
+        assert not hasattr(AttenuatedBloomFilter, "copy")
+        for node in network.nodes():
+            ad = locator._nodes[node].advertisement
+            for neighbor in network.neighbors(node):
+                assert locator._nodes[neighbor].neighbor_filters[node] is ad
+
+    def test_published_advertisements_are_never_mutated(self):
+        network, locator = make_grid_locator()
+        g1, g2 = GUID.hash_of(b"one"), GUID.hash_of(b"two")
+        locator.add_object(5, g1)
+        locator.converge()
+        published = {
+            node: (state.advertisement, [lvl.bits for lvl in state.advertisement.levels])
+            for node, state in locator._nodes.items()
+        }
+        locator.add_object(10, g2)
+        locator.remove_object(5, g1)
+        network.set_down(6)
+        locator.converge()
+        network.set_down(6, False)
+        locator.converge()
+        replaced = 0
+        for node, (ad, bits) in published.items():
+            assert [lvl.bits for lvl in ad.levels] == bits
+            replaced += locator._nodes[node].advertisement is not ad
+        assert replaced > 0
+
+    def test_neighbor_lists_are_computed_once(self):
+        network, _ = make_grid_locator()
+        first = network.neighbors(5)
+        assert first == (1, 4, 6, 9)
+        assert network.neighbors(5) is first
+
+
 class TestReliabilityFactors:
     def test_penalty_diverts_queries(self):
         """A neighbor advertising objects it cannot serve loses traffic."""

@@ -353,6 +353,11 @@ class PBFTReplica:
         self.view = 0
         self.next_seq = 0
         self.instances: dict[tuple[int, int], _Instance] = {}
+        #: seq -> views holding an instance for it, in creation order
+        self._views_by_seq: dict[int, list[int]] = {}
+        #: request or slot digest -> instances whose digest or members
+        #: carry it (see :meth:`_assign_slot`)
+        self._carried: dict[bytes, int] = {}
         self.executed_updates: set[bytes] = set()
         #: seq -> digest actually executed there (agreement-safety audit)
         self.executed_by_seq: dict[int, bytes] = {}
@@ -392,7 +397,34 @@ class PBFTReplica:
         return self.ring.leader_index(self.view) == self.index
 
     def _instance(self, view: int, seq: int) -> _Instance:
-        return self.instances.setdefault((view, seq), _Instance())
+        """The instance for ``(view, seq)``; the only place one is made."""
+        instance = self.instances.get((view, seq))
+        if instance is None:
+            instance = self.instances[(view, seq)] = _Instance()
+            self._views_by_seq.setdefault(seq, []).append(view)
+        return instance
+
+    def _assign_slot(
+        self,
+        instance: _Instance,
+        digest: bytes,
+        updates: tuple[Update, ...] | None,
+        members: tuple[bytes, ...],
+    ) -> None:
+        """Fix an instance's slot, keeping :attr:`_carried` counting each
+        digest the instance answers to (its own and its members')."""
+        carried = self._carried
+        if instance.digest is not None:
+            for key in {instance.digest, *instance.members}:
+                if carried[key] == 1:
+                    del carried[key]
+                else:
+                    carried[key] -= 1
+        instance.digest = digest
+        instance.updates = updates
+        instance.members = members
+        for key in {digest, *members}:
+            carried[key] = carried.get(key, 0) + 1
 
     def _broadcast(self, payload: object, size: int) -> None:
         if self.fault_mode is FaultMode.SILENT:
@@ -490,10 +522,7 @@ class PBFTReplica:
     def _already_in_flight(self, digest: bytes) -> bool:
         """True if some slot already carries this request (client retry),
         either as the whole slot or as one member of a batch."""
-        return any(
-            instance.digest == digest or digest in instance.members
-            for instance in self.instances.values()
-        )
+        return digest in self._carried
 
     # -- leader-side batching ----------------------------------------------------
 
@@ -633,9 +662,7 @@ class PBFTReplica:
         slot = slot_digest(digests)
         self._learn_members(slot, digests)
         instance = self._instance(self.view, seq)
-        instance.digest = slot
-        instance.updates = updates
-        instance.members = digests
+        self._assign_slot(instance, slot, updates, digests)
         instance.prepares.add(self.index)
         instance.prepares |= instance.early_prepares.pop(slot, set())
         instance.commits |= instance.early_commits.pop(slot, set())
@@ -669,9 +696,7 @@ class PBFTReplica:
     def _propose_noop_at(self, seq: int) -> None:
         """Fill a sequence gap with a null request (view-change padding)."""
         instance = self._instance(self.view, seq)
-        instance.digest = NOOP_DIGEST
-        instance.updates = None
-        instance.members = ()
+        self._assign_slot(instance, NOOP_DIGEST, None, ())
         instance.prepares.add(self.index)
         instance.prepares |= instance.early_prepares.pop(NOOP_DIGEST, set())
         instance.commits |= instance.early_commits.pop(NOOP_DIGEST, set())
@@ -703,9 +728,7 @@ class PBFTReplica:
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is not None and instance.digest != msg.digest:
             return  # conflicting pre-prepare for the slot
-        instance.digest = msg.digest
-        instance.updates = updates
-        instance.members = members
+        self._assign_slot(instance, msg.digest, updates, members)
         for update in updates or ():
             if (
                 update.update_id not in self.executed_updates
@@ -830,18 +853,18 @@ class PBFTReplica:
         if sender is None or not sender.principal.public_key.verify(payload, msg.signature):
             return
         self.sign_shares.setdefault(msg.seq, {})[msg.sender] = msg.signature
-        instance_key = next(
-            (
-                (v, s)
-                for (v, s), inst in self.instances.items()
-                if s == msg.seq and inst.committed and inst.digest == msg.digest
-            ),
-            None,
-        )
-        if instance_key is not None:
-            inst = self.instances[instance_key]
+        inst = self._committed_instance(msg.seq, msg.digest)
+        if inst is not None:
             assert inst.updates is not None
             self._maybe_certified(msg.seq, msg.digest, inst.updates)
+
+    def _committed_instance(self, seq: int, digest: bytes) -> _Instance | None:
+        """The first-created committed instance of ``seq`` with ``digest``."""
+        for view in self._views_by_seq.get(seq, ()):
+            inst = self.instances[(view, seq)]
+            if inst.committed and inst.digest == digest:
+                return inst
+        return None
 
     def _maybe_certified(
         self, seq: int, digest: bytes, updates: tuple[Update, ...]

@@ -47,8 +47,8 @@ class FlightEvent:
     """One structured event: when, where in the system, and the details.
 
     ``detail`` is a sorted tuple of ``(key, value)`` string pairs --
-    hashable, order-stable, and already rendered, so a retained event can
-    never mutate after the fact.
+    hashable and order-stable.  Events are built from the recorder's raw
+    records when something reads them, not when they are recorded.
     """
 
     seq: int
@@ -72,13 +72,33 @@ class FlightEvent:
         }
 
 
-class FlightRecorder:
-    """Bounded ring buffer of :class:`FlightEvent`.
+#: one retained record as stored: ``(seq, time_ms, category, kind, detail)``
+_Record = tuple[int, float, str, str, dict[str, object]]
 
-    Old events evict silently once ``capacity`` is reached (the evicted
+
+def _event(record: _Record) -> FlightEvent:
+    seq, time_ms, category, kind, detail = record
+    return FlightEvent(
+        seq,
+        time_ms,
+        category,
+        kind,
+        tuple(sorted((k, _fmt_value(v)) for k, v in detail.items())),
+    )
+
+
+class FlightRecorder:
+    """Bounded ring buffer of raw records, read as :class:`FlightEvent`.
+
+    Old records evict silently once ``capacity`` is reached (the evicted
     count is kept, so a dump states what it no longer holds).  Recording
-    is cheap -- one clock read, one tuple build, one deque append -- and
-    the disabled path lives one level up in
+    reads the clock and appends ``(seq, time_ms, category, kind,
+    detail)`` to a deque; rendering waits until a read asks for events,
+    so a record nobody reads is never rendered.  That is exact only
+    because detail values are immutable: ``int``, ``float``, ``str``,
+    ``bytes``, ``bool``, ``None``, :class:`~repro.util.ids.GUID` or an
+    ``Enum`` member.  Never record a value that can change after the
+    call.  The disabled path lives one level up in
     :class:`repro.telemetry.NullTelemetry`.
     """
 
@@ -91,31 +111,38 @@ class FlightRecorder:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self._events: deque[FlightEvent] = deque(maxlen=capacity)
+        self._records: deque[_Record] = deque(maxlen=capacity)
         #: events ever recorded (retained + evicted); also the next seq
         self.total_recorded = 0
 
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring by newer ones."""
-        return self.total_recorded - len(self._events)
+        return self.total_recorded - len(self._records)
 
     def record(self, category: str, kind: str, **detail: object) -> None:
-        event = FlightEvent(
-            seq=self.total_recorded,
-            time_ms=self.clock(),
-            category=category,
-            kind=kind,
-            detail=tuple(sorted((k, _fmt_value(v)) for k, v in detail.items())),
-        )
-        self.total_recorded += 1
-        self._events.append(event)
+        seq = self.total_recorded
+        self.total_recorded = seq + 1
+        self._records.append((seq, self.clock(), category, kind, detail))
 
     def reset(self) -> None:
-        self._events.clear()
+        self._records.clear()
         self.total_recorded = 0
 
     # -- reads -------------------------------------------------------------
+
+    def _select(
+        self,
+        categories: Iterable[str] | None = None,
+        kinds: Iterable[str] | None = None,
+    ) -> list[_Record]:
+        cats = set(categories) if categories is not None else None
+        knds = set(kinds) if kinds is not None else None
+        return [
+            r
+            for r in self._records
+            if (cats is None or r[2] in cats) and (knds is None or r[3] in knds)
+        ]
 
     def events(
         self,
@@ -123,14 +150,7 @@ class FlightRecorder:
         kinds: Iterable[str] | None = None,
     ) -> list[FlightEvent]:
         """Retained events in causal (record) order, optionally filtered."""
-        cats = set(categories) if categories is not None else None
-        knds = set(kinds) if kinds is not None else None
-        return [
-            e
-            for e in self._events
-            if (cats is None or e.category in cats)
-            and (knds is None or e.kind in knds)
-        ]
+        return [_event(r) for r in self._select(categories, kinds)]
 
     def to_dicts(
         self, categories: Iterable[str] | None = None
@@ -140,8 +160,8 @@ class FlightRecorder:
     def categories(self) -> dict[str, int]:
         """Retained event count per category (dump header material)."""
         counts: dict[str, int] = {}
-        for event in self._events:
-            counts[event.category] = counts.get(event.category, 0) + 1
+        for record in self._records:
+            counts[record[2]] = counts.get(record[2], 0) + 1
         return dict(sorted(counts.items()))
 
     # -- dumps -------------------------------------------------------------
@@ -157,7 +177,7 @@ class FlightRecorder:
         of a failure); a header line states what was filtered or evicted
         so a truncated dump never masquerades as a complete one.
         """
-        selected = self.events(categories)
+        selected = self._select(categories)
         shown = selected if limit is None or limit >= len(selected) else selected[-limit:]
         header = (
             f"flight recorder: {len(shown)} of {len(selected)} matching events"
@@ -166,15 +186,15 @@ class FlightRecorder:
         lines = [header]
         if len(shown) < len(selected):
             lines.append(f"... {len(selected) - len(shown)} earlier matching event(s) omitted")
-        lines.extend(event.render() for event in shown)
+        lines.extend(_event(record).render() for record in shown)
         return "\n".join(lines)
 
     def digest(self) -> str:
         """sha256 over the full retained timeline; replay-comparison key."""
         hasher = hashlib.sha256()
         hasher.update(f"total={self.total_recorded};evicted={self.evicted}\n".encode())
-        for event in self._events:
-            hasher.update(event.render().encode())
+        for record in self._records:
+            hasher.update(_event(record).render().encode())
             hasher.update(b"\n")
         return hasher.hexdigest()
 

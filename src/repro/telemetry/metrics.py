@@ -56,7 +56,9 @@ class MetricsRegistry:
     # -- internal ---------------------------------------------------------
 
     def _key_for(self, name: str, series: dict, labels: dict) -> LabelKey:
-        key = label_key(labels)
+        # Unlabelled series (``net_message_bytes`` on every send) skip
+        # the sort: their key is always the empty tuple.
+        key = label_key(labels) if labels else ()
         if key in series or len(series) < self.max_label_sets:
             return key
         self.dropped_label_sets[name] = self.dropped_label_sets.get(name, 0) + 1

@@ -18,6 +18,7 @@ from repro.crypto import (
     server_search,
     verify_proof,
 )
+from repro.crypto.rsa import _fdh
 from repro.crypto.searchable import WORD_BYTES
 from repro.util import GUID
 
@@ -118,6 +119,21 @@ class TestRSA:
     def test_tiny_modulus_rejected(self):
         with pytest.raises(ValueError):
             generate_keypair(random.Random(0), bits=64)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        bits=st.integers(min_value=128, max_value=512),
+        message=st.binary(max_size=256),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_crt_signature_is_the_textbook_signature(self, seed, bits, message):
+        key = generate_keypair(random.Random(seed), bits=bits)
+        assert key.p * key.q == key.n
+        textbook = pow(_fdh(message, key.n), key.d, key.n)
+        width = (key.n.bit_length() + 7) // 8
+        signature = key.sign(message)
+        assert signature == textbook.to_bytes(width, "big")
+        assert key.public.verify(message, signature)
 
 
 class TestMerkle:

@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.consistency import BatchingConfig, InnerRing
+from repro.consistency import BatchingConfig, FaultMode, InnerRing
 from repro.consistency.costmodel import fit_cost_model
 from repro.consistency.measure import measure_sweep
-from repro.consistency.pbft import update_digest
+from repro.consistency.pbft import NOOP_DIGEST, update_digest
 from repro.core import ChaosConfig, DeploymentConfig, OceanStoreSystem, make_client
 from repro.core.system import serialize_state
 from repro.crypto import make_principal
@@ -53,8 +53,15 @@ def run_workload(
     batch_delay_ms=150.0,
     pipeline_depth=2,
     m=1,
+    after_step=None,
+    silence_leader_at=None,
 ):
-    """Drive ``payloads`` through a bare ring; return its observable outcome."""
+    """Drive ``payloads`` through a bare ring; return its observable outcome.
+
+    With ``after_step``, the kernel runs one event at a time until its
+    queue drains, calling ``after_step(ring)`` after each.  With
+    ``silence_leader_at``, the view-0 leader falls silent at that time.
+    """
     n = 3 * m + 1
     kernel = Kernel()
     graph = nx.complete_graph(n + 1)
@@ -86,7 +93,17 @@ def run_workload(
             float(i + 1),
         )
         ring.submit(n, update)
-    kernel.run(until=60_000.0)
+    if silence_leader_at is not None:
+        kernel.call_at(silence_leader_at, lambda: ring.set_fault(0, FaultMode.SILENT))
+    if after_step is None:
+        kernel.run(until=60_000.0)
+    else:
+        # A silent leader's progress timers re-arm forever, so the
+        # stepped run stops at the same horizon as the plain one.
+        horizon = []
+        kernel.call_at(60_000.0, lambda: horizon.append(True))
+        while not horizon and kernel.step():
+            after_step(ring)
     return ring, executed
 
 
@@ -117,6 +134,71 @@ def fingerprint(ring, executed):
     return committed, per_replica_orders, log_states, claim_bodies
 
 
+def scan_in_flight(replica, digest):
+    """``_already_in_flight`` as a full scan over every instance."""
+    return any(
+        instance.digest == digest or digest in instance.members
+        for instance in replica.instances.values()
+    )
+
+
+def scan_committed_instance(replica, seq, digest):
+    """The sign-share lookup as a full scan over every instance."""
+    key = next(
+        (
+            (v, s)
+            for (v, s), inst in replica.instances.items()
+            if s == seq and inst.committed and inst.digest == digest
+        ),
+        None,
+    )
+    return None if key is None else replica.instances[key]
+
+
+def check_slot_indexes(ring):
+    """Both slot indexes answer exactly what the full scans answer."""
+    for replica in ring.replicas:
+        digests = {NOOP_DIGEST, b"\x00" * 32, *replica.known_by_digest}
+        pairs = set()
+        for (_, seq), instance in replica.instances.items():
+            if instance.digest is not None:
+                digests.add(instance.digest)
+                digests.update(instance.members)
+                pairs.add((seq, instance.digest))
+                pairs.add((seq + 1, instance.digest))
+                pairs.add((seq, NOOP_DIGEST))
+        for digest in digests:
+            assert replica._already_in_flight(digest) == scan_in_flight(
+                replica, digest
+            )
+        for seq, digest in pairs:
+            assert replica._committed_instance(
+                seq, digest
+            ) is scan_committed_instance(replica, seq, digest)
+
+
+class CountingDict(dict):
+    """A dict that counts every pass over its keys, values or items."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.iterations += 1
+        return super().keys()
+
+    def values(self):
+        self.iterations += 1
+        return super().values()
+
+    def items(self):
+        self.iterations += 1
+        return super().items()
+
+
 payload_lists = st.lists(
     st.binary(min_size=1, max_size=64), min_size=1, max_size=8
 )
@@ -131,9 +213,33 @@ class TestDifferentialEquivalence:
         assert len(committed) == len(payloads)
         for batch_size in BATCH_SIZES:
             outcome = fingerprint(
-                *run_workload(payloads, batch_size=batch_size, seed=seed)
+                *run_workload(
+                    payloads,
+                    batch_size=batch_size,
+                    seed=seed,
+                    after_step=check_slot_indexes,
+                )
             )
             assert outcome == baseline, f"batch_size={batch_size} diverged"
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        payloads=payload_lists,
+        batch_size=st.sampled_from((1, *BATCH_SIZES)),
+        silence_at=st.floats(min_value=0.0, max_value=400.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_slot_indexes_hold_across_view_changes(
+        self, seed, payloads, batch_size, silence_at
+    ):
+        ring, _ = run_workload(
+            payloads,
+            batch_size=batch_size,
+            seed=seed,
+            after_step=check_slot_indexes,
+            silence_leader_at=silence_at,
+        )
+        assert len(ring.committed_order) == len(payloads)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -146,6 +252,66 @@ class TestDifferentialEquivalence:
             *run_workload(payloads, batch_size=4, seed=seed, pipeline_depth=0)
         )
         assert bounded == unbounded
+
+
+def four_replica_ring():
+    kernel = Kernel()
+    graph = nx.complete_graph(5)
+    nx.set_edge_attributes(graph, 40.0, "latency_ms")
+    network = Network(kernel, graph)
+    rng = random.Random(3)
+    principals = [make_principal(f"replica-{i}", rng, bits=256) for i in range(4)]
+    return kernel, InnerRing(kernel, network, list(range(4)), principals, m=1)
+
+
+class TestSlotIndexWork:
+    def test_reassigned_slot_releases_its_digests(self):
+        """A slot given a new digest stops answering for the old one and
+        its members; a digest two slots carry stays until both let go."""
+        _, ring = four_replica_ring()
+        replica = ring.replicas[1]
+        a, b, c = (bytes([i]) * 32 for i in range(3))
+        first = replica._instance(0, 0)
+        second = replica._instance(1, 0)
+        replica._assign_slot(first, b"slot-ab", None, (a, b))
+        replica._assign_slot(second, b"slot-bc", None, (b, c))
+        replica._assign_slot(first, b"slot-ab", None, (a, b))
+        replica._assign_slot(first, NOOP_DIGEST, None, ())
+        for digest in (a, b, c, b"slot-ab", b"slot-bc", NOOP_DIGEST):
+            assert replica._already_in_flight(digest) == scan_in_flight(
+                replica, digest
+            )
+        assert not replica._already_in_flight(a)
+        assert replica._already_in_flight(b)
+        replica._assign_slot(second, NOOP_DIGEST, None, ())
+        assert set(replica._carried) == {NOOP_DIGEST}
+        assert replica._carried[NOOP_DIGEST] == 2
+
+    def test_normal_case_never_iterates_instances(self):
+        """300 slots of agreement, and no pass over the instance table:
+        in-flight checks and sign-share lookups are index reads."""
+        kernel, ring = four_replica_ring()
+        for replica in ring.replicas:
+            replica.instances = CountingDict()
+        author = make_principal("author", random.Random(4), bits=256)
+        guid = object_guid(author.public_key, "work-count")
+        for i in range(300):
+            update = make_update(
+                author,
+                guid,
+                [UpdateBranch(TruePredicate(), (AppendBlock(b"w%d" % i),))],
+                float(i + 1),
+            )
+            kernel.call_at(10.0 * i, lambda u=update: ring.submit(4, u))
+        kernel.run()
+        assert len(ring.committed_order) == 300
+        for replica in ring.replicas:
+            assert replica.last_executed_seq == 299
+            assert len(replica.certificates) == 300
+            assert replica.instances.iterations == 0
+        # The counter is live: a view-change report walks the table.
+        ring.replicas[0]._prepared_reports()
+        assert ring.replicas[0].instances.iterations == 1
 
 
 class TestFullSystemEquivalence:

@@ -377,6 +377,9 @@ class PBFTReplica:
         self._queued_digests: set[bytes] = set()
         self._batch_timer: object | None = None
         self.sign_shares: dict[int, dict[int, bytes]] = {}
+        #: seq -> (digest, the payload a share for it signs), built once
+        #: per slot rather than once per share (see :meth:`_share_payload`)
+        self._share_payloads: dict[int, tuple[bytes, bytes]] = {}
         self.certified_seqs: set[int] = set()
         #: seq -> assembled certificate, served to lagging peers
         self.certificates: dict[int, CommitCertificate] = {}
@@ -836,9 +839,7 @@ class PBFTReplica:
                 seq=seq,
                 digest=digest,
                 sender=self.index,
-                signature=self.principal.sign(
-                    CommitCertificate.signed_payload(seq, digest)
-                ),
+                signature=self.principal.sign(self._share_payload(seq, digest)),
             )
             self.sign_shares.setdefault(seq, {})[self.index] = share.signature
             self._broadcast(share, size=SMALL_MESSAGE_BYTES)
@@ -848,7 +849,7 @@ class PBFTReplica:
             self._maybe_flush_batch()
 
     def _on_sign_share(self, msg: SignShare) -> None:
-        payload = CommitCertificate.signed_payload(msg.seq, msg.digest)
+        payload = self._share_payload(msg.seq, msg.digest)
         sender = self.ring.replicas[msg.sender] if 0 <= msg.sender < self.ring.n else None
         if sender is None or not sender.principal.public_key.verify(payload, msg.signature):
             return
@@ -857,6 +858,15 @@ class PBFTReplica:
         if inst is not None:
             assert inst.updates is not None
             self._maybe_certified(msg.seq, msg.digest, inst.updates)
+
+    def _share_payload(self, seq: int, digest: bytes) -> bytes:
+        """:meth:`CommitCertificate.signed_payload` for ``(seq, digest)``,
+        kept per slot: every share of a slot signs the same bytes."""
+        cached = self._share_payloads.get(seq)
+        if cached is None or cached[0] != digest:
+            cached = (digest, CommitCertificate.signed_payload(seq, digest))
+            self._share_payloads[seq] = cached
+        return cached[1]
 
     def _committed_instance(self, seq: int, digest: bytes) -> _Instance | None:
         """The first-created committed instance of ``seq`` with ``digest``."""
@@ -1224,7 +1234,7 @@ class PBFTReplica:
                 continue
             if not claim.updates or slot_digest_for(claim.updates) != claim.digest:
                 continue  # claimed bodies do not match the signed digest
-            payload = CommitCertificate.signed_payload(claim.seq, claim.digest)
+            payload = self._share_payload(claim.seq, claim.digest)
             signers = self._claim_signers.setdefault(
                 (claim.seq, claim.digest), set()
             )

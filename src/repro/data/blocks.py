@@ -45,6 +45,9 @@ class IndexBlock:
 
 Block = Union[DataBlock, IndexBlock]
 
+#: The one empty pointer block every delete points its slot at.
+EMPTY_POINTER = IndexBlock(children=())
+
 
 class BlockStructureError(RuntimeError):
     """Malformed block topology (dangling pointer, cycle, bad slot)."""
@@ -144,7 +147,7 @@ class CipherObject:
         """Replace the block at ``slot`` with an empty pointer block."""
         self._check_slot(slot)
         index_id = self.allocate_id()
-        self.blocks[index_id] = IndexBlock(children=())
+        self.blocks[index_id] = EMPTY_POINTER
         self._drop(self.slots[slot])
         self.slots[slot] = index_id
         return index_id

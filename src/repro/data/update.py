@@ -45,7 +45,8 @@ class DataObjectState:
     unencrypted metadata, and the searchable-word index.
 
     A state is a value once published: only :func:`apply_update` mutates
-    one, and only the working copy it has just made.
+    one, and only the working copy it has just made.  Replicas share
+    published states, so an in-place edit would change them all.
     """
 
     data: CipherObject = field(default_factory=CipherObject)
@@ -347,6 +348,12 @@ class Update:
     _signed_cache: bytes | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: one-entry memo of :func:`apply_update`: ``(input state, (outcome,
+    #: next state))`` -- replicas applying this update to the very same
+    #: input state share one result (DESIGN §21)
+    _applied: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def payload_dict(self) -> dict:
         return {
@@ -393,16 +400,17 @@ def make_update(
         signature=b"",
     )
     body = unsigned.signed_bytes()
-    update_id = sha256(body)
-    signature = author.sign(body)
-    return Update(
+    update = Update(
         object_guid=object_guid,
-        branches=tuple(branches),
+        branches=unsigned.branches,
         timestamp=timestamp,
         client_key=author.public_key,
-        update_id=update_id,
-        signature=signature,
+        update_id=sha256(body),
+        signature=author.sign(body),
     )
+    # payload_dict leaves out update_id and signature: the bytes are equal.
+    object.__setattr__(update, "_signed_cache", body)
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +478,23 @@ def apply_update(
     the working copy on commit, ``state`` itself otherwise (a failing
     action just discards the copy).  ``state`` is never mutated, so a
     published version stays a value.
+
+    The result is a pure function of ``(state, update)``, so ``update``
+    remembers its last one: a second call with the very same ``state``
+    object (replicas that applied the same updates in the same order from
+    the shared empty state) returns the same outcome and next state.
     """
+    memo = update._applied
+    if memo is not None and memo[0] is state:
+        return memo[1]
+    result = _apply(state, update)
+    object.__setattr__(update, "_applied", (state, result))
+    return result
+
+
+def _apply(
+    state: DataObjectState, update: Update
+) -> tuple[UpdateOutcome, DataObjectState]:
     for i, branch in enumerate(update.branches):
         if not branch.predicate.evaluate(state):
             continue

@@ -9,7 +9,9 @@ supports 'permanent' pointers to information."
 :class:`VersionLog` keeps the chain of committed versions of one object:
 each entry holds, by reference, the state an update produced and that
 update's id.  States are values (:func:`~repro.data.update.apply_update`
-never mutates its input), so the head is simply the newest one.  Old
+never mutates its input), so the head is simply the newest one.  Every log
+starts from :data:`EMPTY_STATE`, so logs that apply the same update
+objects in the same order share every state (DESIGN §21).  Old
 versions can be retired under a :class:`~repro.naming.versions.VersionPolicy`
 ("interfaces for retiring old versions, as in the Elephant File System").
 The log also records aborted updates: "The update itself is logged
@@ -46,11 +48,17 @@ class LoggedUpdate:
     resulting_version: int | None
 
 
+#: Version 0 of every object.  Every log starts from this one state, so
+#: replicas that apply the same updates in the same order hold the very
+#: same state objects (DESIGN §21); mutating it would corrupt them all.
+EMPTY_STATE = DataObjectState()
+
+
 @dataclass
 class VersionLog:
     """The version chain and audit log of a single object."""
 
-    head: DataObjectState = field(default_factory=DataObjectState)
+    head: DataObjectState = field(default_factory=lambda: EMPTY_STATE)
     _versions: dict[int, VersionRecord] = field(default_factory=dict)
     _log: list[LoggedUpdate] = field(default_factory=list)
 

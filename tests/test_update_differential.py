@@ -73,13 +73,13 @@ _predicate = st.one_of(
 _branch = st.builds(
     UpdateBranch, _predicate, st.lists(_action, min_size=1, max_size=4).map(tuple)
 )
-_program = st.lists(
+fig4_programs = st.lists(
     st.lists(_branch, min_size=1, max_size=3), min_size=1, max_size=12
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(_program)
+@given(fig4_programs)
 def test_versions_match_in_place_reference(program):
     log = VersionLog()
     reference = reference_state()

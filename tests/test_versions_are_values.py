@@ -1,9 +1,12 @@
-"""A version is a value: one state copy per applied update, none per read.
+"""A version is a value: one state copy per update, none per read.
 
 :func:`~repro.data.update.apply_update` edits one working copy and never
 its input, so the version log records states by reference and every read
-path hands out the recorded state itself.  These tests count
-:meth:`DataObjectState.copy` calls to pin that.
+path hands out the recorded state itself.  Every log starts from one
+shared empty state and an update remembers its last result, so replicas
+that apply the same updates in order hold the very same states.  These
+tests count :meth:`DataObjectState.copy` calls and check identities to
+pin that.
 """
 
 import dataclasses
@@ -111,12 +114,15 @@ class TestReadPathsCopyNothing:
 
     def test_deployment_reads(self, copies, monkeypatch):
         applied = {"n": 0}
+        applied_updates = set()
         for module in (version_log_mod, secondary_mod):
             original = module.apply_update
 
             def counting_apply(state, update, _original=original):
                 outcome, after = _original(state, update)
-                applied["n"] += outcome.branch_index is not None
+                if outcome.branch_index is not None:
+                    applied["n"] += 1
+                    applied_updates.add(update.update_id)
                 return outcome, after
 
             monkeypatch.setattr(module, "apply_update", counting_apply)
@@ -133,8 +139,11 @@ class TestReadPathsCopyNothing:
         for i in range(2):
             assert client.write(handle, b"payload %d" % i).committed
         system.settle()
-        assert applied["n"] > 0
-        assert copies["n"] == applied["n"]
+        # Every ring member and secondary applies each update, and all of
+        # them share one copy per update across the whole deployment.
+        assert len(applied_updates) == 2
+        assert applied["n"] > len(applied_updates)
+        assert copies["n"] == len(applied_updates)
         # The per-update outcome table lives as long as the deployment, so
         # it must hold no state: a replaced version would never be freed.
         assert system._outcomes
@@ -159,3 +168,46 @@ class TestReadPathsCopyNothing:
         for replica in system.tiers[handle.guid].replicas.values():
             assert replica.tentative_state() is replica.committed_state
         assert copies["n"] == before
+
+
+class TestOneVersionPerCommit:
+    def test_replicas_hold_one_state_per_version(self):
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=263,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=4
+                ),
+            )
+        )
+        client = make_client(system, "one-version", seed=264)
+        handle = client.create_object("one-version")
+        payloads = [b"first", b"second", b"third"]
+        for version, payload in enumerate(payloads, start=1):
+            if version == 2:
+                assert client.append(handle, payload).committed
+            else:
+                assert client.write(handle, payload).committed
+            system.settle()
+            members = [
+                node
+                for node in system.rings.members_for(handle.guid)
+                if not system.network.is_down(node)
+            ]
+            heads = [system.servers[node].objects[handle.guid].active for node in members]
+            heads += [
+                replica.committed_state
+                for replica in system.tiers[handle.guid].replicas.values()
+            ]
+            assert len(members) > 1 and len(heads) > len(members)
+            assert heads[0].version == version
+            assert all(head is heads[0] for head in heads)
+
+    def test_every_log_starts_from_one_empty_state(self, author):
+        guid = object_guid(author.public_key, "empty")
+        backend = LocalBackend()
+        backend.create_object(guid)
+        empty = version_log_mod.EMPTY_STATE
+        assert empty == DataObjectState()
+        assert VersionLog().head is empty
+        assert backend.read_state(guid, allow_tentative=False, min_version=0) is empty

@@ -569,6 +569,21 @@ def _print_metrics_table(export: dict) -> None:
             )
 
 
+def _print_traffic_table(report: dict) -> None:
+    """The network's always-on phase ledger, one row per (subsystem, phase)."""
+    rows = {
+        f"{sub}/{phase}": cell
+        for sub, phases in report.items()
+        for phase, cell in phases.items()
+    }
+    if not rows:
+        return
+    print("traffic (network phase ledger, whole run):")
+    width = max(len(k) for k in rows)
+    for name, cell in rows.items():
+        print(f"  {name:<{width}}  messages={cell['messages']} bytes={cell['bytes']}")
+
+
 def cmd_telemetry(args: argparse.Namespace) -> int:
     quantiles = _parse_quantiles(args.quantiles)
     telemetry_config = (
@@ -596,6 +611,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     print(system.telemetry.render_spans(max_depth=args.max_depth))
     print()
     _print_metrics_table(system.telemetry.export())
+    _print_traffic_table(system.network.phase_report())
     return 0
 
 

@@ -192,10 +192,6 @@ class DisseminationTree:
             child_payload = small_payload if degrade else payload
             child_size = small_size_bytes if degrade else size_bytes
             if tel.enabled:
-                tel.count(
-                    "dissemination_messages_total",
-                    kind="invalidation" if degrade else "update",
-                )
                 tel.record(
                     "dissem",
                     "push",

@@ -434,7 +434,6 @@ class PBFTReplica:
             return
         strategy = self.strategy
         phase = _PHASE_BY_TYPE[type(payload)]
-        sent = 0
         for other in self.ring.replicas:
             if other.index == self.index:
                 continue
@@ -447,7 +446,6 @@ class PBFTReplica:
                     phase=phase,
                     subsystem="pbft",
                 )
-                sent += 1
                 continue
             for wire_payload, delay_ms in strategy.outgoing(
                 self, other.index, payload
@@ -455,10 +453,6 @@ class PBFTReplica:
                 self._send_adversarial(
                     other.network_id, wire_payload, size, delay_ms, phase
                 )
-                sent += 1
-        tel = self.ring.telemetry
-        if tel.enabled and sent:
-            tel.count("pbft_messages_total", sent, phase=phase)
 
     def _send_adversarial(
         self,
@@ -1419,8 +1413,6 @@ class InnerRing:
                     phase="request",
                     subsystem="pbft",
                 )
-        if tel.enabled:
-            tel.count("pbft_messages_total", len(self.replicas), phase="request")
 
     # -- callbacks ------------------------------------------------------------------
 

@@ -448,8 +448,6 @@ class SecondaryTier:
                     phase="tentative",
                     subsystem="dissemination",
                 )
-        if tel.enabled:
-            tel.count("secondary_tentative_pushes_total", len(targets))
 
     def epidemic_round(self) -> None:
         """Each replica anti-entropies with one random partner."""

@@ -236,10 +236,6 @@ class OceanStoreSystem:
                 )
             )
         self.rings = RingProvider(shards, self.ring_directory)
-        #: shard-0 aliases for the long tail of callers that predate
-        #: sharding; a shard-0 membership handoff re-targets them
-        self.ring = shards[0].ring
-        self.ring_nodes = list(shards[0].members)
 
         # -- access control -----------------------------------------------------
         self.access = AccessChecker()
@@ -321,6 +317,18 @@ class OceanStoreSystem:
         #: ("facilitates access checks and resource accounting", §4.1)
         self.object_owners: dict[GUID, GUID] = {}
 
+    # Shard-0 aliases for the long tail of callers that predate sharding.
+    # They read the provider, so a shard-0 membership handoff needs no
+    # second copy kept in step.
+
+    @property
+    def ring(self) -> InnerRing:
+        return self.rings.shards[0].ring
+
+    @property
+    def ring_nodes(self) -> list[NodeId]:
+        return self.rings.shards[0].members
+
     # ------------------------------------------------------------------
     # Backend protocol
     # ------------------------------------------------------------------
@@ -389,7 +397,7 @@ class OceanStoreSystem:
         if result.found and result.replica_node is not None:
             state = self._state_at(object_guid, result.replica_node, allow_tentative)
             if state is not None:
-                self._record_read(object_guid, result.replica_node, client)
+                self._record_read(object_guid, result.replica_node, client, state)
         if state is None or state.version < min_version:
             # Fall back to the authoritative primary tier, trying the
             # owning ring's replicas in order (some may be crashed or
@@ -398,7 +406,7 @@ class OceanStoreSystem:
                 fallback = self._state_at(object_guid, primary, allow_tentative=False)
                 if fallback is None:
                     continue
-                self._record_read(object_guid, primary, client)
+                self._record_read(object_guid, primary, client, fallback)
                 if state is None or fallback.version > state.version:
                     state = fallback
                 if state.version >= min_version:
@@ -494,7 +502,7 @@ class OceanStoreSystem:
             state = self._state_at(object_guid, node, allow_tentative)
             if state is None or state.version < min_version:
                 return None
-            self._record_read(object_guid, node, client)
+            self._record_read(object_guid, node, client, state)
             return state
 
         # Rung 1: the ordinary two-tier lookup (local/cached replica).
@@ -543,7 +551,7 @@ class OceanStoreSystem:
                 state = tier.replicas[node].tentative_state()
                 if state.version >= min_version:
                     rung("tentative", "hit", node=node)
-                    self._record_read(object_guid, node, client)
+                    self._record_read(object_guid, node, client, state)
                     return state
             rung("tentative", "miss")
 
@@ -757,7 +765,6 @@ class OceanStoreSystem:
         """
         if not self.rings.fence_check(shard_id, epoch):
             if self.telemetry.enabled:
-                self.telemetry.count("rings_fenced_certificates_total")
                 self.telemetry.record(
                     "rings", "fenced_certificate", shard=shard_id, epoch=epoch
                 )
@@ -834,17 +841,21 @@ class OceanStoreSystem:
         """Record who pays for this object's resource consumption."""
         self.object_owners[object_guid] = owner_guid
 
-    def _record_read(self, object_guid: GUID, replica_node: NodeId, client: NodeId) -> None:
+    def _record_read(
+        self,
+        object_guid: GUID,
+        replica_node: NodeId,
+        client: NodeId,
+        served: DataObjectState,
+    ) -> None:
+        """Account one read of ``served`` from ``replica_node``: the
+        owner is billed for the bytes of the state actually served."""
         self.replica_manager.record_request(
             object_guid, replica_node, client, now_ms=self.kernel.now
         )
         owner = self.object_owners.get(object_guid)
         if owner is not None:
-            state = self._state_at(object_guid, replica_node, allow_tentative=True)
-            if state is not None:
-                self.ledger.meter.record_transfer(
-                    owner, replica_node, state.size_bytes
-                )
+            self.ledger.meter.record_transfer(owner, replica_node, served.size_bytes)
         server = self.servers.get(replica_node)
         if server is not None:
             server.introspection.observe(

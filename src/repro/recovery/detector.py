@@ -171,8 +171,6 @@ class FailureDetector:
             lambda: self._evaluate(round_no),
             label="recovery.heartbeat-timeout",
         )
-        if self.telemetry.enabled:
-            self.telemetry.count("recovery_heartbeat_rounds_total")
 
     def _respond(self, message: Message) -> None:
         payload = message.payload
@@ -205,7 +203,6 @@ class FailureDetector:
                     self.suspected.discard(node)
                     self.timeline.append((self.kernel.now, "restore", node))
                     if tel.enabled:
-                        tel.count("recovery_restores_total")
                         tel.record("recovery", "restore", node=node)
                     for callback in self._on_restore:
                         callback(node)
@@ -216,7 +213,6 @@ class FailureDetector:
                 self.suspected.add(node)
                 self.timeline.append((self.kernel.now, "suspect", node))
                 if tel.enabled:
-                    tel.count("recovery_suspicions_total")
                     tel.record(
                         "recovery", "suspect", node=node, missed_rounds=count
                     )

@@ -103,7 +103,6 @@ class RoutingRepairer:
         self.stats_evictions += 1
         tel = self.telemetry
         if tel.enabled:
-            tel.count("recovery_evictions_total")
             tel.record("recovery", "evict", node=node, links_removed=removed)
 
     def republish(self, replica_node: NodeId, object_guid: GUID) -> None:
@@ -129,7 +128,6 @@ class RoutingRepairer:
         self.stats_republishes += 1
         tel = self.telemetry
         if tel.enabled:
-            tel.count("recovery_republishes_total")
             tel.record(
                 "recovery",
                 "republish",

@@ -121,7 +121,6 @@ class HandoffManager:
         self._subscribed: dict[int, list[NodeId]] = {}
         #: (virtual time, shard, epoch, dead, replacements) per completion
         self.completed: list[tuple[float, int, int, tuple, tuple]] = []
-        self.stats_handoffs = 0
         self.stats_retries = 0
         self.stats_abandoned = 0
         self._transit = sorted(
@@ -138,6 +137,10 @@ class HandoffManager:
         self._detector = detector
 
     # -- public queries ----------------------------------------------------
+
+    @property
+    def stats_handoffs(self) -> int:
+        return len(self.completed)
 
     def is_active(self, shard_id: int) -> bool:
         return shard_id in self._active
@@ -392,12 +395,6 @@ class HandoffManager:
         system.rings.install_ring(
             shard_id, pending.epoch, new_ring, new_members
         )
-        if shard_id == 0:
-            # Keep the long-standing shard-0 aliases pointing at the
-            # live ring (CLI, invariant helpers, older tests).
-            system.ring = new_ring
-            system.ring_nodes = list(new_members)
-
         # Directory: republish through the mesh and notify the members.
         system.rings.directory.announce(
             RingDescriptor(
@@ -461,7 +458,6 @@ class HandoffManager:
             if update.update_id not in system._outcomes:
                 new_ring.submit(client_node, update)
 
-        self.stats_handoffs += 1
         self.completed.append(
             (
                 system.kernel.now,
@@ -473,7 +469,6 @@ class HandoffManager:
         )
         tel = system.telemetry
         if tel.enabled:
-            tel.count("rings_handoffs_total")
             tel.record(
                 "rings",
                 "handoff_complete",
@@ -498,7 +493,6 @@ class HandoffManager:
         self.stats_retries += 1
         tel = self.system.telemetry
         if tel.enabled:
-            tel.count("rings_handoff_retries_total")
             tel.record(
                 "rings",
                 "handoff_retry",

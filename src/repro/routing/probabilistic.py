@@ -169,7 +169,6 @@ class ProbabilisticLocator:
         tel = self.telemetry
         if tel.enabled:
             tel.count("bloom_refresh_rounds_total")
-            tel.count("bloom_refresh_bytes_total", pushed_bytes)
 
     def _relink(self) -> None:
         """Re-take every node's live neighbors after a liveness change.

@@ -14,11 +14,11 @@ from repro.sim.faults import FaultDecision, LinkFaultRule, NetworkFaultInjector
 from repro.sim.kernel import EventHandle, Kernel, SimulationError, Timer
 from repro.sim.network import (
     Corrupted,
-    LinkStats,
     Message,
     Network,
     NodeId,
     TopologyParams,
+    Traffic,
     build_transit_stub_topology,
 )
 from repro.sim.stats import Counter, Distribution, EmptyDistributionError
@@ -34,7 +34,6 @@ __all__ = [
     "FaultDecision",
     "Kernel",
     "LinkFaultRule",
-    "LinkStats",
     "Message",
     "Network",
     "NetworkFaultInjector",
@@ -42,5 +41,6 @@ __all__ = [
     "SimulationError",
     "Timer",
     "TopologyParams",
+    "Traffic",
     "build_transit_stub_topology",
 ]

@@ -362,30 +362,6 @@ class Kernel:
             raise SimulationError(f"negative delay: {delay}")
         return self.call_at(self._now + delay, callback, label=label)
 
-    def post_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        label: str | None = None,
-    ) -> None:
-        """:meth:`call_at` without the :class:`EventHandle`.
-
-        The fire-and-forget path for callers that never cancel (message
-        deliveries, one-shot timeouts): semantics and hook behaviour are
-        identical, but steady-state traffic skips the handle allocation
-        entirely -- with the slab recycling the event record, a posted
-        event allocates nothing at all.
-        """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        if label is None and self.event_hook is not None:
-            label = _callback_name(callback)
-        if self.trace_wrapper is not None:
-            callback = self.trace_wrapper(callback)
-        self._queue.push(self._acquire(time, callback, label))
-        if self.event_hook is not None:
-            self.event_hook("schedule", time, label or "<callable>")
-
     def post_after(
         self,
         delay: float,
@@ -394,10 +370,13 @@ class Kernel:
     ) -> None:
         """:meth:`call_after` without the :class:`EventHandle`.
 
-        The body of :meth:`post_at` is inlined (this is the single
-        hottest scheduling entry point -- every message delivery): one
-        call frame instead of two, and the past-time guard reduces to
-        the negative-delay check.
+        The fire-and-forget path for callers that never cancel (message
+        deliveries, one-shot timeouts): semantics and hook behaviour are
+        identical, but steady-state traffic skips the handle allocation
+        entirely -- with the slab recycling the event record, a posted
+        event allocates nothing at all.  The scheduling body is inlined
+        (this is the single hottest scheduling entry point), and the
+        past-time guard reduces to the negative-delay check.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -494,20 +473,9 @@ class Kernel:
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remain."""
-        queue = self._queue
-        event = queue.peek()
-        if event is None:
-            return False
-        queue.pop()
-        self._now = event.time
-        callback = event.callback
-        label = event.label
-        self._release(event)
-        if self.event_hook is not None:
-            self.event_hook("fire", self._now, label or "<callable>")
-        callback()
-        self._events_executed += 1
-        return True
+        executed = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != executed
 
 
 class Timer:

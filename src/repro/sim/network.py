@@ -8,8 +8,9 @@ routers, each with several stub domains of servers hanging off it.
 
 Messages are delivered by the :class:`Network` with latency equal to the
 shortest-path link latency between endpoints plus a per-message overhead.
-Byte accounting is tracked globally and per-link for the bandwidth
-experiments (Figure 6).
+Traffic is counted once, per (src, dst, subsystem, phase); the global,
+per-link and per-phase totals the bandwidth experiments (Figure 6) read
+are folds over that one ledger.
 """
 
 from __future__ import annotations
@@ -71,19 +72,15 @@ class Corrupted:
 
 
 @dataclass(slots=True)
-class LinkStats:
-    messages: int = 0
-    bytes: int = 0
+class Traffic:
+    """Messages and bytes sent, whether or not they were delivered.
 
-
-@dataclass(slots=True)
-class PhaseStats:
-    """Traffic attributed to one (subsystem, protocol phase) pair.
-
-    This is the measured counterpart of the paper's Figure 6 cost model
-    b = c1*n^2 + (u+c2)*n + c3: protocol layers tag each ``send`` with
-    the phase it belongs to, and the fit in
-    :mod:`repro.consistency.costmodel` consumes these totals.
+    One per route-cache entry -- (src, dst, subsystem, phase) -- is the
+    network's only traffic count.  :attr:`Network.phase_stats` (the
+    measured side of the paper's Figure 6 cost model b = c1*n^2 +
+    (u+c2)*n + c3, fitted in :mod:`repro.consistency.costmodel`),
+    :attr:`Network.link_stats` and the ``stats_total_*`` totals are
+    folds over those entries at read time.
     """
 
     messages: int = 0
@@ -190,8 +187,8 @@ class Network:
         #: memoized ``net.deliver:<sub>/<ph>`` labels (one f-string per
         #: distinct phase instead of one per send)
         self._deliver_labels: dict[tuple[str, str], str] = {}
-        #: per-(src, dst, subsystem, phase) send-path memo:
-        #: (LinkStats, PhaseStats, delay_ms | None, deliver label, sub, ph).
+        #: per-(src, dst, subsystem, phase) send-path memo and traffic
+        #: ledger: (Traffic, delay_ms | None, deliver label, sub, ph).
         #: The topology graph is immutable for the lifetime of a run (the
         #: latency cache has no invalidation path either), so the one-way
         #: delay is a constant per ordered pair; the delay slot stays
@@ -215,13 +212,10 @@ class Network:
         self._latency_cache: dict[NodeId, dict[NodeId, float]] = {}
         self._hops_cache: dict[NodeId, dict[NodeId, int]] = {}
         self._neighbors: dict[NodeId, tuple[NodeId, ...]] = {}
-        self.stats_total_messages = 0
-        self.stats_total_bytes = 0
-        self.stats_dropped = 0
-        self.link_stats: dict[tuple[NodeId, NodeId], LinkStats] = {}
-        #: traffic by (subsystem, phase); untagged sends land in
-        #: ("other", "other").  Always on: two dict ops per send.
-        self.phase_stats: dict[tuple[str, str], PhaseStats] = {}
+        #: messages lost, by reason: "unreachable" (an endpoint down or a
+        #: partition), "fault" (the injector dropped it), "unregistered"
+        #: (nobody listens at the destination).  Bumped only by :meth:`_drop`.
+        self.drops: dict[str, int] = {}
 
     # -- membership --------------------------------------------------------
 
@@ -363,20 +357,13 @@ class Network:
         survives the drop checks) so unreachable destinations keep the
         old drop-before-raise ordering.
         """
-        src, dst, subsystem, phase = route_key
-        link_key = (src, dst) if src < dst else (dst, src)
-        link = self.link_stats.get(link_key)
-        if link is None:
-            link = self.link_stats[link_key] = LinkStats()
+        _, _, subsystem, phase = route_key
         sub = subsystem if subsystem is not None else "other"
         ph = phase if phase is not None else "other"
-        phase_stats = self.phase_stats.get((sub, ph))
-        if phase_stats is None:
-            phase_stats = self.phase_stats[(sub, ph)] = PhaseStats()
         label = self._deliver_labels.get((sub, ph))
         if label is None:
             label = self._deliver_labels[(sub, ph)] = f"net.deliver:{sub}/{ph}"
-        route = (link, phase_stats, None, label, sub, ph)
+        route = (Traffic(), None, label, sub, ph)
         self._route_cache[route_key] = route
         return route
 
@@ -394,22 +381,18 @@ class Network:
         ``subsystem``/``phase`` attribute the traffic to a protocol phase
         (``pbft``/``prepare``, ``dissemination``/``push``, ...) in
         :attr:`phase_stats` -- the measured side of the Figure 6 cost
-        model.  Loss conditions (either endpoint down, partition,
-        unregistered destination) count in ``stats_dropped`` and deliver
-        nothing.
+        model.  Every send is counted there, delivered or not.  Loss
+        conditions (either endpoint down, partition, unregistered
+        destination) go through :meth:`_drop` and deliver nothing.
         """
         message = Message(src, dst, payload, size_bytes)
-        self.stats_total_messages += 1
-        self.stats_total_bytes += size_bytes
         route_key = (src, dst, subsystem, phase)
         route = self._route_cache.get(route_key)
         if route is None:
             route = self._build_route(route_key)
-        link, phase_stats, delay, label, sub, ph = route
-        link.messages += 1
-        link.bytes += size_bytes
-        phase_stats.messages += 1
-        phase_stats.bytes += size_bytes
+        traffic, delay, label, sub, ph = route
+        traffic.messages += 1
+        traffic.bytes += size_bytes
 
         tel = self.telemetry
         instrumented = tel is not None and tel.enabled
@@ -434,10 +417,7 @@ class Network:
                 and self._partitioned(src, dst)
             )
         ):
-            self.stats_dropped += 1
-            if instrumented:
-                tel.count("net_dropped_total", reason="unreachable")
-                tel.record("net", "drop", src=src, dst=dst, reason="unreachable")
+            self._drop(src, dst, "unreachable")
             return
         if delay is None:
             if src == dst:
@@ -454,19 +434,14 @@ class Network:
                     delay = latencies[dst] + self.PER_MESSAGE_OVERHEAD_MS
                 except KeyError:
                     raise ValueError(f"no path from {src} to {dst}") from None
-            self._route_cache[route_key] = (
-                link, phase_stats, delay, label, sub, ph
-            )
+            self._route_cache[route_key] = (traffic, delay, label, sub, ph)
 
         copies = 1
         injector = self.fault_injector
         if injector is not None:
             decision = injector.decide(src, dst, self.kernel.now)
             if decision.drop:
-                self.stats_dropped += 1
-                if instrumented:
-                    tel.count("net_dropped_total", reason="fault")
-                    tel.record("net", "drop", src=src, dst=dst, reason="fault")
+                self._drop(src, dst, "fault")
                 return
             if decision.corrupt:
                 message = Message(src, dst, Corrupted(payload), size_bytes)
@@ -501,21 +476,11 @@ class Network:
                 (self._partitions or self._asym_partitions)
                 and self._partitioned(src, dst)
             ):
-                self.stats_dropped += 1
-                if instrumented:
-                    tel.count("net_dropped_total", reason="unreachable")
-                    tel.record(
-                        "net", "drop", src=src, dst=dst, reason="unreachable"
-                    )
+                self._drop(src, dst, "unreachable")
                 return
             mailbox = self._handlers.get(dst)
             if mailbox is None:
-                self.stats_dropped += 1
-                if instrumented:
-                    tel.count("net_dropped_total", reason="unregistered")
-                    tel.record(
-                        "net", "drop", src=src, dst=dst, reason="unregistered"
-                    )
+                self._drop(src, dst, "unregistered")
                 return
             if instrumented:
                 tel.record(
@@ -553,6 +518,47 @@ class Network:
                     delay + i * self.PER_MESSAGE_OVERHEAD_MS, deliver, label=label
                 )
 
+    def _drop(self, src: NodeId, dst: NodeId, reason: str) -> None:
+        """Lose one message: the only place a drop is counted or recorded."""
+        drops = self.drops
+        drops[reason] = drops.get(reason, 0) + 1
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.record("net", "drop", src=src, dst=dst, reason=reason)
+
+    # -- traffic: folds over the route-cache ledger -------------------------
+
+    @property
+    def stats_total_messages(self) -> int:
+        return sum(traffic.messages for traffic, *_ in self._route_cache.values())
+
+    @property
+    def stats_total_bytes(self) -> int:
+        return sum(traffic.bytes for traffic, *_ in self._route_cache.values())
+
+    @property
+    def stats_dropped(self) -> int:
+        return sum(self.drops.values())
+
+    @property
+    def link_stats(self) -> dict[tuple[NodeId, NodeId], Traffic]:
+        """Traffic per undirected link ``(low, high)``, both directions."""
+        return self._fold(lambda src, dst, sub, ph: (min(src, dst), max(src, dst)))
+
+    @property
+    def phase_stats(self) -> dict[tuple[str, str], Traffic]:
+        """Traffic per (subsystem, phase); untagged sends land in
+        ("other", "other").  Keys appear in first-send order."""
+        return self._fold(lambda src, dst, sub, ph: (sub, ph))
+
+    def _fold(self, key_of) -> dict:
+        folded: dict = {}
+        for (src, dst, _, _), (traffic, _, _, sub, ph) in self._route_cache.items():
+            total = folded.setdefault(key_of(src, dst, sub, ph), Traffic())
+            total.messages += traffic.messages
+            total.bytes += traffic.bytes
+        return folded
+
     def phase_report(self) -> dict[str, dict[str, dict[str, int]]]:
         """Per-(subsystem, phase) traffic as a JSON-able nested dict.
 
@@ -560,8 +566,7 @@ class Network:
         keys sorted, so reports diff cleanly across runs.
         """
         report: dict[str, dict[str, dict[str, int]]] = {}
-        for (sub, ph) in sorted(self.phase_stats):
-            stats = self.phase_stats[(sub, ph)]
+        for (sub, ph), stats in sorted(self.phase_stats.items()):
             report.setdefault(sub, {})[ph] = {
                 "messages": stats.messages,
                 "bytes": stats.bytes,

@@ -133,3 +133,39 @@ class TestSystemIntegration:
         assert usage.transferred_bytes > 0  # reads metered
         statements = system.ledger.consumer_statements()
         assert any(s.owner == alice.principal.guid and s.total > 10.0 for s in statements)
+
+    def test_committed_read_bills_the_state_served(self):
+        """A committed-only read from a secondary holding a tentative
+        update bills the committed bytes it served, not the tentative
+        state's."""
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=170,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=2, nodes_per_stub=4
+                ),
+                secondaries_per_object=3,
+            )
+        )
+        alice = make_client(system, "alice", seed=171)
+        obj = alice.create_object("billable")
+        system.assign_owner(obj.guid, alice.principal.guid)
+        assert alice.write(obj, b"committed").committed
+        system.settle()
+        node = min(system.tiers[obj.guid].replicas)
+        replica = system.tiers[obj.guid].replicas[node]
+        pending = (
+            alice.update_builder(obj)
+            .append(b"tentative bytes " * 20)
+            .build(alice.principal, obj.guid, 10**9)
+        )
+        replica.add_tentative(pending)
+        assert replica.tentative_state().size_bytes != replica.committed_state.size_bytes
+        meter = system.ledger.meter
+        before = meter.usage_for_owner(alice.principal.guid).transferred_bytes
+        served = system.read_state(
+            obj.guid, allow_tentative=False, min_version=0, client_node=node
+        )
+        assert served is replica.committed_state
+        billed = meter.usage_for_owner(alice.principal.guid).transferred_bytes - before
+        assert billed == served.size_bytes

@@ -338,9 +338,18 @@ class TestDistributionEdgeCases:
         assert summary["p50"] == 7.0
 
 
+def _messages_by_phase(report: dict, subsystem: str) -> dict[str, int]:
+    return {
+        phase: cell["messages"]
+        for phase, cell in report.get(subsystem, {}).items()
+    }
+
+
 @pytest.fixture(scope="module")
-def traced_system():
-    """A small instrumented deployment with one committed, traced write."""
+def traced_write():
+    """A small instrumented deployment with one committed, traced write,
+    and the write's messages per ``(subsystem, phase)`` read as a
+    ``phase_report()`` delta around it."""
     from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 
     system = OceanStoreSystem(
@@ -356,11 +365,25 @@ def traced_system():
     handle = client.create_object("traced")
     system.settle()
     system.telemetry.reset()
+    before = system.network.phase_report()
     with system.telemetry.span("scenario"):
         result = client.write(handle, b"trace me")
         system.settle()
     assert result.committed
-    return system
+    after = system.network.phase_report()
+    sent = {}
+    for subsystem in ("pbft", "dissemination"):
+        was = _messages_by_phase(before, subsystem)
+        sent[subsystem] = {
+            phase: count - was.get(phase, 0)
+            for phase, count in _messages_by_phase(after, subsystem).items()
+        }
+    return system, sent
+
+
+@pytest.fixture(scope="module")
+def traced_system(traced_write):
+    return traced_write[0]
 
 
 def _collect_names(node, out):
@@ -382,25 +405,28 @@ class TestInstrumentedDeployment:
         assert "dissem.push" in names          # dissemination tree
         assert "archival.encode" in names      # archival side-effect
 
-    def test_pbft_phase_counts_match_protocol(self, traced_system):
-        metrics = traced_system.telemetry.metrics
-        n = traced_system.ring.n
+    def test_pbft_phase_counts_match_protocol(self, traced_write):
+        system, sent = traced_write
+        pbft = sent["pbft"]
+        n = system.ring.n
         # Section 4.4.5 six-phase structure: request (client -> n
         # replicas), pre-prepare (leader -> n-1), prepare and commit
         # (all-to-all), sign-share after execution, then the
-        # dissemination push counted separately.
-        assert metrics.counter_value("pbft_messages_total", phase="request") == n
-        assert metrics.counter_value("pbft_messages_total", phase="pre_prepare") == n - 1
-        assert metrics.counter_value("pbft_messages_total", phase="prepare") == (n - 1) ** 2
-        assert metrics.counter_value("pbft_messages_total", phase="commit") == n * (n - 1)
-        assert metrics.counter_value("pbft_messages_total", phase="sign_share") == n * (n - 1)
-        assert metrics.counter_total("dissemination_messages_total") > 0
+        # dissemination push counted separately.  The network's phase
+        # ledger is the one count of these messages.
+        assert pbft["request"] == n
+        assert pbft["pre_prepare"] == n - 1
+        assert pbft["prepare"] == (n - 1) ** 2
+        assert pbft["commit"] == n * (n - 1)
+        assert pbft["sign_share"] == n * (n - 1)
+        dissemination = sent["dissemination"]
+        assert dissemination.get("push", 0) + dissemination.get("invalidation", 0) > 0
 
     def test_export_includes_all_series(self, traced_system):
         import json
 
         export = json.loads(json.dumps(traced_system.telemetry.export(spans=True)))
-        assert any(k.startswith("pbft_messages_total") for k in export["counters"])
+        assert any(k.startswith("pbft_certificates_total") for k in export["counters"])
         assert any(k.startswith("net_message_bytes") for k in export["histograms"])
         assert export["spans"][0]["name"] == "scenario"
 
@@ -432,7 +458,7 @@ class TestTelemetryCLI:
         out = capsys.readouterr().out
         assert "scenario.update-path" in out
         assert "pbft.pre_prepare" in out
-        assert "pbft_messages_total{phase=prepare}" in out
+        assert "pbft/prepare" in out
 
     def test_json_mode_is_parseable(self, capsys):
         import json

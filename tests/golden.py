@@ -1,7 +1,7 @@
 """The repo's pinned behaviour: one golden file, one regen command.
 
 ``tests/data/golden.json`` holds every whole-system value the suite pins
-byte-for-byte, in four sections:
+byte-for-byte, in five sections:
 
 ``core_telemetry_on``
     the seed-1234 three-write workload with the flight recorder on --
@@ -16,13 +16,18 @@ byte-for-byte, in four sections:
 ``chaos_seed0``
     trace digest and oracle verdict of every chaos scenario at seed 0
     (``tests/test_scheduler_differential.py``).
+``chaos_variants``
+    the same two values of every scenario at seed 0 under two
+    non-default chaos configs: batched agreement (four updates per
+    round, 200 ms batch delay, two rounds in flight) and recovery forced
+    off, where the recovery scenarios fail their oracle on purpose.
 ``pbft_recovery``
     commit order, per-replica views and executed slots, phase ledger,
     traffic totals and kernel event count of each slot-recovery case of
     :func:`recovery_run`, at one update per slot and at four
     (``tests/test_pbft_edge_cases.py``).
 
-``python tests/golden.py --check`` recomputes all four and diffs them
+``python tests/golden.py --check`` recomputes all five and diffs them
 against the file (exit 1 on any difference); ``--write`` regenerates the
 file.  Regenerating is a deliberate act: a PR that does it says which
 values moved and why.
@@ -100,15 +105,30 @@ def core_observables(telemetry: bool, **config_overrides) -> dict:
     return observed
 
 
-def chaos_seed0() -> dict:
+def chaos_seed0(chaos=None, suffix: str = "") -> dict:
     """Trace digest and oracle verdict of every scenario at seed 0."""
     from repro.chaos import SCENARIOS, run_scenario
 
     observed = {}
     for name in sorted(SCENARIOS):
-        report = run_scenario(name, seed=0)
-        observed[name] = {"digest": report.trace_digest, "passed": report.passed}
+        report = run_scenario(name, seed=0, chaos=chaos)
+        observed[name + suffix] = {
+            "digest": report.trace_digest,
+            "passed": report.passed,
+        }
     return observed
+
+
+def chaos_variants() -> dict:
+    """:func:`chaos_seed0` under batching and with recovery forced off."""
+    from repro.consistency import BatchingConfig
+    from repro.core import ChaosConfig
+
+    batched = BatchingConfig(size=4, delay_ms=200.0, pipeline_depth=2)
+    return {
+        **chaos_seed0(ChaosConfig(batching=batched), "/batched"),
+        **chaos_seed0(ChaosConfig(recovery=False), "/no-recovery"),
+    }
 
 
 #: the slot-recovery paths of a view change, each run with one update per
@@ -285,6 +305,7 @@ def compute_golden() -> dict:
         "core_telemetry_on": core_observables(telemetry=True),
         "core_telemetry_off": core_observables(telemetry=False),
         "chaos_seed0": chaos_seed0(),
+        "chaos_variants": chaos_variants(),
         "pbft_recovery": pbft_recovery(),
     }
 

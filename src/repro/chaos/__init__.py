@@ -6,7 +6,8 @@ after churn (Section 4.3.3), and archival data survives "any m of n"
 fragment loss (Section 4.5).  This package turns each claim into a
 deterministic, replayable experiment:
 
-* :mod:`repro.chaos.scenarios` -- the scenario registry and runner;
+* :mod:`repro.chaos.scenarios` -- the scenarios, as
+  :class:`FaultSchedule` literals, and their one runner;
   ``run_scenario(name, seed)`` is a pure function of its arguments and
   emits a trace digest for bit-identical replay checking;
 * :mod:`repro.chaos.invariants` -- the oracle: agreement safety, quorum
@@ -29,6 +30,7 @@ from repro.chaos.scenarios import (
     SCENARIOS,
     ChaosContext,
     ChaosReport,
+    FaultSchedule,
     run_all,
     run_scenario,
     scenario_descriptions,
@@ -37,6 +39,7 @@ from repro.chaos.scenarios import (
 __all__ = [
     "ChaosContext",
     "ChaosReport",
+    "FaultSchedule",
     "InvariantChecker",
     "InvariantReport",
     "InvariantViolation",

@@ -12,8 +12,8 @@ exactly when the promises survive the injected faults:
   (n-1)//3 marked-faulty replicas means the 3m+1 assumption (footnote 8)
   is violated and safety is no longer guaranteed;
 * **liveness** -- every update a scenario expected to commit executed on
-  every honest replica (checked only when the scenario says progress
-  should have been possible);
+  every honest replica (a caller that expects no progress names it in
+  ``check_all``'s ``skip``);
 * **version-monotonicity** -- committed versions in every version log,
   primary and secondary, form a strictly increasing chain ending at the
   head (Section 4.4.1's update log discipline);
@@ -208,7 +208,6 @@ class InvariantChecker:
         self,
         rng: random.Random | None = None,
         expected_update_ids: Iterable[bytes] = (),
-        expect_liveness: bool = True,
         skip: Iterable[str] = (),
     ) -> InvariantReport:
         """One full pass; ``rng`` drives fragment-subset sampling.
@@ -219,8 +218,6 @@ class InvariantChecker:
         """
         rng = rng or random.Random(0)
         skipped = set(skip)
-        if not expect_liveness:
-            skipped.add("liveness")
         if not self.system.rings.sharded:
             # Single-ring deployments have no ownership structure; the
             # skip also keeps their reports (and chaos trace digests)

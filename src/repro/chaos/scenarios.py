@@ -1,10 +1,13 @@
 """Deterministic chaos scenarios: seeded fault storms with an oracle.
 
-Each scenario stands up a deployment, injects a specific class of
-adversity -- Byzantine replicas, churn plus partitions, lossy links,
-crashes during archival repair -- lets the simulation run, heals what
-the scenario promises to heal, and then hands the system to the
-invariant checker (:mod:`repro.chaos.invariants`).
+Each scenario is a :class:`FaultSchedule` literal: a deployment plus a
+list of steps that inject a specific class of adversity -- Byzantine
+replicas, churn plus partitions, lossy links, crashes during archival
+repair -- let the simulation run, and heal what the scenario promises to
+heal.  One runner deploys, runs the steps in order, and hands the system
+to the invariant checker (:mod:`repro.chaos.invariants`).  A step is
+``(op, *args)``, run as ``op(ctx, *args)``: a new scenario is a new
+literal, and only a new kind of fault needs a new op.
 
 Everything a scenario does derives from the master seed through named
 :class:`~repro.util.rng.SeedSequence` streams, and the simulated clock
@@ -23,8 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -134,8 +136,27 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class FaultSchedule:
+    """One chaos scenario as data: deploy, run ``steps`` in order, judge."""
+
+    #: its first line is what ``repro chaos --list`` prints
+    doc: str
+    #: ``(op, *args)`` tuples, each run as ``op(ctx, *args)``
+    steps: tuple[tuple, ...]
+    #: overrides on the standard chaos deployment; ``None`` deploys
+    #: nothing, and the first step stands up what the scenario needs
+    deploy: dict | None = field(default_factory=dict)
+    #: turn the recovery layer on, unless ``ChaosConfig.recovery`` is off
+    recovery: bool = False
+    #: invariant names this scenario *wants* violated (the oracle test)
+    expect_violations: frozenset[str] = frozenset()
+    #: invariant names deliberately not applicable to this scenario
+    skip: frozenset[str] = frozenset()
+
+
 class ChaosContext:
-    """Per-run state shared between a scenario and the runner."""
+    """Per-run state the steps of one schedule share."""
 
     def __init__(self, name: str, seed: int, chaos: ChaosConfig) -> None:
         self.name = name
@@ -148,45 +169,37 @@ class ChaosContext:
         self.ring: InnerRing | None = None
         self.kernel: Kernel | None = None
         self.telemetry = None
+        self.author = None
+        #: the node every write is submitted from
+        self.client: int | None = None
+        #: objects in creation order; ``write`` names them by index
+        self.guids: list[GUID] = []
         self.expected_update_ids: list[bytes] = []
-        self.expect_liveness = True
-        #: invariant names this scenario *wants* violated (the oracle test)
-        self.expect_violations: set[str] = set()
-        #: invariant names deliberately not applicable to this scenario
-        self.skip_invariants: set[str] = set()
+        #: reports of the latest archival repair sweep
+        self.sweep_reports: list = []
         #: scenario-level checks merged into the final report
         self.extra_checked: list[str] = []
         self.extra_violations: list[InvariantViolation] = []
-
-    # -- trace ----------------------------------------------------------
 
     def event(self, text: str) -> None:
         now = self.kernel.now if self.kernel is not None else 0.0
         self.events.append(f"{now:>10.1f}ms  {text}")
 
-    # -- wiring ---------------------------------------------------------
 
-    def attach_system(self, system: OceanStoreSystem) -> None:
-        self.system = system
-        self.ring = system.ring
-        self.kernel = system.kernel
-        self.telemetry = system.telemetry
-        system.injector.on_crash(lambda node: self.event(f"node {node} crashed"))
-        system.injector.on_revive(lambda node: self.event(f"node {node} revived"))
+def _deploy(
+    name: str, seed: int, chaos: ChaosConfig, schedule: FaultSchedule
+) -> ChaosContext:
+    """Stand up ``schedule``'s deployment and pick its author and client.
 
-    def attach_ring(self, kernel: Kernel, ring: InnerRing, telemetry) -> None:
-        self.ring = ring
-        self.kernel = kernel
-        self.telemetry = telemetry
-
-
-# -- scenario building blocks ------------------------------------------------
-
-
-def _standard_system(ctx: ChaosContext, **overrides) -> OceanStoreSystem:
-    """A small-but-complete deployment with chaos + telemetry enabled."""
+    Both come from named seed streams that no step's timing can perturb,
+    so picking them up front reproduces every draw.
+    """
+    ctx = ChaosContext(name, seed, chaos)
+    ctx.author = make_principal("chaos-author", ctx.seeds.derive("author"), bits=256)
+    if schedule.deploy is None:
+        return ctx
     params = dict(
-        seed=ctx.seed,
+        seed=seed,
         topology=TopologyParams(
             transit_nodes=4, stubs_per_transit=2, nodes_per_stub=4
         ),
@@ -199,179 +212,175 @@ def _standard_system(ctx: ChaosContext, **overrides) -> OceanStoreSystem:
         telemetry=TelemetryConfig(
             enabled=True,
             flight_capacity=65_536,
-            slo_thresholds=ctx.chaos.slo_thresholds,
+            slo_thresholds=chaos.slo_thresholds,
         ),
-        chaos=ctx.chaos,
-        batching=ctx.chaos.batching,
+        chaos=chaos,
+        batching=chaos.batching,
     )
-    params.update(overrides)
+    if schedule.recovery:
+        params["recovery"] = RecoveryConfig(
+            enabled=chaos.recovery,
+            heartbeat_interval_ms=1_000.0,
+            heartbeat_timeout_ms=600.0,
+            suspicion_threshold=2,
+            refresh_interval_ms=10_000.0,
+        )
+    params.update(schedule.deploy)
     system = OceanStoreSystem(DeploymentConfig(**params))
-    ctx.attach_system(system)
+    ctx.system = system
+    ctx.ring = system.ring
+    ctx.kernel = system.kernel
+    ctx.telemetry = system.telemetry
+    system.injector.on_crash(lambda node: ctx.event(f"node {node} crashed"))
+    system.injector.on_revive(lambda node: ctx.event(f"node {node} revived"))
     ctx.event(
         f"deployment up: {len(system.servers)} servers, "
         f"ring {system.ring_nodes}"
     )
-    return system
+    stubs = sorted(n for n, d in system.graph.nodes(data=True) if d["kind"] == "stub")
+    ctx.client = ctx.rng.choice(stubs)
+    return ctx
 
 
-def _make_author(ctx: ChaosContext):
-    return make_principal("chaos-author", ctx.seeds.derive("author"), bits=256)
+# -- shared ops --------------------------------------------------------------
 
 
-def _new_object(ctx: ChaosContext, author, name: str) -> GUID:
-    assert ctx.system is not None
-    guid = object_guid(author.public_key, name)
+def note(ctx: ChaosContext, text: str) -> None:
+    ctx.event(text)
+
+
+def create(ctx: ChaosContext, name: str) -> None:
+    guid = object_guid(ctx.author.public_key, name)
     ctx.system.create_object(guid)
+    ctx.guids.append(guid)
     ctx.event(f"object {name} created as {guid}")
-    return guid
 
 
-def _build_update(author, guid: GUID, payload: bytes, ts: float) -> Update:
-    return make_update(
-        author, guid, [UpdateBranch(TruePredicate(), (AppendBlock(payload),))], ts
+def create_per_shard(ctx: ChaosContext, base: str) -> None:
+    """One object per shard, found by deterministic name search."""
+    rings = ctx.system.rings
+    found: dict[int, GUID] = {}
+    i = 0
+    while len(found) < rings.ring_count:
+        guid = object_guid(ctx.author.public_key, f"{base}-{i}")
+        shard_id = rings.shard_of(guid).shard_id
+        if shard_id not in found:
+            found[shard_id] = guid
+            ctx.system.create_object(guid)
+            ctx.event(
+                f"object {base}-{i} created in shard {shard_id} as {guid}"
+            )
+        i += 1
+    ctx.guids.extend(found[s] for s in sorted(found))
+
+
+def settle(ctx: ChaosContext, *window_ms: float) -> None:
+    """Run the simulation ``window_ms`` (default: the settle window)."""
+    ctx.system.settle(*window_ms)
+
+
+def settle_storm(ctx: ChaosContext) -> None:
+    """Run the simulation for the fault window, ``ChaosConfig.duration_ms``."""
+    ctx.system.settle(ctx.chaos.duration_ms)
+
+
+def converge(ctx: ChaosContext) -> None:
+    ctx.system.probabilistic.converge()
+
+
+def _expect(ctx: ChaosContext, guid: GUID, payload: bytes, ts: float) -> Update:
+    """An append of ``payload`` by the author, recorded as expected."""
+    update = make_update(
+        ctx.author,
+        guid,
+        [UpdateBranch(TruePredicate(), (AppendBlock(payload),))],
+        ts,
     )
+    ctx.expected_update_ids.append(update.update_id)
+    return update
 
 
-def _client_node(ctx: ChaosContext) -> int:
-    """A deterministic stub node to submit from."""
-    assert ctx.system is not None
-    stubs = sorted(
-        n
-        for n, d in ctx.system.graph.nodes(data=True)
-        if d["kind"] == "stub"
-    )
-    return ctx.rng.choice(stubs)
-
-
-def _ring_executed(ring: InnerRing, update_id: bytes) -> bool:
-    return any(
-        update_id in r.executed_updates
-        for r in ring.replicas
-        if r.fault_mode is FaultMode.HONEST
-    )
-
-
-def _submit_until_executed(
+def write(
     ctx: ChaosContext,
-    client: int,
-    update: Update,
+    obj: int,
+    payload: bytes,
+    ts: float,
     attempts: int = 5,
     settle_ms: float = 20_000.0,
-) -> bool:
-    """Submit with client-side retry (the paper's clients retry through
-    faults; PBFT dedupes re-sent requests)."""
-    assert ctx.system is not None
+) -> None:
+    """Append ``payload`` to object ``ctx.guids[obj]`` and submit it from
+    the client with retry (the paper's clients retry through faults;
+    PBFT dedupes re-sent requests) until the honest owning ring
+    executes it."""
+    system = ctx.system
+    update = _expect(ctx, ctx.guids[obj], payload, ts)
     short_id = update.update_id[:4].hex()
     for attempt in range(attempts):
-        ctx.system.submit_update(client, update)
+        system.submit_update(ctx.client, update)
         ctx.event(
-            f"update {short_id} submitted from node {client}"
+            f"update {short_id} submitted from node {ctx.client}"
             + (f" (retry {attempt})" if attempt else "")
         )
-        ctx.system.settle(settle_ms)
+        system.settle(settle_ms)
         # The ring responsible for this update's GUID; at ring_count=1
         # this is exactly ``system.ring``.
-        ring = ctx.system.rings.ring_for(update.object_guid)
-        if _ring_executed(ring, update.update_id):
+        ring = system.rings.ring_for(update.object_guid)
+        if any(
+            update.update_id in r.executed_updates
+            for r in ring.replicas
+            if r.fault_mode is FaultMode.HONEST
+        ):
             ctx.event(f"update {short_id} executed by the honest ring")
-            return True
+            return
     ctx.event(f"update {short_id} NOT executed after {attempts} attempts")
-    return False
 
 
-# -- registry ----------------------------------------------------------------
-
-SCENARIOS: dict[str, Callable[[ChaosContext], None]] = {}
-
-
-def scenario(name: str):
-    def register(fn: Callable[[ChaosContext], None]):
-        SCENARIOS[name] = fn
-        return fn
-
-    return register
+def _non_ring_nodes(system: OceanStoreSystem) -> list[int]:
+    return sorted(n for n in system.network.nodes() if n not in system.ring_nodes)
 
 
-def scenario_descriptions() -> dict[str, str]:
-    return {
-        name: (fn.__doc__ or "").strip().splitlines()[0]
-        for name, fn in sorted(SCENARIOS.items())
-    }
+def _lookup(result) -> str:
+    return f"hit at node {result.replica_node}" if result.found else "miss"
 
 
 # -- PBFT under Byzantine replicas -------------------------------------------
 
 
-def _pbft_byzantine(ctx: ChaosContext, mode: FaultMode) -> None:
-    system = _standard_system(ctx)
-    m = (
-        ctx.chaos.byzantine
-        if ctx.chaos.byzantine is not None
-        else system.config.byzantine_m
-    )
-    n = system.ring.n
-    for i in range(min(m, n)):
-        index = n - 1 - i  # highest indices: view-0 leader stays honest
-        system.ring.set_fault(index, mode)
+def mark_byzantine(ctx: ChaosContext, mode: FaultMode) -> None:
+    """Mark m replicas ``mode`` (``ChaosConfig.byzantine`` overrides the
+    ring's m), highest indices first so the view-0 leader stays honest."""
+    ring = ctx.ring
+    m = ctx.chaos.byzantine if ctx.chaos.byzantine is not None else ring.m
+    for i in range(min(m, ring.n)):
+        index = ring.n - 1 - i
+        ring.set_fault(index, mode)
         ctx.event(f"ring replica {index} marked {mode.value}")
-    author = _make_author(ctx)
-    guid = _new_object(ctx, author, "pbft-object")
-    system.settle()
-    client = _client_node(ctx)
-    for i in range(3):
-        update = _build_update(
-            author, guid, f"payload-{i}".encode(), ts=float(i + 1)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
+
+
+def log_committed_order(ctx: ChaosContext) -> None:
     ctx.event(
-        f"ring committed order holds {len(system.ring.committed_order)} updates"
+        f"ring committed order holds {len(ctx.ring.committed_order)} updates"
     )
 
 
-@scenario("pbft-silent")
-def _pbft_silent(ctx: ChaosContext) -> None:
-    """m silent (crashed) replicas at n=3m+1: agreement must survive."""
-    _pbft_byzantine(ctx, FaultMode.SILENT)
-
-
-@scenario("pbft-equivocate")
-def _pbft_equivocate(ctx: ChaosContext) -> None:
-    """m equivocating replicas split their votes; quorums must not."""
-    _pbft_byzantine(ctx, FaultMode.EQUIVOCATE)
-
-
-@scenario("pbft-delay")
-def _pbft_delay(ctx: ChaosContext) -> None:
-    """m dawdling replicas send correct messages late."""
-    _pbft_byzantine(ctx, FaultMode.DELAY)
-
-
-@scenario("pbft-corrupt")
-def _pbft_corrupt(ctx: ChaosContext) -> None:
-    """m replicas garble every digest; honest verification rejects them."""
-    _pbft_byzantine(ctx, FaultMode.CORRUPT)
-
-
-@scenario("pbft-quorum-violation")
-def _pbft_quorum_violation(ctx: ChaosContext) -> None:
-    """An undersized ring (n=3m) with m silent replicas: the checker
-    must detect the violated fault budget and the resulting stall."""
+def undersized_ring(ctx: ChaosContext) -> None:
+    """A bare ring of n=3m replicas, one short of 3m+1, plus one client
+    node on a complete graph (m is ``ChaosConfig.byzantine``, default 1)."""
     m = ctx.chaos.byzantine if ctx.chaos.byzantine is not None else 1
-    n = 3 * m  # one replica short of the 3m+1 requirement
+    n = 3 * m
     kernel = Kernel()
     telemetry = Telemetry.from_config(
         TelemetryConfig(enabled=True), clock=lambda: kernel.now
     )
     kernel.trace_wrapper = telemetry.wrap
-    graph = nx.complete_graph(n + 1)  # replicas plus one client node
+    graph = nx.complete_graph(n + 1)
     nx.set_edge_attributes(graph, 50.0, "latency_ms")
     network = Network(kernel, graph, telemetry=telemetry)
     identity_rng = ctx.seeds.derive("ring-identities")
     principals = [
         make_principal(f"replica-{i}", identity_rng, bits=256) for i in range(n)
     ]
-    ring = InnerRing(
+    ctx.ring = InnerRing(
         kernel,
         network,
         list(range(n)),
@@ -381,101 +390,79 @@ def _pbft_quorum_violation(ctx: ChaosContext) -> None:
         allow_unsafe_size=True,
         batching=ctx.chaos.batching,
     )
-    ctx.attach_ring(kernel, ring, telemetry)
+    ctx.kernel = kernel
+    ctx.telemetry = telemetry
+    ctx.client = n
     ctx.event(f"undersized ring up: n={n} for m={m} (needs {3 * m + 1})")
-    for i in range(m):
-        ring.set_fault(n - 1 - i, FaultMode.SILENT)
-        ctx.event(f"ring replica {n - 1 - i} marked silent")
-    author = _make_author(ctx)
-    guid = object_guid(author.public_key, "starved-object")
-    update = _build_update(author, guid, b"doomed payload", ts=1.0)
-    ctx.expected_update_ids.append(update.update_id)
-    ring.submit(n, update)
-    ctx.event(f"update {update.update_id[:4].hex()} submitted from node {n}")
-    kernel.run(until=kernel.now + 30_000.0)
+
+
+def submit_to_ring(ctx: ChaosContext, name: str, payload: bytes) -> None:
+    """Submit one append straight to the bare ring and wait 30 s."""
+    update = _expect(ctx, object_guid(ctx.author.public_key, name), payload, 1.0)
+    ctx.ring.submit(ctx.client, update)
+    ctx.event(f"update {update.update_id[:4].hex()} submitted from node {ctx.client}")
+    ctx.kernel.run(until=ctx.kernel.now + 30_000.0)
     executed = sum(
-        1 for r in ring.replicas if update.update_id in r.executed_updates
+        1 for r in ctx.ring.replicas if update.update_id in r.executed_updates
     )
-    ctx.event(f"executed on {executed} of {n} replicas")
-    ctx.expect_violations = {"quorum-feasibility", "liveness"}
+    ctx.event(f"executed on {executed} of {ctx.ring.n} replicas")
 
 
 # -- location mesh under churn and partition ---------------------------------
 
 
-@scenario("routing-churn")
-def _routing_churn(ctx: ChaosContext) -> None:
-    """Churn plus an asymmetric partition; location must reconverge
-    once the storm passes (Section 4.3.3 soft-state repair)."""
-    system = _standard_system(ctx)
-    author = _make_author(ctx)
-    client = _client_node(ctx)
-    guids = []
-    for i in range(3):
-        guid = _new_object(ctx, author, f"churned-{i}")
-        guids.append(guid)
-        update = _build_update(author, guid, f"body-{i}".encode(), ts=1.0)
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
-
-    stubs = sorted(
-        n for n in system.network.nodes() if n not in system.ring_nodes
-    )
+def churn_and_partition(ctx: ChaosContext) -> None:
+    """Churn every non-ring node; cut the first half off from the rest."""
+    system = ctx.system
+    nodes = _non_ring_nodes(system)
     duration = ctx.chaos.duration_ms
     system.injector.start_churn(
-        stubs,
+        nodes,
         ChurnParams(
             mean_uptime_ms=duration / 3.0, mean_downtime_ms=duration / 6.0
         ),
     )
-    ctx.event(f"churn started on {len(stubs)} non-ring nodes")
-    half = len(stubs) // 2
-    system.network.add_asymmetric_partition(set(stubs[:half]), set(stubs[half:]))
+    ctx.event(f"churn started on {len(nodes)} non-ring nodes")
+    half = len(nodes) // 2
+    system.network.add_asymmetric_partition(set(nodes[:half]), set(nodes[half:]))
     ctx.event(
         f"asymmetric partition: {half} nodes cannot reach the other "
-        f"{len(stubs) - half}"
+        f"{len(nodes) - half}"
     )
-    for _ in range(3):
-        system.settle(duration / 3.0)
-        start = ctx.rng.choice(
-            [n for n in stubs if not system.network.is_down(n)] or [client]
-        )
-        result = system.location.locate(start, ctx.rng.choice(guids))
-        ctx.event(
-            f"mid-storm lookup from node {start}: "
-            + (f"hit at node {result.replica_node}" if result.found else "miss")
-        )
 
+
+def lookup_mid_storm(ctx: ChaosContext) -> None:
+    """A third of the storm passes; then locate a random object from a
+    random live non-ring node."""
+    system = ctx.system
+    system.settle(ctx.chaos.duration_ms / 3.0)
+    live = [n for n in _non_ring_nodes(system) if not system.network.is_down(n)]
+    start = ctx.rng.choice(live or [ctx.client])
+    result = system.location.locate(start, ctx.rng.choice(ctx.guids))
+    ctx.event(f"mid-storm lookup from node {start}: " + _lookup(result))
+
+
+def heal_churn(ctx: ChaosContext) -> None:
+    system = ctx.system
     system.injector.stop_churn()
     system.network.heal_partitions()
-    for node in stubs:
+    for node in _non_ring_nodes(system):
         system.injector.revive(node)
     ctx.event("healed: churn stopped, partitions removed, nodes revived")
-    system.settle()
-    system.probabilistic.converge()
-    ctx.event("probabilistic tier reconverged")
 
 
 # -- dissemination under message loss ----------------------------------------
 
 
-@scenario("dissemination-loss")
-def _dissemination_loss(ctx: ChaosContext) -> None:
-    """Lossy links while updates commit and spread; the secondary tier
-    must still converge once losses stop."""
-    system = _standard_system(ctx)
-    assert system.net_faults is not None
-    author = _make_author(ctx)
-    guid = _new_object(ctx, author, "lossy-object")
-    system.settle()
-    client = _client_node(ctx)
-
-    window_end = system.kernel.now + ctx.chaos.duration_ms
+def lossy_window(ctx: ChaosContext) -> None:
+    """Drop, duplicate, reorder and corrupt on every link for the fault
+    window (drop rate: ``ChaosConfig.intensity``, at most 0.5)."""
+    now = ctx.kernel.now
     drop = min(ctx.chaos.intensity, 0.5)
-    system.net_faults.add_rule(
+    rule = ctx.system.net_faults.add_rule(
         LinkFaultRule(
-            start_ms=system.kernel.now,
-            end_ms=window_end,
+            start_ms=now,
+            end_ms=now + ctx.chaos.duration_ms,
             drop=drop,
             duplicate=0.1,
             reorder=0.2,
@@ -484,27 +471,30 @@ def _dissemination_loss(ctx: ChaosContext) -> None:
     )
     ctx.event(
         f"lossy window open: drop={drop:.2f}, dup=0.10, reorder=0.20, "
-        f"corrupt=0.05 until t={window_end:.0f}ms"
+        f"corrupt=0.05 until t={rule.end_ms:.0f}ms"
     )
-    for i in range(3):
-        update = _build_update(
-            author, guid, f"lossy-{i}".encode(), ts=float(i + 1)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update, attempts=8)
-    injector = system.net_faults
+
+
+def close_lossy_window(ctx: ChaosContext) -> None:
+    """Log what the injector did, then wait out the rest of the window."""
+    injector = ctx.system.net_faults
     ctx.event(
         f"fault stats: dropped={injector.stats_dropped} "
         f"duplicated={injector.stats_duplicated} "
         f"reordered={injector.stats_reordered} "
         f"corrupted={injector.stats_corrupted}"
     )
-    if system.kernel.now < window_end:
-        system.settle(window_end - system.kernel.now)
+    window_end = injector.rules[-1].end_ms
+    if ctx.kernel.now < window_end:
+        ctx.system.settle(window_end - ctx.kernel.now)
     ctx.event("lossy window closed")
+
+
+def quiesce_epidemic(ctx: ChaosContext) -> None:
     # Anti-entropy pairs replicas at random, so the number of rounds a
     # straggler needs is itself random; run until quiescent (bounded)
     # rather than a fixed count -- the claim is eventual convergence.
+    system = ctx.system
     rounds_used = 0
     for rounds_used in range(1, 13):
         system.run_epidemic_rounds(rounds=1)
@@ -515,9 +505,10 @@ def _dissemination_loss(ctx: ChaosContext) -> None:
             break
     ctx.event(f"anti-entropy quiesced after {rounds_used} post-storm rounds")
 
+
+def check_tiers_consistent(ctx: ChaosContext) -> None:
     ctx.extra_checked.append("dissemination-convergence")
-    for tier_guid in system.tiers:
-        tier = system.tiers[tier_guid]
+    for tier_guid, tier in ctx.system.tiers.items():
         fraction = tier.consistent_fraction()
         ctx.event(
             f"secondary tier for {tier_guid}: consistent fraction "
@@ -536,39 +527,9 @@ def _dissemination_loss(ctx: ChaosContext) -> None:
 # -- self-healing recovery under crashes -------------------------------------
 
 
-def _recovery_config(ctx: ChaosContext) -> RecoveryConfig:
-    """Recovery knobs for the recovery scenarios: enabled unless the
-    chaos config forces it off (that forcing is how tests show the
-    oracle catching the *unrepaired* failures)."""
-    enabled = True if ctx.chaos.recovery is None else ctx.chaos.recovery
-    return RecoveryConfig(
-        enabled=enabled,
-        heartbeat_interval_ms=1_000.0,
-        heartbeat_timeout_ms=600.0,
-        suspicion_threshold=2,
-        refresh_interval_ms=10_000.0,
-    )
-
-
-@scenario("orphaned-subtree")
-def _orphaned_subtree(ctx: ChaosContext) -> None:
-    """Crash a dissemination-tree parent mid-stream; recovery must
-    reparent the orphaned subtree and catch it up via anti-entropy."""
-    system = _standard_system(
-        ctx,
-        secondaries_per_object=6,
-        dissemination_fanout=2,
-        recovery=_recovery_config(ctx),
-    )
-    author = _make_author(ctx)
-    guid = _new_object(ctx, author, "orphaned-object")
-    system.settle()
-    client = _client_node(ctx)
-    first = _build_update(author, guid, b"before-the-crash", ts=1.0)
-    ctx.expected_update_ids.append(first.update_id)
-    _submit_until_executed(ctx, client, first)
-
-    tier = system.tiers[guid]
+def crash_tree_parent(ctx: ChaosContext) -> None:
+    """Crash the dissemination-tree node of object 0 with most children."""
+    tier = ctx.system.tiers[ctx.guids[0]]
     parents = [m for m in sorted(tier.replicas) if tier.tree.children(m)]
     victim = (
         max(parents, key=lambda m: (len(tier.tree.children(m)), -m))
@@ -577,22 +538,17 @@ def _orphaned_subtree(ctx: ChaosContext) -> None:
     )
     orphans = tier.tree.children(victim)
     ctx.event(f"crashing tree parent {victim} (children {orphans})")
-    system.injector.crash(victim)
-    # Two more commits while the parent is dead: pushes into the
-    # orphaned subtree are dropped on the floor.
-    for i in (1, 2):
-        update = _build_update(
-            author, guid, f"past-the-corpse-{i}".encode(), ts=float(i + 1)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
-    # Time for the detector to suspect and the tree to heal; no epidemic
-    # rounds -- convergence must come from the repair path alone.
-    system.settle(ctx.chaos.duration_ms)
+    ctx.system.injector.crash(victim)
+
+
+def check_subtree_caught_up(ctx: ChaosContext) -> None:
+    """Every live replica of object 0 committed every expected update,
+    and no dead one is still registered in its tier."""
+    system = ctx.system
+    tier = system.tiers[ctx.guids[0]]
     ctx.event(
         f"recovery window closed; tier holds {len(tier.replicas)} replicas"
     )
-
     ctx.extra_checked.append("dissemination-convergence")
     expected_seq = len(ctx.expected_update_ids) - 1
     for node in sorted(tier.replicas):
@@ -616,27 +572,14 @@ def _orphaned_subtree(ctx: ChaosContext) -> None:
             )
 
 
-@scenario("dead-root-read")
-def _dead_root_read(ctx: ChaosContext) -> None:
-    """Kill the salted roots and wipe the pointer paths mid-read; the
-    degradation ladder must keep the read serviceable and republish must
-    restore locate-ability."""
-    from repro.api.backend import UnknownObject
-
-    system = _standard_system(ctx, recovery=_recovery_config(ctx))
-    author = _make_author(ctx)
-    guid = _new_object(ctx, author, "rooted-object")
-    system.settle()
-    client = _client_node(ctx)
-    update = _build_update(author, guid, b"beneath-the-roots", ts=1.0)
-    ctx.expected_update_ids.append(update.update_id)
-    _submit_until_executed(ctx, client, update)
-
-    # Soft-state catastrophe (a TTL-expiry storm): every Plaxton pointer
-    # for every salted GUID vanishes, the probabilistic tier's neighbor
-    # filters go blank, and each salt's root crashes unless it is a ring
-    # member (the quorum must stay live).  Only republish can bring the
-    # object back into the location infrastructure.
+def wipe_roots(ctx: ChaosContext) -> None:
+    """Soft-state catastrophe (a TTL-expiry storm) for object 0: every
+    Plaxton pointer for every salted GUID vanishes, the probabilistic
+    tier's neighbor filters go blank, and each salt's root crashes unless
+    it is a ring member (the quorum must stay live).  Only republish can
+    bring the object back into the location infrastructure."""
+    system = ctx.system
+    guid = ctx.guids[0]
     salted = system.router.salted_guids(guid)
     for nid in sorted(system.mesh.nodes):
         node = system.mesh.nodes[nid]
@@ -653,9 +596,13 @@ def _dead_root_read(ctx: ChaosContext) -> None:
         f"{len(victims)} crashed"
     )
 
-    # A client read lands in the middle of the damage.  The ladder's
-    # backoff settles are where the detector, eviction, republish, and
-    # refresh loops get to run.
+
+def degraded_read(ctx: ChaosContext) -> None:
+    """A client read of object 0 down the degradation ladder; its backoff
+    settles are where the detector, eviction, republish, and refresh
+    loops get to run."""
+    from repro.api.backend import UnknownObject
+
     policy = RetryPolicy(
         deadline_ms=30_000.0,
         max_attempts=5,
@@ -663,64 +610,50 @@ def _dead_root_read(ctx: ChaosContext) -> None:
         seed=ctx.seed,
     )
     try:
-        state = system.read_degraded(
-            guid,
+        state = ctx.system.read_degraded(
+            ctx.guids[0],
             allow_tentative=True,
             min_version=0,
-            client_node=client,
+            client_node=ctx.client,
             retry=policy,
         )
         ctx.event(f"degraded read served version {state.version}")
     except UnknownObject:
         ctx.event("degraded read exhausted its deadline budget")
-    system.settle(ctx.chaos.duration_ms)
-    result = system.location.locate(client, guid)
+
+
+def locate_from_client(ctx: ChaosContext) -> None:
+    result = ctx.system.location.locate(ctx.client, ctx.guids[0])
+    ctx.event("post-storm locate: " + _lookup(result))
+
+
+def crash_storm_and_sweep(ctx: ChaosContext, round_no: int) -> None:
+    """Crash ``intensity / 2`` of the non-ring nodes, run a repair sweep,
+    then settle 10 s.  The sweep re-encodes any object below the safety
+    threshold back to full strength on surviving servers, so the next
+    storm hits a repaired population -- the race the paper's "slow
+    sweep" is meant to win."""
+    system = ctx.system
+    victims = system.injector.crash_fraction(
+        _non_ring_nodes(system), ctx.chaos.intensity / 2
+    )
+    ctx.event(f"crash storm {round_no}: {len(victims)} nodes down {victims}")
+    ctx.sweep_reports = reports = system.sweeper.sweep()
+    repaired = [r for r in reports if r.repaired]
+    lost = [r for r in reports if r.lost]
     ctx.event(
-        "post-storm locate: "
-        + (f"hit at node {result.replica_node}" if result.found else "miss")
+        f"repair sweep {round_no}: {len(reports)} objects scanned, "
+        f"{len(repaired)} repaired, {len(lost)} lost"
     )
+    system.settle(10_000.0)
 
 
-@scenario("archival-crash-repair")
-def _archival_crash_repair(ctx: ChaosContext) -> None:
-    """Crash storms interleaved with repair sweeps; every archived
-    version must stay reconstructible from surviving fragments."""
-    system = _standard_system(ctx)
-    author = _make_author(ctx)
-    client = _client_node(ctx)
-    for i in range(2):
-        guid = _new_object(ctx, author, f"archived-{i}")
-        update = _build_update(author, guid, f"fragile-{i}".encode(), ts=1.0)
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
-    non_ring = sorted(
-        n for n in system.network.nodes() if n not in system.ring_nodes
-    )
-    # Two half-strength storms with a repair sweep after each: the sweep
-    # re-encodes any object below the safety threshold back to full
-    # strength on surviving servers, so the second storm hits a repaired
-    # population -- the race the paper's "slow sweep" is meant to win.
-    last_reports = []
-    for round_no in (1, 2):
-        victims = system.injector.crash_fraction(
-            non_ring, ctx.chaos.intensity / 2
-        )
-        ctx.event(
-            f"crash storm {round_no}: {len(victims)} nodes down {victims}"
-        )
-        last_reports = system.sweeper.sweep()
-        repaired = [r for r in last_reports if r.repaired]
-        lost = [r for r in last_reports if r.lost]
-        ctx.event(
-            f"repair sweep {round_no}: {len(last_reports)} objects scanned, "
-            f"{len(repaired)} repaired, {len(lost)} lost"
-        )
-        system.settle(10_000.0)
-    # The sweeper's own verdict must match ground truth: an object it
-    # wrote off as lost really had fewer than k live fragments.
+def check_repair_accounting(ctx: ChaosContext) -> None:
+    """The latest sweep's verdict matches ground truth: an object it
+    wrote off as lost really had fewer than k live fragments."""
     ctx.extra_checked.append("repair-accounting")
-    for report in last_reports:
-        archival, code = system.archive_index.objects[
+    for report in ctx.sweep_reports:
+        archival, code = ctx.system.archive_index.objects[
             report.archival_guid_bytes
         ]
         if report.lost and report.live_fragments >= code.k:
@@ -731,115 +664,47 @@ def _archival_crash_repair(ctx: ChaosContext) -> None:
                     f"{report.live_fragments} >= k={code.k} live fragments",
                 )
             )
-    # Nodes stay down on purpose: reconstruction must work from the
-    # survivors alone.  Routing is exercised by routing-churn instead.
-    ctx.skip_invariants.add("routing-reconvergence")
-    ctx.event("leaving crashed nodes down for the survivor-only check")
 
 
 # -- sharded control plane ---------------------------------------------------
 
 
-def _objects_per_shard(ctx: ChaosContext, author, base: str) -> list[GUID]:
-    """One object per shard, found by deterministic name search."""
-    system = ctx.system
-    assert system is not None
-    found: dict[int, GUID] = {}
-    i = 0
-    while len(found) < system.rings.ring_count:
-        guid = object_guid(author.public_key, f"{base}-{i}")
-        shard_id = system.rings.shard_of(guid).shard_id
-        if shard_id not in found:
-            found[shard_id] = guid
-            system.create_object(guid)
-            ctx.event(
-                f"object {base}-{i} created in shard {shard_id} as {guid}"
-            )
-        i += 1
-    return [found[s] for s in sorted(found)]
-
-
-@scenario("cross-shard-partition")
-def _cross_shard_partition(ctx: ChaosContext) -> None:
-    """Partition the two shards' rings from each other mid-write: each
-    ring must keep committing its own GUID range independently."""
-    system = _standard_system(
-        ctx,
-        ring_count=2,
-        topology=TopologyParams(
-            transit_nodes=8, stubs_per_transit=1, nodes_per_stub=3
-        ),
-    )
-    author = _make_author(ctx)
-    guids = _objects_per_shard(ctx, author, "cross-shard")
-    system.settle()
-    client = _client_node(ctx)
-    for i, guid in enumerate(guids):
-        update = _build_update(
-            author, guid, f"before-partition-{i}".encode(), ts=float(i + 1)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
-
-    shard_a, shard_b = system.rings.shards
-    system.network.add_partition(set(shard_a.members), set(shard_b.members))
+def partition_rings(ctx: ChaosContext) -> None:
+    shard_a, shard_b = ctx.system.rings.shards
+    ctx.system.network.add_partition(set(shard_a.members), set(shard_b.members))
     ctx.event(
         f"partitioned ring {shard_a.members} from ring {shard_b.members}"
     )
-    # Both shards must make progress while unable to talk to each other:
-    # agreement is per-ring, so the partition between rings is invisible
-    # to clients of either range.
-    for i, guid in enumerate(guids):
-        update = _build_update(
-            author, guid, f"during-partition-{i}".encode(), ts=float(i + 10)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
-    system.network.heal_partitions()
+
+
+def heal_partitions(ctx: ChaosContext) -> None:
+    ctx.system.network.heal_partitions()
     ctx.event("partition healed")
-    system.settle()
-    system.probabilistic.converge()
-    for row in system.rings.commit_stats():
+
+
+def log_commit_stats(ctx: ChaosContext) -> None:
+    for row in ctx.system.rings.commit_stats():
         ctx.event(
             f"shard {row['shard']} epoch {row['epoch']}: "
             f"{row['committed']} committed"
         )
 
 
-@scenario("mid-handoff-crash")
-def _mid_handoff_crash(ctx: ChaosContext) -> None:
-    """Crash a ring member, then the handoff coordinator mid-transfer:
-    the watchdog must re-elect at a higher epoch and finish the handoff
-    (with recovery disabled there is no handoff and the oracle fails)."""
-    system = _standard_system(
-        ctx,
-        ring_count=2,
-        topology=TopologyParams(
-            transit_nodes=12, stubs_per_transit=1, nodes_per_stub=2
-        ),
-        recovery=_recovery_config(ctx),
-    )
-    if system.handoff is not None:
-        # A wide drain window so the coordinator crash below lands while
-        # the first handoff attempt is still in flight, and a short
-        # watchdog so the retry happens within the scenario budget.
-        system.handoff.drain_ms = 4_000.0
-        system.handoff.timeout_ms = 8_000.0
-    author = _make_author(ctx)
-    guids = _objects_per_shard(ctx, author, "handoff")
-    system.settle()
-    client = _client_node(ctx)
-    for i, guid in enumerate(guids):
-        update = _build_update(
-            author, guid, f"pre-crash-{i}".encode(), ts=float(i + 1)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update)
+def tune_handoff(ctx: ChaosContext, drain_ms: float, timeout_ms: float) -> None:
+    """Set the handoff manager's drain window and watchdog, if it runs."""
+    if ctx.system.handoff is not None:
+        ctx.system.handoff.drain_ms = drain_ms
+        ctx.system.handoff.timeout_ms = timeout_ms
 
+
+def crash_member_then_coordinator(ctx: ChaosContext) -> None:
+    """Crash shard 1's last member; once its handoff is under way (or
+    6 s on, without a handoff manager), crash the coordinator too; then
+    settle 60 s."""
+    system = ctx.system
     shard = system.rings.shards[1]
-    first_victim = shard.members[-1]
     coordinator = shard.members[0]
-    system.injector.crash(first_victim)
+    system.injector.crash(shard.members[-1])
     if system.handoff is not None:
         for _ in range(40):
             system.settle(500.0)
@@ -857,13 +722,9 @@ def _mid_handoff_crash(ctx: ChaosContext) -> None:
     system.injector.crash(coordinator)
     system.settle(60_000.0)
 
-    # Progress after the dust settles: both shards must still commit.
-    for i, guid in enumerate(guids):
-        update = _build_update(
-            author, guid, f"post-recovery-{i}".encode(), ts=float(i + 20)
-        )
-        ctx.expected_update_ids.append(update.update_id)
-        _submit_until_executed(ctx, client, update, attempts=2, settle_ms=10_000.0)
+
+def log_handoffs(ctx: ChaosContext) -> None:
+    system = ctx.system
     for row in system.rings.commit_stats():
         ctx.event(
             f"shard {row['shard']} epoch {row['epoch']} members "
@@ -876,6 +737,163 @@ def _mid_handoff_crash(ctx: ChaosContext) -> None:
             f"retries: {system.handoff.stats_retries}, fenced commits: "
             f"{system.rings.stats_fenced_commits}"
         )
+
+
+# -- the registry ------------------------------------------------------------
+
+#: the object and writes every Byzantine-replica scenario drives
+_PBFT_WRITES = (
+    (create, "pbft-object"), (settle,),
+    (write, 0, b"payload-0", 1.0),
+    (write, 0, b"payload-1", 2.0),
+    (write, 0, b"payload-2", 3.0),
+    (log_committed_order,),
+)
+
+SCENARIOS: dict[str, FaultSchedule] = {
+    "pbft-silent": FaultSchedule(
+        doc="m silent (crashed) replicas at n=3m+1: agreement must survive.",
+        steps=((mark_byzantine, FaultMode.SILENT), *_PBFT_WRITES),
+    ),
+    "pbft-equivocate": FaultSchedule(
+        doc="m equivocating replicas split their votes; quorums must not.",
+        steps=((mark_byzantine, FaultMode.EQUIVOCATE), *_PBFT_WRITES),
+    ),
+    "pbft-delay": FaultSchedule(
+        doc="m dawdling replicas send correct messages late.",
+        steps=((mark_byzantine, FaultMode.DELAY), *_PBFT_WRITES),
+    ),
+    "pbft-corrupt": FaultSchedule(
+        doc="m replicas garble every digest; honest verification rejects them.",
+        steps=((mark_byzantine, FaultMode.CORRUPT), *_PBFT_WRITES),
+    ),
+    "pbft-quorum-violation": FaultSchedule(
+        doc="""An undersized ring (n=3m) with m silent replicas: the checker
+            must detect the violated fault budget and the resulting stall.""",
+        deploy=None,
+        steps=(
+            (undersized_ring,), (mark_byzantine, FaultMode.SILENT),
+            (submit_to_ring, "starved-object", b"doomed payload"),
+        ),
+        expect_violations=frozenset({"quorum-feasibility", "liveness"}),
+    ),
+    "routing-churn": FaultSchedule(
+        doc="""Churn plus an asymmetric partition; location must reconverge
+            once the storm passes (Section 4.3.3 soft-state repair).""",
+        steps=(
+            (create, "churned-0"), (write, 0, b"body-0", 1.0),
+            (create, "churned-1"), (write, 1, b"body-1", 1.0),
+            (create, "churned-2"), (write, 2, b"body-2", 1.0),
+            (churn_and_partition,), *[(lookup_mid_storm,)] * 3,
+            (heal_churn,), (settle,), (converge,),
+            (note, "probabilistic tier reconverged"),
+        ),
+    ),
+    "dissemination-loss": FaultSchedule(
+        doc="""Lossy links while updates commit and spread; the secondary tier
+            must still converge once losses stop.""",
+        steps=(
+            (create, "lossy-object"), (settle,), (lossy_window,),
+            (write, 0, b"lossy-0", 1.0, 8),
+            (write, 0, b"lossy-1", 2.0, 8),
+            (write, 0, b"lossy-2", 3.0, 8),
+            (close_lossy_window,), (quiesce_epidemic,), (check_tiers_consistent,),
+        ),
+    ),
+    "orphaned-subtree": FaultSchedule(
+        doc="""Crash a dissemination-tree parent mid-stream; recovery must
+            reparent the orphaned subtree and catch it up via anti-entropy.""",
+        deploy=dict(secondaries_per_object=6, dissemination_fanout=2),
+        recovery=True,
+        steps=(
+            (create, "orphaned-object"), (settle,),
+            (write, 0, b"before-the-crash", 1.0),
+            (crash_tree_parent,),
+            # Two more commits while the parent is dead: pushes into the
+            # orphaned subtree are dropped on the floor.
+            (write, 0, b"past-the-corpse-1", 2.0),
+            (write, 0, b"past-the-corpse-2", 3.0),
+            # Time for the detector to suspect and the tree to heal; no
+            # epidemic rounds -- convergence must come from repair alone.
+            (settle_storm,), (check_subtree_caught_up,),
+        ),
+    ),
+    "dead-root-read": FaultSchedule(
+        doc="""Kill the salted roots and wipe the pointer paths mid-read; the
+            degradation ladder must keep the read serviceable and republish
+            must restore locate-ability.""",
+        recovery=True,
+        steps=(
+            (create, "rooted-object"), (settle,),
+            (write, 0, b"beneath-the-roots", 1.0),
+            (wipe_roots,), (degraded_read,), (settle_storm,), (locate_from_client,),
+        ),
+    ),
+    "archival-crash-repair": FaultSchedule(
+        doc="""Crash storms interleaved with repair sweeps; every archived
+            version must stay reconstructible from surviving fragments.""",
+        steps=(
+            (create, "archived-0"), (write, 0, b"fragile-0", 1.0),
+            (create, "archived-1"), (write, 1, b"fragile-1", 1.0),
+            (crash_storm_and_sweep, 1), (crash_storm_and_sweep, 2),
+            (check_repair_accounting,),
+            (note, "leaving crashed nodes down for the survivor-only check"),
+        ),
+        # Nodes stay down on purpose: reconstruction must work from the
+        # survivors alone.  Routing is exercised by routing-churn instead.
+        skip=frozenset({"routing-reconvergence"}),
+    ),
+    "cross-shard-partition": FaultSchedule(
+        doc="""Partition the two shards' rings from each other mid-write: each
+            ring must keep committing its own GUID range independently.""",
+        deploy=dict(
+            ring_count=2,
+            topology=TopologyParams(transit_nodes=8, stubs_per_transit=1, nodes_per_stub=3),
+        ),
+        steps=(
+            (create_per_shard, "cross-shard"), (settle,),
+            (write, 0, b"before-partition-0", 1.0),
+            (write, 1, b"before-partition-1", 2.0),
+            # Agreement is per-ring, so the partition between rings is
+            # invisible to clients of either range.
+            (partition_rings,),
+            (write, 0, b"during-partition-0", 10.0),
+            (write, 1, b"during-partition-1", 11.0),
+            (heal_partitions,), (settle,), (converge,), (log_commit_stats,),
+        ),
+    ),
+    "mid-handoff-crash": FaultSchedule(
+        doc="""Crash a ring member, then the handoff coordinator mid-transfer:
+            the watchdog must re-elect at a higher epoch and finish the handoff
+            (with recovery disabled there is no handoff and the oracle fails).""",
+        deploy=dict(
+            ring_count=2,
+            topology=TopologyParams(transit_nodes=12, stubs_per_transit=1, nodes_per_stub=2),
+        ),
+        recovery=True,
+        steps=(
+            # A wide drain window so the coordinator crash lands while the
+            # first handoff attempt is still in flight, and a short
+            # watchdog so the retry happens within the scenario budget.
+            (tune_handoff, 4_000.0, 8_000.0),
+            (create_per_shard, "handoff"), (settle,),
+            (write, 0, b"pre-crash-0", 1.0),
+            (write, 1, b"pre-crash-1", 2.0),
+            (crash_member_then_coordinator,),
+            # Progress after the dust settles: both shards must commit.
+            (write, 0, b"post-recovery-0", 20.0, 2, 10_000.0),
+            (write, 1, b"post-recovery-1", 21.0, 2, 10_000.0),
+            (log_handoffs,),
+        ),
+    ),
+}
+
+
+def scenario_descriptions() -> dict[str, str]:
+    return {
+        name: schedule.doc.splitlines()[0]
+        for name, schedule in sorted(SCENARIOS.items())
+    }
 
 
 # -- the runner --------------------------------------------------------------
@@ -912,97 +930,77 @@ def run_scenario(
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown chaos scenario {name!r} (known: {known})")
+    schedule = SCENARIOS[name]
     chaos = dataclasses.replace(chaos or ChaosConfig(), enabled=True)
-    ctx = ChaosContext(name, seed, chaos)
-    SCENARIOS[name](ctx)
+    ctx = _deploy(name, seed, chaos, schedule)
+    for op, *args in schedule.steps:
+        op(ctx, *args)
 
-    if ctx.system is not None:
-        checker = InvariantChecker(ctx.system)
-        report = checker.check_all(
-            rng=ctx.seeds.derive("invariant-sample"),
-            expected_update_ids=tuple(ctx.expected_update_ids),
-            expect_liveness=ctx.expect_liveness,
-            skip=ctx.skip_invariants,
-        )
-    elif ctx.ring is not None:
-        violations = (
-            check_ring_agreement(ctx.ring)
-            + check_ring_quorum(ctx.ring)
-            + check_ring_liveness(ctx.ring, ctx.expected_update_ids)
-        )
+    if ctx.system is None:
         report = InvariantReport(
             checked=("agreement-safety", "quorum-feasibility", "liveness"),
-            violations=tuple(violations),
+            violations=tuple(
+                check_ring_agreement(ctx.ring)
+                + check_ring_quorum(ctx.ring)
+                + check_ring_liveness(ctx.ring, ctx.expected_update_ids)
+            ),
         )
-    else:  # pragma: no cover - a scenario must attach something
-        raise RuntimeError(f"scenario {name} attached no system or ring")
-
-    # SLO oracle: only when thresholds were configured -- the default
-    # (record, never judge) leaves checked/violations, and therefore the
-    # trace digest, untouched.
-    if ctx.system is not None:
-        slo = ctx.system.telemetry.slo
+    else:
+        report = InvariantChecker(ctx.system).check_all(
+            rng=ctx.seeds.derive("invariant-sample"),
+            expected_update_ids=tuple(ctx.expected_update_ids),
+            skip=schedule.skip,
+        )
+        # SLO oracle: only when thresholds were configured -- the default
+        # (record, never judge) leaves checked/violations, and therefore
+        # the trace digest, untouched.
+        slo = ctx.telemetry.slo
         if slo is not None and slo.thresholds:
             ctx.extra_checked.append("operation-slo")
             for slo_violation in slo.check():
                 ctx.extra_violations.append(
                     InvariantViolation("operation-slo", slo_violation.describe())
                 )
-
     if ctx.extra_checked or ctx.extra_violations:
         report = InvariantReport(
             checked=report.checked + tuple(ctx.extra_checked),
             violations=report.violations + tuple(ctx.extra_violations),
         )
 
+    expected = schedule.expect_violations
     observed = report.violated_names()
-    passed = observed == ctx.expect_violations
-    digest = _trace_digest(name, seed, ctx.events, report)
-    span_dump = ""
-    if not passed and ctx.telemetry is not None and ctx.telemetry.enabled:
-        span_dump = ctx.telemetry.render_spans(max_depth=6)
-    flight_dump = ""
-    perfetto = ""
-    if (
-        (not passed or capture_flight)
-        and ctx.telemetry is not None
-        and ctx.telemetry.enabled
-    ):
-        flight_dump = ctx.telemetry.flight.render()
-        # The Perfetto export rides along with the postmortem: load it
-        # into ui.perfetto.dev to see the same timeline visually.
-        perfetto = export_telemetry(ctx.telemetry)
-    slo_summary: dict | None = None
-    if ctx.telemetry is not None and ctx.telemetry.enabled:
-        slo = ctx.telemetry.slo
-        if slo.ops():
-            slo_summary = slo.summary()
-    if passed and not ctx.expect_violations:
+    passed = observed == expected
+    if passed and not expected:
         summary = "all invariants held"
     elif passed:
         summary = "expected violations detected: " + ", ".join(sorted(observed))
     else:
-        missing = sorted(ctx.expect_violations - observed)
-        unexpected = sorted(observed - ctx.expect_violations)
-        parts = []
-        if unexpected:
-            parts.append("unexpected violations: " + ", ".join(unexpected))
-        if missing:
-            parts.append("expected but absent: " + ", ".join(missing))
-        summary = "; ".join(parts)
+        summary = "; ".join(
+            label + ", ".join(names)
+            for label, names in (
+                ("unexpected violations: ", sorted(observed - expected)),
+                ("expected but absent: ", sorted(expected - observed)),
+            )
+            if names
+        )
+    telemetry = ctx.telemetry
+    enabled = telemetry.enabled
+    postmortem = enabled and (not passed or capture_flight)
     return ChaosReport(
         scenario=name,
         seed=seed,
         passed=passed,
         invariants=report,
-        expect_violations=tuple(sorted(ctx.expect_violations)),
+        expect_violations=tuple(sorted(expected)),
         events=tuple(ctx.events),
-        trace_digest=digest,
-        span_dump=span_dump,
-        flight_dump=flight_dump,
+        trace_digest=_trace_digest(name, seed, ctx.events, report),
         summary=summary,
-        slo=slo_summary,
-        perfetto=perfetto,
+        span_dump=telemetry.render_spans(max_depth=6) if enabled and not passed else "",
+        flight_dump=telemetry.flight.render() if postmortem else "",
+        # The Perfetto export rides along with the postmortem: load it
+        # into ui.perfetto.dev to see the same timeline visually.
+        perfetto=export_telemetry(telemetry) if postmortem else "",
+        slo=telemetry.slo.summary() if enabled and telemetry.slo.ops() else None,
     )
 
 
@@ -1014,6 +1012,7 @@ def run_all(seed: int = 0, chaos: ChaosConfig | None = None) -> list[ChaosReport
 __all__ = [
     "ChaosContext",
     "ChaosReport",
+    "FaultSchedule",
     "SCENARIOS",
     "run_all",
     "run_scenario",

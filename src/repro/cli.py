@@ -679,7 +679,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         enabled=True,
         intensity=args.intensity,
         duration_ms=args.duration,
-        recovery=False if args.no_recovery else None,
+        recovery=not args.no_recovery,
         slo_thresholds=_parse_slo_thresholds(args.slo),
     )
     reports = [
@@ -707,7 +707,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_rings(args: argparse.Namespace) -> int:
+def _sharded_deployment(
+    args: argparse.Namespace, name: str, payload_label: str, **overrides
+) -> tuple[OceanStoreSystem, list[int]]:
+    """A ``--ring-count`` deployment with one object per shard and
+    ``--updates`` writes submitted to each, so every ring has commits to
+    show.  Returns the settled system and its stub nodes."""
     ring_count = args.ring_count
     system = OceanStoreSystem(
         DeploymentConfig(
@@ -719,17 +724,17 @@ def cmd_rings(args: argparse.Namespace) -> int:
                 nodes_per_stub=2,
             ),
             archive_every_commit=False,
+            **overrides,
         )
     )
     author = make_principal(
-        "rings-author", random.Random(args.seed + 7), bits=256
+        f"{name}-author", random.Random(args.seed + 7), bits=256
     )
-    # One object per shard, found by deterministic name search, so every
-    # ring has commits to show.
+    # One object per shard, found by deterministic name search.
     guid_by_shard = {}
     name_index = 0
     while len(guid_by_shard) < ring_count:
-        guid = object_guid(author.public_key, f"rings-{name_index}")
+        guid = object_guid(author.public_key, f"{name}-{name_index}")
         name_index += 1
         shard_id = system.rings.shard_of(guid).shard_id
         if shard_id in guid_by_shard:
@@ -748,13 +753,19 @@ def cmd_rings(args: argparse.Namespace) -> int:
                 [
                     UpdateBranch(
                         TruePredicate(),
-                        (AppendBlock(f"shard-{shard_id}-u{i}".encode()),),
+                        (AppendBlock(f"{payload_label}-{shard_id}-u{i}".encode()),),
                     )
                 ],
                 float(i),
             )
             system.submit_update(stubs[shard_id % len(stubs)], update)
     system.settle()
+    return system, stubs
+
+
+def cmd_rings(args: argparse.Namespace) -> int:
+    ring_count = args.ring_count
+    system, _ = _sharded_deployment(args, "rings", "shard")
     directory = system.ring_directory
     report = {
         "ring_count": ring_count,
@@ -861,52 +872,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    ring_count = args.ring_count
-    system = OceanStoreSystem(
-        DeploymentConfig(
-            seed=args.seed,
-            ring_count=ring_count,
-            topology=TopologyParams(
-                transit_nodes=max(8, 4 * ring_count),
-                stubs_per_transit=1,
-                nodes_per_stub=2,
-            ),
-            archive_every_commit=False,
-            recovery=RecoveryConfig(enabled=args.crash > 0),
-        )
+    system, stubs = _sharded_deployment(
+        args, "health", "health", recovery=RecoveryConfig(enabled=args.crash > 0)
     )
-    author = make_principal(
-        "health-author", random.Random(args.seed + 7), bits=256
-    )
-    guid_by_shard: dict[int, object] = {}
-    name_index = 0
-    while len(guid_by_shard) < ring_count:
-        guid = object_guid(author.public_key, f"health-{name_index}")
-        name_index += 1
-        shard_id = system.rings.shard_of(guid).shard_id
-        if shard_id in guid_by_shard:
-            continue
-        guid_by_shard[shard_id] = guid
-        system.create_object(guid)
-    system.settle()
-    stubs = sorted(
-        n for n, d in system.graph.nodes(data=True) if d["kind"] == "stub"
-    )
-    for shard_id in sorted(guid_by_shard):
-        for i in range(args.updates):
-            update = make_update(
-                author,
-                guid_by_shard[shard_id],
-                [
-                    UpdateBranch(
-                        TruePredicate(),
-                        (AppendBlock(f"health-{shard_id}-u{i}".encode()),),
-                    )
-                ],
-                float(i),
-            )
-            system.submit_update(stubs[shard_id % len(stubs)], update)
-    system.settle()
     if args.crash > 0:
         ring_nodes = {n for shard in system.rings.shards for n in shard.members}
         victims = [n for n in stubs if n not in ring_nodes][: args.crash]

@@ -14,6 +14,7 @@ from repro.core.system import OceanStoreSystem
 from repro.crypto.keys import KeyRing, make_principal
 from repro.recovery.retry import RetryPolicy
 from repro.sim.network import NodeId
+from repro.util.rng import SeedSequence
 
 
 def make_client(
@@ -27,10 +28,16 @@ def make_client(
 
     ``home_node`` defaults to a deterministic stub node derived from the
     client name, mimicking "clients connect to one or more pools".
+    ``seed`` defaults to a sha256 of the deployment seed and the name, so
+    the identity is the same in every process (``str`` hashes are not).
     ``retry`` installs a default :class:`RetryPolicy` on the handle, so
     every read runs down the degradation ladder instead of failing fast.
     """
-    rng = random.Random(seed if seed is not None else hash(name) & 0xFFFFFFFF)
+    rng = (
+        random.Random(seed)
+        if seed is not None
+        else SeedSequence(system.config.seed).derive(f"client:{name}")
+    )
     principal = make_principal(name, rng, bits=system.config.key_bits)
     keyring = KeyRing(principal, rng)
     if home_node is None:

@@ -30,11 +30,9 @@ class ChaosConfig:
     #: PBFT batching threaded into the scenario deployment, so every
     #: chaos scenario can run with batched agreement rounds
     batching: BatchingConfig = BatchingConfig()
-    #: three-way recovery toggle for scenarios: ``None`` keeps each
-    #: scenario's own default (the new recovery scenarios enable it),
-    #: ``True``/``False`` force it -- forcing it off is how the oracle
-    #: is shown to catch the unrepaired failures
-    recovery: bool | None = None
+    #: ``False`` forces the recovery scenarios' repair layer off -- how
+    #: the oracle is shown to catch the unrepaired failures
+    recovery: bool = True
     #: SLO limits threaded into the scenario's TelemetryConfig; when
     #: non-empty the runner judges them as an ``operation-slo``
     #: invariant (default empty: record, never judge, digests unchanged)

@@ -1,5 +1,9 @@
 """Integration tests: the full deployment behind the client API."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.access import ACL, ACLCertificate, Privilege
@@ -9,6 +13,7 @@ from repro.consistency import FaultMode
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 from repro.sim import TopologyParams
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 def small_config(**overrides):
     defaults = dict(
@@ -263,3 +268,29 @@ class TestDomainAwarePlacement:
                 system.network.set_down(node)
         state = system.restore_from_archive(obj.guid, 1)
         assert obj.codec.read_document(state.data) == b"survives a site loss"
+
+
+def test_default_client_identity_is_stable_across_processes():
+    # Without seed=, make_client must not depend on the per-process
+    # str-hash salt: two interpreters with different PYTHONHASHSEED
+    # values mint the same key at the same home node.
+    script = (
+        "from repro import DeploymentConfig, OceanStoreSystem, make_client\n"
+        "from repro.sim import TopologyParams\n"
+        "system = OceanStoreSystem(DeploymentConfig(seed=42, topology=TopologyParams("
+        "transit_nodes=4, stubs_per_transit=1, nodes_per_stub=4)))\n"
+        "alice = make_client(system, 'alice')\n"
+        "print(alice.home_node, alice.principal.public_key.n)\n"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1

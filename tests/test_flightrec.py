@@ -15,7 +15,8 @@ import hashlib
 import networkx as nx
 import pytest
 
-from repro.chaos import SCENARIOS, run_scenario
+from repro.chaos import SCENARIOS, FaultSchedule, run_scenario
+from repro.chaos.scenarios import settle
 from repro.consistency import measure_update_traffic
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 from repro.sim import Kernel, Network, TopologyParams
@@ -183,14 +184,11 @@ class TestChaosFailureDump:
     def test_invariant_failure_dumps_flight_timeline(self):
         # A scenario that *claims* a violation that never happens fails
         # its expectation check deterministically and quickly.
-        def doomed(ctx):
-            from repro.chaos.scenarios import _standard_system
-
-            _standard_system(ctx)
-            ctx.system.settle(1_000.0)
-            ctx.expect_violations = {"no-such-violation"}
-
-        SCENARIOS["test-doomed"] = doomed
+        SCENARIOS["test-doomed"] = FaultSchedule(
+            doc="Claims a violation that never happens.",
+            steps=((settle, 1_000.0),),
+            expect_violations=frozenset({"no-such-violation"}),
+        )
         try:
             report_a = run_scenario("test-doomed", seed=5)
             report_b = run_scenario("test-doomed", seed=5)

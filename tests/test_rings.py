@@ -448,8 +448,7 @@ class TestHandoffEdgePaths:
         assert all(victim in shard.members for victim in victims)
         report = InvariantChecker(system).check_all(
             rng=random.Random(0),
-            expect_liveness=False,
-            skip=("routing-reconvergence",),
+            skip=("liveness", "routing-reconvergence"),
         )
         assert any(
             "orphaned" in v.detail or "quorum" in v.detail

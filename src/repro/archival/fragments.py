@@ -117,7 +117,6 @@ def encode_archival(
         )
     if tel.enabled:
         tel.count("archival_encodes_total")
-        tel.observe("archival_encode_bytes", len(data))
     return ArchivalObject(
         archival_guid=archival_guid,
         fragments=fragments,

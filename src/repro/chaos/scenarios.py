@@ -347,11 +347,10 @@ def _lookup(result) -> str:
 
 
 def mark_byzantine(ctx: ChaosContext, mode: FaultMode) -> None:
-    """Mark m replicas ``mode`` (``ChaosConfig.byzantine`` overrides the
-    ring's m), highest indices first so the view-0 leader stays honest."""
+    """Mark the ring's m replicas ``mode``, highest indices first so the
+    view-0 leader stays honest."""
     ring = ctx.ring
-    m = ctx.chaos.byzantine if ctx.chaos.byzantine is not None else ring.m
-    for i in range(min(m, ring.n)):
+    for i in range(ring.m):
         index = ring.n - 1 - i
         ring.set_fault(index, mode)
         ctx.event(f"ring replica {index} marked {mode.value}")
@@ -365,8 +364,8 @@ def log_committed_order(ctx: ChaosContext) -> None:
 
 def undersized_ring(ctx: ChaosContext) -> None:
     """A bare ring of n=3m replicas, one short of 3m+1, plus one client
-    node on a complete graph (m is ``ChaosConfig.byzantine``, default 1)."""
-    m = ctx.chaos.byzantine if ctx.chaos.byzantine is not None else 1
+    node on a complete graph (m = 1)."""
+    m = 1
     n = 3 * m
     kernel = Kernel()
     telemetry = Telemetry.from_config(

@@ -37,6 +37,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from repro.archival import erasure_availability, nines, replication_availability
 from repro.chaos import SCENARIOS, run_scenario, scenario_descriptions
@@ -49,6 +50,7 @@ from repro.recovery import RecoveryConfig
 from repro.sim import TopologyParams
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import export_telemetry
+from repro.telemetry.slo import summary_table, validate_thresholds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,14 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     telem.add_argument(
         "--json",
         action="store_true",
-        help="emit the full metrics+spans export as JSON instead of tables",
-    )
-    telem.add_argument(
-        "--quantiles",
-        default=None,
-        metavar="Q,Q,...",
-        help="histogram summary quantiles, e.g. 50,90,99.9 "
-        "(default: 50,90,95,99)",
+        help="emit the full counters+SLO+spans export as JSON instead of tables",
     )
 
     flight = sub.add_parser(
@@ -333,6 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Fail like an argparse usage error: the message on stderr, exit 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_slo_thresholds(
     entries: list[str] | None,
 ) -> dict[str, dict[str, float]]:
@@ -341,24 +342,17 @@ def _parse_slo_thresholds(
     for entry in entries or []:
         parts = entry.split(":")
         if len(parts) != 3:
-            raise SystemExit(
-                f"bad SLO spec {entry!r}; expected OP:pQ:LIMIT_MS"
-            )
+            _usage_error(f"bad SLO spec {entry!r}; expected OP:pQ:LIMIT_MS")
         op, qname, limit = parts
         try:
             thresholds.setdefault(op, {})[qname] = float(limit)
         except ValueError:
-            raise SystemExit(f"bad SLO limit in {entry!r}") from None
-    return thresholds
-
-
-def _parse_quantiles(spec: str | None) -> tuple[float, ...] | None:
-    if spec is None:
-        return None
+            _usage_error(f"bad SLO limit in {entry!r}")
     try:
-        return tuple(float(q) for q in spec.split(","))
-    except ValueError:
-        raise SystemExit(f"bad quantile list {spec!r}") from None
+        validate_thresholds(thresholds)
+    except ValueError as exc:
+        _usage_error(str(exc))
+    return thresholds
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -401,7 +395,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
     print(f"inner ring (n={config.ring_size}, m={config.byzantine_m}): "
           f"{system.ring_nodes}")
     print(f"location: {config.salts} salted roots, Bloom depth "
-          f"{config.bloom_depth} x {config.bloom_width} bits")
+          f"{system.probabilistic.depth} x {system.probabilistic.width} bits")
     print(f"archival: {config.archival_k}-of-{config.archival_n} Reed-Solomon")
     return 0
 
@@ -546,27 +540,12 @@ _SCENARIOS = {
 }
 
 
-def _print_metrics_table(export: dict) -> None:
-    counters = export.get("counters", {})
-    histograms = export.get("histograms", {})
+def _print_counters(counters: dict) -> None:
     if counters:
         print("counters:")
         width = max(len(k) for k in counters)
         for name in sorted(counters):
             print(f"  {name:<{width}}  {counters[name]}")
-    if histograms:
-        print("histograms:")
-        width = max(len(k) for k in histograms)
-        for name in sorted(histograms):
-            s = histograms[name]
-            # Quantile columns follow the configured list, whatever it is.
-            cells = " ".join(
-                f"{k}={s[k]:.2f}" for k in s if k.startswith("p")
-            )
-            print(
-                f"  {name:<{width}}  n={int(s['count'])} mean={s['mean']:.2f} "
-                f"{cells} max={s['max']:.2f}"
-            )
 
 
 def _print_traffic_table(report: dict) -> None:
@@ -585,19 +564,13 @@ def _print_traffic_table(report: dict) -> None:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
-    quantiles = _parse_quantiles(args.quantiles)
-    telemetry_config = (
-        TelemetryConfig(enabled=True)
-        if quantiles is None
-        else TelemetryConfig(enabled=True, quantiles=quantiles)
-    )
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=args.seed,
             topology=TopologyParams(
                 transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5
             ),
-            telemetry=telemetry_config,
+            telemetry=TelemetryConfig(enabled=True),
         )
     )
     status = _SCENARIOS[args.scenario](system, args.seed)
@@ -610,7 +583,9 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     print("trace:")
     print(system.telemetry.render_spans(max_depth=args.max_depth))
     print()
-    _print_metrics_table(system.telemetry.export())
+    print("operations (simulated ms):")
+    print(system.telemetry.slo.render())
+    _print_counters(system.telemetry.metrics.export()["counters"])
     _print_traffic_table(system.network.phase_report())
     return 0
 
@@ -831,14 +806,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
         if report.slo is None:
             print("no operations recorded")
             return 0 if report.passed else 1
-        width = max(len(name) for name in report.slo)
-        for name, row in report.slo.items():
-            cells = " ".join(
-                f"{k}={row[k]:.1f}"
-                for k in row
-                if k not in ("count", "min")
-            )
-            print(f"  {name:<{width}}  n={int(row['count'])} {cells}")
+        print("\n".join(summary_table(report.slo)))
         for violation in report.invariants.violations:
             if violation.invariant == "operation-slo":
                 print(f"  FAIL  {violation.detail}")

@@ -38,7 +38,7 @@ def make_client(
         if seed is not None
         else SeedSequence(system.config.seed).derive(f"client:{name}")
     )
-    principal = make_principal(name, rng, bits=system.config.key_bits)
+    principal = make_principal(name, rng, bits=256)
     keyring = KeyRing(principal, rng)
     if home_node is None:
         stubs = [

@@ -8,6 +8,7 @@ from repro.consistency.pbft import BatchingConfig
 from repro.recovery.config import RecoveryConfig
 from repro.sim.network import TopologyParams
 from repro.telemetry import TelemetryConfig
+from repro.telemetry.slo import validate_thresholds
 
 
 @dataclass
@@ -25,8 +26,6 @@ class ChaosConfig:
     duration_ms: float = 60_000.0
     #: generic severity dial: message drop rates, crash fractions, ...
     intensity: float = 0.3
-    #: Byzantine replicas to mark in PBFT scenarios (None = the ring's m)
-    byzantine: int | None = None
     #: PBFT batching threaded into the scenario deployment, so every
     #: chaos scenario can run with batched agreement rounds
     batching: BatchingConfig = BatchingConfig()
@@ -43,8 +42,7 @@ class ChaosConfig:
             raise ValueError("duration_ms must be positive")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError("intensity must be in [0, 1]")
-        if self.byzantine is not None and self.byzantine < 0:
-            raise ValueError("byzantine must be >= 0")
+        validate_thresholds(self.slo_thresholds)
 
 
 @dataclass
@@ -81,9 +79,6 @@ class DeploymentConfig:
 
     #: data location
     salts: int = 3
-    bloom_depth: int = 3
-    bloom_width: int = 4096
-    bloom_hashes: int = 4
 
     #: deep archival storage
     archival_k: int = 8
@@ -93,9 +88,6 @@ class DeploymentConfig:
     #: introspection
     replica_overload_requests: int = 20
     replica_window_ms: float = 10_000.0
-
-    #: RSA modulus bits for server/client identities (small: simulation)
-    key_bits: int = 256
 
     #: out-of-band observability (metrics + causal traces); off by default
     #: so unobserved deployments pay nothing

@@ -156,9 +156,8 @@ class OceanStoreSystem:
         identity_rng = seeds.derive("identities")
         self.servers: dict[NodeId, OceanStoreServer] = {}
         for node in sorted(self.network.nodes()):
-            principal = make_principal(
-                f"server-{node}", identity_rng, bits=self.config.key_bits
-            )
+            # 256-bit RSA: small, because this is a simulation.
+            principal = make_principal(f"server-{node}", identity_rng, bits=256)
             self.servers[node] = OceanStoreServer(
                 network_id=node, principal=principal, telemetry=self.telemetry
             )
@@ -170,9 +169,7 @@ class OceanStoreSystem:
         self.mesh.populate(sorted(self.network.nodes()))
         self.probabilistic = ProbabilisticLocator(
             self.network,
-            depth=self.config.bloom_depth,
-            width=self.config.bloom_width,
-            hashes=self.config.bloom_hashes,
+            width=4096,
             telemetry=self.telemetry,
         )
         self.router = SaltedRouter(self.mesh, salts=self.config.salts)
@@ -336,7 +333,6 @@ class OceanStoreSystem:
     def create_object(self, object_guid: GUID) -> None:
         if object_guid in self.tiers:
             return
-        slo = self.telemetry.slo
         started = self.kernel.now
         shard = self.rings.resolve(object_guid)
         for node in shard.members:
@@ -368,10 +364,9 @@ class OceanStoreSystem:
                 self.recovery.register_publication(node, object_guid)
         self._object_seq[object_guid] = 0
         self.probabilistic.converge()
-        if slo is not None:
-            slo.observe(
-                "create", self.kernel.now - started, ring=shard.shard_id
-            )
+        tel = self.telemetry
+        if tel.enabled:
+            tel.observe("create", self.kernel.now - started, ring=shard.shard_id)
 
     def read_state(
         self,
@@ -384,11 +379,7 @@ class OceanStoreSystem:
             raise UnknownObject(f"no such object: {object_guid}")
         client = client_node if client_node is not None else self.ring_nodes[0]
         tel = self.telemetry
-        slo = tel.slo
         started = self.kernel.now
-        shard_id = (
-            self.rings.shard_of(object_guid).shard_id if slo is not None else 0
-        )
         if tel.enabled:
             tel.count("reads_total", tentative="yes" if allow_tentative else "no")
         with tel.span("read", client=client):
@@ -411,22 +402,19 @@ class OceanStoreSystem:
                     state = fallback
                 if state.version >= min_version:
                     break
-        if state is None or state.version < min_version:
-            if slo is not None:
-                slo.observe(
-                    "read",
-                    self.kernel.now - started,
-                    ring=shard_id,
-                    result="error",
-                )
+        ok = state is not None and state.version >= min_version
+        if tel.enabled:
+            tel.observe(
+                "read",
+                self.kernel.now - started,
+                ring=self.rings.shard_of(object_guid).shard_id,
+                result="ok" if ok else "error",
+            )
+        if not ok:
             if state is None:
                 raise UnknownObject(f"no replica holds object {object_guid}")
             raise UnknownObject(
                 f"object {object_guid} not yet at version {min_version}"
-            )
-        if slo is not None:
-            slo.observe(
-                "read", self.kernel.now - started, ring=shard_id, result="ok"
             )
         return state
 
@@ -465,38 +453,33 @@ class OceanStoreSystem:
         client = client_node if client_node is not None else self.ring_nodes[0]
         deadline = self.kernel.now + retry.deadline_ms
         tel = self.telemetry
-        slo = tel.slo
         started = self.kernel.now
-        shard_id = (
-            self.rings.shard_of(object_guid).shard_id if slo is not None else 0
-        )
+        shard_id = self.rings.shard_of(object_guid).shard_id
 
         def rung(name: str, result: str, **detail) -> None:
-            if tel.enabled:
-                tel.count("degraded_read_rungs_total", rung=name, result=result)
-                tel.record(
-                    "recovery",
-                    "ladder_rung",
-                    rung=name,
-                    result=result,
-                    object=object_guid,
-                    **detail,
-                )
-            if slo is not None:
-                elapsed = self.kernel.now - started
-                # Per-rung ladder timing: how deep desperation went, and
-                # how long each rung cost, in simulated time.
-                slo.observe(
-                    "read_degraded.rung",
-                    elapsed,
-                    ring=shard_id,
-                    rung=name,
-                    result=result,
-                )
-                if result == "hit":
-                    slo.observe(
-                        "read_degraded", elapsed, ring=shard_id, rung=name
-                    )
+            if not tel.enabled:
+                return
+            tel.record(
+                "recovery",
+                "ladder_rung",
+                rung=name,
+                result=result,
+                object=object_guid,
+                **detail,
+            )
+            elapsed = self.kernel.now - started
+            # Per-rung ladder timing: how deep desperation went, and how
+            # long each rung cost, in simulated time.  Its sample counts
+            # are the rung tallies.
+            tel.observe(
+                "read_degraded.rung",
+                elapsed,
+                ring=shard_id,
+                rung=name,
+                result=result,
+            )
+            if result == "hit":
+                tel.observe("read_degraded", elapsed, ring=shard_id, rung=name)
 
         def usable(node: NodeId) -> DataObjectState | None:
             state = self._state_at(object_guid, node, allow_tentative)
@@ -571,8 +554,8 @@ class OceanStoreSystem:
             rung("archival", "hit", version=version)
             return state
         rung("archival", "miss")
-        if slo is not None:
-            slo.observe(
+        if tel.enabled:
+            tel.observe(
                 "read_degraded",
                 self.kernel.now - started,
                 ring=shard_id,
@@ -592,7 +575,7 @@ class OceanStoreSystem:
         if tel.enabled:
             tel.count("updates_submitted_total")
         shard = self.rings.resolve(update.object_guid, client=client_node)
-        if tel.slo is not None:
+        if tel.enabled:
             # The user-facing update clock: starts at first submission
             # (retries keep the original start), stops at commit delivery
             # -- keyed by update id, so it survives shard resolution and
@@ -793,9 +776,9 @@ class OceanStoreSystem:
             self._object_seq[guid] = object_seq + 1
             tier.push_committed(object_seq, update)
         committed = outcome is not None and outcome.committed
-        slo = self.telemetry.slo
-        if slo is not None:
-            slo.end(
+        tel = self.telemetry
+        if tel.enabled:
+            tel.slo.end(
                 update.update_id, committed="yes" if committed else "no"
             )
         self._callbacks.notify(

@@ -396,7 +396,6 @@ class PlaxtonMesh:
                 self.stats_publish_messages += 1
         if tel.enabled:
             tel.count("plaxton_publishes_total")
-            tel.observe("plaxton_publish_hops", trace.hops)
         return trace
 
     def unpublish(self, replica_node: NodeId, object_guid: GUID) -> None:
@@ -421,8 +420,6 @@ class PlaxtonMesh:
         tel.count(
             "plaxton_locates_total", result="hit" if result.found else "miss"
         )
-        tel.observe("plaxton_locate_hops", result.trace.hops)
-        tel.observe("plaxton_locate_latency_ms", result.trace.latency_ms)
         return result
 
     def _locate(self, start: NodeId, object_guid: GUID) -> LocateResult:

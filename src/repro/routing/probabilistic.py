@@ -209,8 +209,6 @@ class ProbabilisticLocator:
         with tel.span("bloom.query", start=start):
             result = self._query(start, guid, ttl)
         tel.count("bloom_queries_total", result="hit" if result.found else "miss")
-        tel.observe("bloom_query_hops", result.hops)
-        tel.observe("bloom_query_latency_ms", result.latency_ms)
         return result
 
     def _query(self, start: NodeId, guid: GUID, ttl: int | None) -> QueryResult:

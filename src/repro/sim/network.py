@@ -397,7 +397,6 @@ class Network:
         tel = self.telemetry
         instrumented = tel is not None and tel.enabled
         if instrumented:
-            tel.observe("net_message_bytes", size_bytes)
             tel.record(
                 "net",
                 "send",

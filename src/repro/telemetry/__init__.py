@@ -6,17 +6,21 @@ optimization modules.  This package is different: it watches the
 reproduction itself, answering "where did this update's latency go?" and
 "how many Bloom queries missed per node?" without editing source.
 
-Two pieces:
+Four verbs, one store each:
 
-* a per-deployment **metrics registry** (:mod:`repro.telemetry.metrics`)
-  -- counters and histograms keyed by name + label tuples, with
-  label-cardinality limits and JSON export compatible with the
-  ``benchmarks/results/*.json`` shape;
-* **causal trace spans** (:mod:`repro.telemetry.tracing`) propagated
-  through kernel scheduling and network message delivery, so one client
-  update yields a single span tree covering Bloom lookups, Plaxton
-  routing, PBFT phases, dissemination-tree pushes, and archival
-  encode/placement.
+* ``count`` -- labelled **counters** in a per-deployment registry
+  (:mod:`repro.telemetry.metrics`) with label-cardinality limits and
+  JSON export compatible with the ``benchmarks/results/*.json`` shape;
+* ``observe`` -- an end-user operation's simulated latency, into the
+  **SLO recorder** (:mod:`repro.telemetry.slo`), the one distribution
+  store;
+* ``record`` -- one structured event into the **flight recorder**
+  (:mod:`repro.telemetry.flightrec`);
+* ``span`` -- **causal trace spans** (:mod:`repro.telemetry.tracing`)
+  propagated through kernel scheduling and network message delivery,
+  so one client update yields a single span tree covering Bloom
+  lookups, Plaxton routing, PBFT phases, dissemination-tree pushes,
+  and archival encode/placement.
 
 Everything defaults to **off**: instrumented components take an optional
 ``telemetry`` argument and fall back to :data:`DISABLED`, a shared null
@@ -39,7 +43,7 @@ from repro.telemetry.metrics import (
     flatten_name,
     label_key,
 )
-from repro.telemetry.slo import SLORecorder, SLOViolation
+from repro.telemetry.slo import SLORecorder, SLOViolation, validate_thresholds
 from repro.telemetry.tracing import NULL_SPAN, Span, Tracer
 
 
@@ -64,7 +68,7 @@ class NullTelemetry:
     def record(self, category: str, kind: str, **detail: object) -> None:
         return None
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
+    def observe(self, op: str, latency_ms: float, **labels: object) -> None:
         return None
 
     def span(self, name: str, **labels: object):
@@ -97,49 +101,24 @@ class TelemetryConfig:
     """Deployment knob for the telemetry subsystem (default: off)."""
 
     enabled: bool = False
-    #: distinct label sets per metric before folding into overflow
-    max_label_sets: int = 64
-    #: spans retained per run before new spans are dropped
-    max_spans: int = 20_000
     #: flight-recorder ring size; old events evict past this
     flight_capacity: int = 4096
     #: also record kernel schedule/fire events (noisy: one event per
     #: scheduled callback, so protocol events evict fast; opt-in)
     flight_kernel: bool = False
-    #: quantiles reported in metric histogram summaries and tables
-    quantiles: tuple[float, ...] = (50.0, 90.0, 95.0, 99.0)
     #: declarative SLO limits: op -> {"p95": limit_ms, ...}; empty means
     #: record but never judge
     slo_thresholds: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.max_label_sets < 1:
-            raise ValueError("max_label_sets must be >= 1")
-        if self.max_spans < 0:
-            raise ValueError("max_spans must be >= 0")
         if self.flight_capacity < 1:
             raise ValueError("flight_capacity must be >= 1")
-        if not self.quantiles:
-            raise ValueError("quantiles must be non-empty")
-        for q in self.quantiles:
-            if not 0 <= q <= 100:
-                raise ValueError(f"quantile out of range: {q}")
-        for op, spec in self.slo_thresholds.items():
-            for qname, limit in spec.items():
-                if not qname.startswith("p"):
-                    raise ValueError(
-                        f"slo_thresholds[{op!r}]: quantile keys look like "
-                        f"'p95', got {qname!r}"
-                    )
-                float(qname.lstrip("p"))  # must parse
-                if limit < 0:
-                    raise ValueError(
-                        f"slo_thresholds[{op!r}][{qname!r}] must be >= 0"
-                    )
+        validate_thresholds(self.slo_thresholds)
 
 
 class Telemetry:
-    """Live telemetry: a metrics registry plus a tracer, one facade.
+    """Live telemetry: counters, SLO latencies, flight records and
+    trace spans behind one facade.
 
     ``clock`` supplies span timestamps -- wire it to the simulation
     kernel's virtual clock so traces are deterministic.
@@ -153,21 +132,22 @@ class Telemetry:
         clock: Callable[[], float] | None = None,
     ) -> None:
         self.config = config or TelemetryConfig(enabled=True)
-        self.metrics = MetricsRegistry(max_label_sets=self.config.max_label_sets)
-        self.tracer = Tracer(clock=clock, max_spans=self.config.max_spans)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(clock=clock)
         self.flight = FlightRecorder(
             capacity=self.config.flight_capacity, clock=clock
         )
         #: end-user operation latency recorder (sim time, deterministic)
         self.slo = SLORecorder(clock=clock, thresholds=self.config.slo_thresholds)
 
-    # -- metrics ----------------------------------------------------------
+    # -- metrics and operation latency --------------------------------------
 
     def count(self, name: str, value: float = 1, **labels: object) -> None:
         self.metrics.inc(name, value, **labels)
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        self.metrics.observe(name, value, **labels)
+    def observe(self, op: str, latency_ms: float, **labels: object) -> None:
+        """Record one completed operation's simulated latency."""
+        self.slo.observe(op, latency_ms, **labels)
 
     # -- flight recorder --------------------------------------------------
 
@@ -189,7 +169,7 @@ class Telemetry:
     def export(self, spans: bool = False, flight: bool = False) -> dict:
         """JSON-able snapshot; pass ``spans=True`` to include the trace
         forest and ``flight=True`` the flight-recorder timeline."""
-        out = self.metrics.export(quantiles=self.config.quantiles)
+        out = self.metrics.export()
         if spans:
             out["spans"] = self.tracer.span_tree()
         if flight:

@@ -1,9 +1,9 @@
-"""Per-deployment metrics registry: counters and histograms.
+"""Per-deployment metrics registry: labelled counters.
 
-Metrics are keyed by name plus a tuple of ``label=value`` pairs, in the
-style of Prometheus client libraries.  Histograms reuse
-:class:`repro.sim.stats.Distribution` so every quantile the benchmarks
-report comes from one implementation.
+Counters are keyed by name plus a tuple of ``label=value`` pairs, in the
+style of Prometheus client libraries.  Distributions live in one other
+place: an operation's latency goes to the SLO recorder
+(:mod:`repro.telemetry.slo`) through ``Telemetry.observe``.
 
 Label sets are bounded per metric name: once a metric has accumulated
 ``max_label_sets`` distinct label combinations, further combinations fold
@@ -14,8 +14,6 @@ than taking the process down.
 """
 
 from __future__ import annotations
-
-from repro.sim.stats import Distribution
 
 #: label-set key: sorted tuple of (label, value) string pairs
 LabelKey = tuple[tuple[str, str], ...]
@@ -37,10 +35,10 @@ def flatten_name(name: str, key: LabelKey) -> str:
 
 
 class MetricsRegistry:
-    """Counters and histograms with label-cardinality limits.
+    """Counters with label-cardinality limits.
 
-    All mutation methods are cheap (a dict lookup and an add); the
-    zero-overhead disabled path lives one level up, in
+    Mutation is cheap (a dict lookup and an add); the zero-overhead
+    disabled path lives one level up, in
     :class:`repro.telemetry.NullTelemetry`.
     """
 
@@ -49,39 +47,21 @@ class MetricsRegistry:
             raise ValueError("max_label_sets must be >= 1")
         self.max_label_sets = max_label_sets
         self._counters: dict[str, dict[LabelKey, float]] = {}
-        self._histograms: dict[str, dict[LabelKey, Distribution]] = {}
         #: label sets folded into the overflow series, by metric name
         self.dropped_label_sets: dict[str, int] = {}
-
-    # -- internal ---------------------------------------------------------
-
-    def _key_for(self, name: str, series: dict, labels: dict) -> LabelKey:
-        # Unlabelled series (``net_message_bytes`` on every send) skip
-        # the sort: their key is always the empty tuple.
-        key = label_key(labels) if labels else ()
-        if key in series or len(series) < self.max_label_sets:
-            return key
-        self.dropped_label_sets[name] = self.dropped_label_sets.get(name, 0) + 1
-        return OVERFLOW_KEY
 
     # -- mutation ---------------------------------------------------------
 
     def inc(self, name: str, value: float = 1, **labels: object) -> None:
         series = self._counters.setdefault(name, {})
-        key = self._key_for(name, series, labels)
+        key = label_key(labels)
+        if key not in series and len(series) >= self.max_label_sets:
+            self.dropped_label_sets[name] = self.dropped_label_sets.get(name, 0) + 1
+            key = OVERFLOW_KEY
         series[key] = series.get(key, 0) + value
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        series = self._histograms.setdefault(name, {})
-        key = self._key_for(name, series, labels)
-        dist = series.get(key)
-        if dist is None:
-            dist = series[key] = Distribution()
-        dist.add(value)
 
     def reset(self) -> None:
         self._counters.clear()
-        self._histograms.clear()
         self.dropped_label_sets.clear()
 
     # -- reads ------------------------------------------------------------
@@ -89,38 +69,24 @@ class MetricsRegistry:
     def counter_value(self, name: str, **labels: object) -> float:
         return self._counters.get(name, {}).get(label_key(labels), 0)
 
-    def histogram(self, name: str, **labels: object) -> Distribution | None:
-        return self._histograms.get(name, {}).get(label_key(labels))
-
     def counter_total(self, name: str) -> float:
         """Sum of one counter across every label set."""
         return sum(self._counters.get(name, {}).values())
 
     def label_sets(self, name: str) -> list[LabelKey]:
-        for table in (self._counters, self._histograms):
-            if name in table:
-                return list(table[name])
-        return []
+        return list(self._counters.get(name, {}))
 
     # -- export -----------------------------------------------------------
 
-    def export(self, quantiles: tuple[float, ...] | None = None) -> dict:
+    def export(self) -> dict:
         """Plain JSON-able dict, same shape discipline as the
         ``benchmarks/results/*.json`` files (string keys, numbers/dicts
         as values) so traces and benchmark series can live side by side.
-
-        ``quantiles`` overrides the default p50/p90/p95/p99 keys in
-        histogram summaries (SLO reporting wants p99.9 and friends).
         """
-        out: dict = {"counters": {}, "histograms": {}}
+        out: dict = {"counters": {}}
         for name, series in sorted(self._counters.items()):
             for key, value in sorted(series.items()):
                 out["counters"][flatten_name(name, key)] = value
-        for name, series in sorted(self._histograms.items()):
-            for key, dist in sorted(series.items()):
-                out["histograms"][flatten_name(name, key)] = dist.summary(
-                    quantiles
-                )
         if self.dropped_label_sets:
             out["dropped_label_sets"] = dict(sorted(self.dropped_label_sets.items()))
         return out

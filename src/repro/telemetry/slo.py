@@ -5,7 +5,8 @@ module records the *edge* latency of every end-user operation -- create,
 update, read, degraded read -- in simulated milliseconds, bucketed by
 operation plus labels (owning ring shard, degraded-read rung), and
 judges the percentiles against declarative thresholds from
-``TelemetryConfig.slo_thresholds``.
+``TelemetryConfig.slo_thresholds``.  It is telemetry's one distribution
+store: ``Telemetry.observe`` lands here.
 
 Synchronous operations record via :meth:`SLORecorder.observe`.  The
 update path is asynchronous -- ``submit_update`` returns before PBFT
@@ -32,11 +33,43 @@ from repro.telemetry.metrics import LabelKey, flatten_name, label_key
 DEFAULT_QUANTILES: tuple[float, ...] = (50.0, 95.0, 99.0)
 
 
-def quantile_name(q: float) -> str:
-    """``p95`` for 95.0, ``p99.9`` for 99.9 -- stable key rendering."""
-    if float(q).is_integer():
-        return f"p{int(q)}"
-    return f"p{q:g}"
+def validate_thresholds(thresholds: dict[str, dict[str, float]]) -> None:
+    """Reject a threshold spec the judge could not apply.
+
+    Every key must be ``p<q>`` with 0 <= q <= 100 and every limit >= 0;
+    the error names the operation and the key, so a bad spec fails when
+    it is configured, not after a whole run has been recorded.
+    """
+    for op, spec in thresholds.items():
+        for key, limit in spec.items():
+            try:
+                q = float(key[1:]) if key.startswith("p") else None
+            except ValueError:
+                q = None
+            if q is None or not 0 <= q <= 100:
+                raise ValueError(
+                    f"slo_thresholds[{op!r}]: quantile key {key!r} must be "
+                    f"p<q> with 0 <= q <= 100, e.g. 'p95'"
+                )
+            if not limit >= 0:
+                raise ValueError(f"slo_thresholds[{op!r}][{key!r}] must be >= 0")
+
+
+def summary_table(summary: dict[str, dict[str, float]]) -> list[str]:
+    """Text rows for a :meth:`SLORecorder.summary` dict: a header, then
+    one row per op/label set with its mean, quantiles and max."""
+    if not summary:
+        return []
+    columns = [k for k in next(iter(summary.values())) if k not in ("count", "min")]
+    width = max(len(name) for name in summary)
+    lines = [
+        f"  {'operation':<{width}}  {'count':>6}  "
+        + "  ".join(f"{k:>8}" for k in columns)
+    ]
+    for name, row in summary.items():
+        cells = "  ".join(f"{row[k]:>8.1f}" for k in columns)
+        lines.append(f"  {name:<{width}}  {int(row['count']):>6}  {cells}")
+    return lines
 
 
 @dataclass(frozen=True)
@@ -157,7 +190,7 @@ class SLORecorder:
                     "min": dist.min,
                 }
                 for q in quantiles:
-                    row[quantile_name(q)] = dist.percentile(q)
+                    row[Distribution.quantile_key(q)] = dist.percentile(q)
                 row["max"] = dist.max
                 out[flatten_name(op, key)] = row
         return out
@@ -176,7 +209,7 @@ class SLORecorder:
                 continue
             for qname in sorted(spec[op]):
                 limit = spec[op][qname]
-                q = float(qname.lstrip("p"))
+                q = float(qname[1:])
                 actual = dist.percentile(q)
                 if actual > limit:
                     violations.append(
@@ -197,21 +230,7 @@ class SLORecorder:
         summary = self.summary(quantiles)
         if not summary and not self._pending:
             return "no operations recorded"
-        lines = []
-        if summary:
-            width = max(len(name) for name in summary)
-            qnames = [quantile_name(q) for q in quantiles]
-            header = f"  {'operation':<{width}}  {'count':>6}  " + "  ".join(
-                f"{q:>8}" for q in ["mean", *qnames, "max"]
-            )
-            lines.append(header)
-            for name, row in summary.items():
-                cells = "  ".join(
-                    f"{row[q]:>8.1f}" for q in ["mean", *qnames, "max"]
-                )
-                lines.append(
-                    f"  {name:<{width}}  {int(row['count']):>6}  {cells}"
-                )
+        lines = summary_table(summary)
         if self._pending:
             lines.append(f"  inflight (begun, never completed): {self.inflight}")
         if self.thresholds:
@@ -224,4 +243,10 @@ class SLORecorder:
         return "\n".join(lines)
 
 
-__all__ = ["DEFAULT_QUANTILES", "SLORecorder", "SLOViolation", "quantile_name"]
+__all__ = [
+    "DEFAULT_QUANTILES",
+    "SLORecorder",
+    "SLOViolation",
+    "summary_table",
+    "validate_thresholds",
+]

@@ -113,11 +113,24 @@ class TestCLI:
         assert document["displayTimeUnit"] == "ms"
         assert document["traceEvents"]
 
-    def test_telemetry_custom_quantiles(self, capsys):
-        assert main(["telemetry", "--quantiles", "50,99.9"]) == 0
-        out = capsys.readouterr().out
-        assert "p99.9=" in out
-        assert "p95=" not in out
+    def test_retired_quantiles_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["telemetry", "--quantiles", "50"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        (("update:pxx:1", "'pxx'"), ("update:p150:1", "'p150'")),
+        ids=("unparsable", "out-of-range"),
+    )
+    def test_slo_bad_threshold_key_is_a_usage_error(self, spec, named, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["slo", "--threshold", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'update'" in err
+        assert named in err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -497,13 +497,19 @@ class TestDetectorDrivenHealing:
 
 
 def _rung_counts(system):
-    metrics = system.telemetry.metrics
+    """Times each ladder rung ran, by result: the ``read_degraded.rung``
+    latency series' sample counts, summed over rings."""
+    slo = system.telemetry.slo
     counts = {}
     for rung in ("local", "salted-retry", "tentative", "archival"):
         for result in ("hit", "miss", "stale"):
-            value = metrics.counter_value(
-                "degraded_read_rungs_total", rung=rung, result=result
+            series = (
+                slo.histogram(
+                    "read_degraded.rung", ring=shard.shard_id, rung=rung, result=result
+                )
+                for shard in system.rings.shards
             )
+            value = sum(dist.count for dist in series if dist is not None)
             if value:
                 counts[(rung, result)] = value
     return counts

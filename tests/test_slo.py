@@ -24,8 +24,8 @@ from repro.core import (
     make_client,
 )
 from repro.sim import TopologyParams
+from repro.sim.stats import Distribution
 from repro.telemetry import SLORecorder, TelemetryConfig
-from repro.telemetry.slo import quantile_name
 
 
 class FakeClock:
@@ -87,8 +87,8 @@ class TestRecorder:
         assert row["p50"] == pytest.approx(50.0, abs=1.0)
 
     def test_quantile_name_rendering(self):
-        assert quantile_name(95.0) == "p95"
-        assert quantile_name(99.9) == "p99.9"
+        assert Distribution.quantile_key(95.0) == "p95"
+        assert Distribution.quantile_key(99.9) == "p99.9"
 
     def test_check_judges_aggregate_and_skips_missing_ops(self):
         rec = SLORecorder(
@@ -119,6 +119,26 @@ class TestThresholdConfig:
             TelemetryConfig(enabled=True, slo_thresholds={"read": {"q95": 1.0}})
         with pytest.raises(ValueError):
             TelemetryConfig(enabled=True, slo_thresholds={"read": {"p95": -1.0}})
+
+    @pytest.mark.parametrize("config", (TelemetryConfig, ChaosConfig))
+    @pytest.mark.parametrize(
+        "key", ("p150", "pxx", "p", "pp95"), ids=("range", "float", "empty", "double-p")
+    )
+    def test_bad_quantile_key_fails_at_config_time_naming_op_and_key(
+        self, config, key
+    ):
+        # A bad key must fail when it is configured: accepted, the run
+        # records everything and then the judge dies on a bare
+        # "percentile out of range" that names neither op nor key.
+        with pytest.raises(ValueError) as info:
+            config(slo_thresholds={"update": {key: 1.0}})
+        message = str(info.value)
+        assert "'update'" in message
+        assert repr(key) in message
+
+    def test_chaos_config_rejects_negative_limits(self):
+        with pytest.raises(ValueError, match=r"\['read'\]\['p95'\]"):
+            ChaosConfig(slo_thresholds={"read": {"p95": -1.0}})
 
     def test_slo_recorder_present_only_when_enabled(self):
         from repro.telemetry import Telemetry

@@ -32,14 +32,19 @@ class TestMetricsRegistry:
         assert reg.counter_value("msgs", phase="commit") == 1
         assert reg.counter_total("msgs") == 4
 
-    def test_histogram_reuses_distribution(self):
-        reg = MetricsRegistry()
+    def test_observe_lands_in_the_slo_recorder(self):
+        """One distribution store: an operation's latency goes to the SLO
+        recorder, and the registry keeps counters only."""
+        telemetry = Telemetry()
         for v in (1.0, 2.0, 3.0):
-            reg.observe("latency", v)
-        dist = reg.histogram("latency")
+            telemetry.observe("read", v, ring=0)
+        dist = telemetry.slo.histogram("read", ring=0)
         assert isinstance(dist, Distribution)
         assert dist.count == 3
         assert dist.mean == 2.0
+        assert telemetry.export()["slo"]["read{ring=0}"]["count"] == 3.0
+        assert not hasattr(MetricsRegistry(), "observe")
+        assert not hasattr(MetricsRegistry(), "histogram")
 
     def test_label_cardinality_folds_into_overflow(self):
         reg = MetricsRegistry(max_label_sets=2)
@@ -64,13 +69,9 @@ class TestMetricsRegistry:
 
         reg = MetricsRegistry()
         reg.inc("c", phase="x")
-        reg.observe("h", 10.0, tier="fast")
         out = json.loads(json.dumps(reg.export()))
         assert out["counters"]["c{phase=x}"] == 1
-        assert set(out) == {"counters", "histograms"}
-        summary = out["histograms"]["h{tier=fast}"]
-        assert summary["count"] == 1.0
-        assert summary["p50"] == 10.0
+        assert set(out) == {"counters"}
         assert "dropped_label_sets" not in out
 
 
@@ -227,9 +228,9 @@ class TestDisabledPath:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TelemetryConfig(max_label_sets=0)
+            MetricsRegistry(max_label_sets=0)
         with pytest.raises(ValueError):
-            TelemetryConfig(max_spans=-1)
+            TelemetryConfig(flight_capacity=0)
 
 
 class TestZeroOverhead:
@@ -289,14 +290,18 @@ class TestRemovedSurface:
 
         assert names(TelemetryConfig) == {
             "enabled",
-            "max_label_sets",
-            "max_spans",
             "flight_capacity",
             "flight_kernel",
-            "quantiles",
             "slo_thresholds",
         }
         assert "profile" not in names(ChaosConfig)
+        assert "byzantine" not in names(ChaosConfig)
+        assert not names(DeploymentConfig) & {
+            "bloom_depth",
+            "bloom_width",
+            "bloom_hashes",
+            "key_bits",
+        }
         assert "profile" not in names(ChaosReport)
         assert "hash_bodies" not in names(DeploymentConfig)
         kernel = Kernel()
@@ -427,7 +432,8 @@ class TestInstrumentedDeployment:
 
         export = json.loads(json.dumps(traced_system.telemetry.export(spans=True)))
         assert any(k.startswith("pbft_certificates_total") for k in export["counters"])
-        assert any(k.startswith("net_message_bytes") for k in export["histograms"])
+        assert export["slo"]["update{committed=yes,ring=0}"]["count"] == 1.0
+        assert "histograms" not in export
         assert export["spans"][0]["name"] == "scenario"
 
     def test_disabled_system_records_nothing(self):
@@ -459,6 +465,23 @@ class TestTelemetryCLI:
         assert "scenario.update-path" in out
         assert "pbft.pre_prepare" in out
         assert "pbft/prepare" in out
+
+    def test_operations_table_replaces_histograms(self, capsys):
+        from repro.cli import main
+
+        assert main(["telemetry", "--scenario", "update-path", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "histograms:" not in out
+        lines = out.splitlines()
+        header = next(
+            line.split() for line in lines if line.split()[:2] == ["operation", "count"]
+        )
+        update = next(
+            line.split() for line in lines if line.lstrip().startswith("update{")
+        )
+        row = dict(zip(header, update))
+        assert int(row["count"]) == 1
+        assert float(row["mean"]) > 0
 
     def test_json_mode_is_parseable(self, capsys):
         import json

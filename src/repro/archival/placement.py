@@ -49,9 +49,6 @@ class PlacementPlan:
     def servers(self) -> list[NodeId]:
         return list(self.assignments.values())
 
-    def fragments_on(self, server: NodeId) -> list[int]:
-        return [i for i, s in self.assignments.items() if s == server]
-
 
 class FragmentPlacer:
     """Plans dispersal of n fragments over ranked domains."""

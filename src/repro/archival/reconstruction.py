@@ -40,9 +40,6 @@ class FragmentStore:
     def get(self, archival_guid_bytes: bytes) -> list[ArchivalFragment]:
         return list(self.fragments.get(archival_guid_bytes, []))
 
-    def drop_all(self) -> None:
-        self.fragments.clear()
-
 
 @dataclass
 class FetchResult:

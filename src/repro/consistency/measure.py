@@ -54,10 +54,6 @@ class TrafficMeasurement:
     def per_update_bytes(self) -> float:
         return self.total_bytes / self.updates
 
-    @property
-    def per_update_messages(self) -> float:
-        return self.total_messages / self.updates
-
     def to_dict(self) -> dict:
         return {
             "m": self.m,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.access.policy import AccessChecker
 from repro.archival.reconstruction import FragmentStore
-from repro.crypto.keys import Principal
+from repro.crypto.keys import KeyPool, Principal
 from repro.data.objects import PersistentObject
 from repro.introspect.hierarchy import IntrospectionNode
 from repro.sim.network import NodeId
@@ -25,7 +25,8 @@ class OceanStoreServer:
     """One server in the global utility."""
 
     network_id: NodeId
-    principal: Principal
+    #: the deployment's shared identity pool; see :attr:`principal`
+    identities: KeyPool = field(repr=False)
     objects: dict[GUID, PersistentObject] = field(default_factory=dict)
     fragments: FragmentStore = field(default_factory=FragmentStore)
     access: AccessChecker = field(default_factory=AccessChecker)
@@ -36,6 +37,11 @@ class OceanStoreServer:
         if self.introspection is None:
             self.introspection = IntrospectionNode(node_id=self.network_id)
         self.telemetry = coalesce(self.telemetry)
+
+    @property
+    def principal(self) -> Principal:
+        """This server's identity, minted the first time anything asks."""
+        return self.identities[self.network_id]
 
     @property
     def guid(self) -> GUID:
@@ -50,6 +56,3 @@ class OceanStoreServer:
             if self.telemetry.enabled:
                 self.telemetry.count("server_objects_created_total")
         return obj
-
-    def has_object(self, guid: GUID) -> bool:
-        return guid in self.objects

@@ -39,7 +39,7 @@ from repro.consistency.pbft import CommitCertificate, FaultMode, InnerRing
 from repro.consistency.secondary import SecondaryTier
 from repro.core.config import DeploymentConfig
 from repro.core.server import OceanStoreServer
-from repro.crypto.keys import make_principal
+from repro.crypto.keys import KeyPool
 from repro.data.objects import ArchivalReference
 from repro.data.update import DataObjectState, Update, UpdateOutcome
 from repro.introspect.confidence import ConfidenceEstimator
@@ -153,20 +153,22 @@ class OceanStoreSystem:
         self._rng = seeds.derive("system")
 
         # -- servers -------------------------------------------------------
-        identity_rng = seeds.derive("identities")
-        self.servers: dict[NodeId, OceanStoreServer] = {}
-        for node in sorted(self.network.nodes()):
-            # 256-bit RSA: small, because this is a simulation.
-            principal = make_principal(f"server-{node}", identity_rng, bits=256)
-            self.servers[node] = OceanStoreServer(
-                network_id=node, principal=principal, telemetry=self.telemetry
+        nodes = sorted(self.network.nodes())
+        # 256-bit RSA: small, because this is a simulation.  Only ring
+        # members sign, so a key is minted when first used (DESIGN §23).
+        self.identities = KeyPool(nodes, seeds.derive("identities"), bits=256)
+        self.servers: dict[NodeId, OceanStoreServer] = {
+            node: OceanStoreServer(
+                network_id=node, identities=self.identities, telemetry=self.telemetry
             )
+            for node in nodes
+        }
 
         # -- data location ---------------------------------------------------
         self.mesh = PlaxtonMesh(
             self.network, seeds.derive("mesh"), telemetry=self.telemetry
         )
-        self.mesh.populate(sorted(self.network.nodes()))
+        self.mesh.populate(nodes)
         self.probabilistic = ProbabilisticLocator(
             self.network,
             width=4096,

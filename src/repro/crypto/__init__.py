@@ -11,7 +11,7 @@ hashes (:mod:`~repro.crypto.hashes`), a position-dependent block cipher
 
 from repro.crypto.blockcipher import BLOCK_SIZE, PositionDependentCipher
 from repro.crypto.hashes import derive_key, hmac_sha256, sha1, sha256
-from repro.crypto.keys import KeyRing, ObjectKey, Principal, make_principal
+from repro.crypto.keys import KeyPool, KeyRing, ObjectKey, Principal, make_principal
 from repro.crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from repro.crypto.rsa import PrivateKey, PublicKey, generate_keypair
 from repro.crypto.searchable import (
@@ -23,6 +23,7 @@ from repro.crypto.searchable import (
 
 __all__ = [
     "BLOCK_SIZE",
+    "KeyPool",
     "KeyRing",
     "MerkleProof",
     "MerkleTree",

@@ -6,6 +6,8 @@ public key ... different public keys for private objects, public objects,
 and objects shared with various groups" (fn. 4).  This module provides:
 
 * :class:`Principal` -- a user or server identity (RSA keypair + GUID).
+* :class:`KeyPool` -- a deployment's server identities, minted on first
+  use in a fixed node order.
 * :class:`KeyRing` -- the client-side store of signing keys and object
   read keys.
 * Read-key revocation by re-encryption: generating a new object key and
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Hashable, Iterable
 
 from repro.crypto.hashes import derive_key
 from repro.crypto.rsa import PrivateKey, PublicKey, generate_keypair
@@ -49,6 +52,32 @@ class Principal:
 def make_principal(name: str, rng: random.Random, bits: int = 512) -> Principal:
     """Mint a principal with a fresh deterministic keypair."""
     return Principal(name=name, private_key=generate_keypair(rng, bits=bits))
+
+
+class KeyPool:
+    """Server identities drawn from one RNG stream, minted on first use.
+
+    ``pool[node]`` first mints every earlier node (in sorted order) not
+    yet minted, so each key is the one an eager loop over the sorted
+    nodes would mint, whatever order lookups arrive in (DESIGN §23).
+    """
+
+    def __init__(self, nodes: Iterable[Hashable], rng: random.Random, bits: int) -> None:
+        self._order = sorted(nodes)
+        self._rank = {node: i for i, node in enumerate(self._order)}
+        self._rng, self._bits = rng, bits
+        self._minted: dict[Hashable, Principal] = {}
+
+    def __getitem__(self, node: Hashable) -> Principal:
+        for earlier in self._order[len(self._minted) : self._rank[node] + 1]:
+            self._minted[earlier] = make_principal(
+                f"server-{earlier}", self._rng, bits=self._bits
+            )
+        return self._minted[node]
+
+    def __len__(self) -> int:
+        """How many identities have been minted so far."""
+        return len(self._minted)
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,10 +7,13 @@ primary tier sign serialization results (Section 4.4.3).  No external
 crypto library is available offline, so we implement textbook RSA with
 Miller-Rabin key generation and full-domain-hash signing.
 
-Key sizes default to 512 bits: generation must be fast enough to mint
-hundreds of identities inside tests, and the experiments measure
-architecture behaviour, not cryptographic strength.  The implementation is
-real (keys actually sign and verify; forgeries fail), just short.
+Keys are short because the experiments measure architecture behaviour,
+not cryptographic strength: the signature default is 512 bits, and every
+deployment caller (servers, clients, chaos and measurement rings) passes
+256.  A deployment mints tens of keys, not hundreds: its clients' and
+only those servers' that something uses, in practice the inner-ring
+members (DESIGN §23).  The implementation is real (keys actually sign
+and verify; forgeries fail), just short.
 """
 
 from __future__ import annotations

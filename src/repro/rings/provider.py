@@ -121,9 +121,6 @@ class RingProvider:
 
     # -- epoch management --------------------------------------------------
 
-    def current_epoch(self, shard_id: int) -> int:
-        return self.shards[shard_id].epoch
-
     def install_ring(
         self,
         shard_id: int,

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator
 from repro.sim.network import Network, NodeId
 from repro.telemetry import coalesce
 from repro.util.ids import DIGIT_BITS, GUID, GUID_BITS, GUID_DIGITS
-from repro.util.rng import random_guid_value
 
 DIGIT_BASE = 1 << DIGIT_BITS
 
@@ -111,9 +110,6 @@ class PlaxtonNode:
             if not locations:
                 del self.pointers[object_guid]
 
-    def pointer_count(self) -> int:
-        return sum(len(v) for v in self.pointers.values())
-
 
 class PlaxtonMesh:
     """The global mesh: all nodes' tables, plus publish/locate/route.
@@ -157,7 +153,7 @@ class PlaxtonMesh:
             raise ValueError(f"server {network_id} already in mesh")
         if node_id is None:
             while True:
-                node_id = GUID(random_guid_value(self.rng, GUID_BITS))
+                node_id = GUID(self.rng.getrandbits(GUID_BITS))
                 if node_id not in self._by_guid:
                     break
         elif node_id in self._by_guid:
@@ -299,9 +295,6 @@ class PlaxtonMesh:
         return removed
 
     # -- routing ----------------------------------------------------------------
-
-    def server_for_guid(self, node_id: GUID) -> NodeId | None:
-        return self._by_guid.get(node_id)
 
     def _next_hop(
         self, current: PlaxtonNode, target: GUID, level: int

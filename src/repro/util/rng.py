@@ -28,18 +28,3 @@ class SeedSequence:
         material = f"{self.master_seed}:{label}".encode()
         seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
         return random.Random(seed)
-
-    def derive_int(self, label: str, bits: int = 64) -> int:
-        """A deterministic integer derived from the master seed and label."""
-        material = f"{self.master_seed}:int:{label}".encode()
-        digest = hashlib.sha256(material).digest()
-        return int.from_bytes(digest, "big") % (1 << bits)
-
-    def spawn(self, label: str) -> "SeedSequence":
-        """A child sequence, for handing to a subsystem wholesale."""
-        return SeedSequence(self.derive_int(label))
-
-
-def random_guid_value(rng: random.Random, bits: int) -> int:
-    """Uniform random integer in ``[0, 2**bits)`` from ``rng``."""
-    return rng.getrandbits(bits)

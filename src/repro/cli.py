@@ -591,6 +591,8 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def cmd_flightrec(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        _usage_error("--limit must be >= 0")
     if args.chaos is not None:
         # Chaos deployments own their telemetry; the report carries the
         # captured timeline (category/limit filters apply to the

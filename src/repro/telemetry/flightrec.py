@@ -72,34 +72,32 @@ class FlightEvent:
         }
 
 
-#: one retained record as stored: ``(seq, time_ms, category, kind, detail)``
-_Record = tuple[int, float, str, str, dict[str, object]]
+#: one retained record as stored: ``(time_ms, category, kind, keys,
+#: *values)``, ``keys`` being the interned ``tuple(detail)``
+_Record = tuple
 
 
-def _event(record: _Record) -> FlightEvent:
-    seq, time_ms, category, kind, detail = record
-    return FlightEvent(
-        seq,
-        time_ms,
-        category,
-        kind,
-        tuple(sorted((k, _fmt_value(v)) for k, v in detail.items())),
-    )
+def _event(seq: int, record: _Record) -> FlightEvent:
+    time_ms, category, kind, keys, *values = record
+    detail = tuple(sorted(zip(keys, map(_fmt_value, values))))
+    return FlightEvent(seq, time_ms, category, kind, detail)
 
 
 class FlightRecorder:
-    """Bounded ring buffer of raw records, read as :class:`FlightEvent`.
+    """Bounded ring buffer of flat records, read as :class:`FlightEvent`.
 
     Old records evict silently once ``capacity`` is reached (the evicted
     count is kept, so a dump states what it no longer holds).  Recording
-    reads the clock and appends ``(seq, time_ms, category, kind,
-    detail)`` to a deque; rendering waits until a read asks for events,
-    so a record nobody reads is never rendered.  That is exact only
-    because detail values are immutable: ``int``, ``float``, ``str``,
-    ``bytes``, ``bool``, ``None``, :class:`~repro.util.ids.GUID` or an
-    ``Enum`` member.  Never record a value that can change after the
-    call.  The disabled path lives one level up in
-    :class:`repro.telemetry.NullTelemetry`.
+    reads the clock and appends ``(time_ms, category, kind, keys,
+    *values)``: no dict and no seq.  ``keys`` is interned in a shape
+    table, one entry per key order at the call sites, and the i-th
+    retained record's seq is ``evicted + i``.  Rendering waits until a
+    read asks for events, so a record nobody reads is never rendered.
+    That is exact only because detail values are immutable: ``int``,
+    ``float``, ``str``, ``bytes``, ``bool``, ``None``,
+    :class:`~repro.util.ids.GUID` or an ``Enum`` member.  Never record a
+    value that can change after the call.  The disabled path lives one
+    level up in :class:`repro.telemetry.NullTelemetry`.
     """
 
     def __init__(
@@ -112,6 +110,8 @@ class FlightRecorder:
         self.capacity = capacity
         self.clock = clock if clock is not None else (lambda: 0.0)
         self._records: deque[_Record] = deque(maxlen=capacity)
+        #: interned key tuples, one per distinct ``tuple(detail)``
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
         #: events ever recorded (retained + evicted); also the next seq
         self.total_recorded = 0
 
@@ -121,9 +121,11 @@ class FlightRecorder:
         return self.total_recorded - len(self._records)
 
     def record(self, category: str, kind: str, **detail: object) -> None:
-        seq = self.total_recorded
-        self.total_recorded = seq + 1
-        self._records.append((seq, self.clock(), category, kind, detail))
+        self.total_recorded += 1
+        keys = tuple(detail)
+        self._records.append(
+            (self.clock(), category, kind, self._shapes.setdefault(keys, keys), *detail.values())
+        )
 
     def reset(self) -> None:
         self._records.clear()
@@ -135,13 +137,14 @@ class FlightRecorder:
         self,
         categories: Iterable[str] | None = None,
         kinds: Iterable[str] | None = None,
-    ) -> list[_Record]:
+    ) -> list[tuple[int, _Record]]:
+        """``(seq, record)`` pairs in record order, optionally filtered."""
         cats = set(categories) if categories is not None else None
         knds = set(kinds) if kinds is not None else None
         return [
-            r
-            for r in self._records
-            if (cats is None or r[2] in cats) and (knds is None or r[3] in knds)
+            (seq, r)
+            for seq, r in enumerate(self._records, self.evicted)
+            if (cats is None or r[1] in cats) and (knds is None or r[2] in knds)
         ]
 
     def events(
@@ -150,7 +153,7 @@ class FlightRecorder:
         kinds: Iterable[str] | None = None,
     ) -> list[FlightEvent]:
         """Retained events in causal (record) order, optionally filtered."""
-        return [_event(r) for r in self._select(categories, kinds)]
+        return [_event(seq, r) for seq, r in self._select(categories, kinds)]
 
     def to_dicts(
         self, categories: Iterable[str] | None = None
@@ -161,7 +164,7 @@ class FlightRecorder:
         """Retained event count per category (dump header material)."""
         counts: dict[str, int] = {}
         for record in self._records:
-            counts[record[2]] = counts.get(record[2], 0) + 1
+            counts[record[1]] = counts.get(record[1], 0) + 1
         return dict(sorted(counts.items()))
 
     # -- dumps -------------------------------------------------------------
@@ -174,11 +177,14 @@ class FlightRecorder:
         """Causally ordered text timeline.
 
         ``limit`` keeps the last N matching events (the interesting tail
-        of a failure); a header line states what was filtered or evicted
-        so a truncated dump never masquerades as a complete one.
+        of a failure; ``0`` keeps none); a header line states what was
+        filtered or evicted so a truncated dump never masquerades as a
+        complete one.
         """
+        if limit is not None and limit < 0:
+            raise ValueError("flight recorder render limit must be >= 0")
         selected = self._select(categories)
-        shown = selected if limit is None or limit >= len(selected) else selected[-limit:]
+        shown = selected if limit is None else selected[max(len(selected) - limit, 0):]
         header = (
             f"flight recorder: {len(shown)} of {len(selected)} matching events"
             f" ({self.total_recorded} recorded, {self.evicted} evicted)"
@@ -186,15 +192,15 @@ class FlightRecorder:
         lines = [header]
         if len(shown) < len(selected):
             lines.append(f"... {len(selected) - len(shown)} earlier matching event(s) omitted")
-        lines.extend(_event(record).render() for record in shown)
+        lines.extend(_event(seq, record).render() for seq, record in shown)
         return "\n".join(lines)
 
     def digest(self) -> str:
         """sha256 over the full retained timeline; replay-comparison key."""
         hasher = hashlib.sha256()
         hasher.update(f"total={self.total_recorded};evicted={self.evicted}\n".encode())
-        for record in self._records:
-            hasher.update(_event(record).render().encode())
+        for seq, record in enumerate(self._records, self.evicted):
+            hasher.update(_event(seq, record).render().encode())
             hasher.update(b"\n")
         return hasher.hexdigest()
 

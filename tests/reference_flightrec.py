@@ -112,8 +112,10 @@ class ReferenceFlightRecorder:
         categories: Iterable[str] | None = None,
         limit: int | None = None,
     ) -> str:
+        if limit is not None and limit < 0:
+            raise ValueError("flight recorder render limit must be >= 0")
         selected = self.events(categories)
-        shown = selected if limit is None or limit >= len(selected) else selected[-limit:]
+        shown = selected if limit is None else selected[max(len(selected) - limit, 0):]
         header = (
             f"flight recorder: {len(shown)} of {len(selected)} matching events"
             f" ({self.total_recorded} recorded, {self.evicted} evicted)"

@@ -17,6 +17,7 @@ import pytest
 
 from repro.chaos import SCENARIOS, FaultSchedule, run_scenario
 from repro.chaos.scenarios import settle
+from repro.cli import main
 from repro.consistency import measure_update_traffic
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 from repro.sim import Kernel, Network, TopologyParams
@@ -50,6 +51,32 @@ class TestRingBuffer:
         dump = rec.render(limit=2)
         assert "2 of 6 matching events" in dump
         assert "4 earlier matching event(s) omitted" in dump
+
+    def test_render_limit_zero_prints_the_header_only(self):
+        rec = FlightRecorder(capacity=16)
+        for i in range(6):
+            rec.record("cat", "kind", i=i)
+        assert rec.render(limit=0).splitlines() == [
+            "flight recorder: 0 of 6 matching events (6 recorded, 0 evicted)",
+            "... 6 earlier matching event(s) omitted",
+        ]
+
+    def test_render_rejects_a_negative_limit(self):
+        rec = FlightRecorder(capacity=16)
+        for i in range(6):
+            rec.record("cat", "kind", i=i)
+        with pytest.raises(ValueError, match="limit"):
+            rec.render(limit=-2)
+
+    def test_cli_limit_zero_and_negative(self, capsys):
+        assert main(["flightrec", "--limit", "0"]) == 0
+        (header, omitted) = capsys.readouterr().out.splitlines()
+        assert header.startswith("flight recorder: 0 of ")
+        assert omitted.endswith("earlier matching event(s) omitted")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flightrec", "--limit", "-2"])
+        assert exit_info.value.code == 2
+        assert "--limit must be >= 0" in capsys.readouterr().err
 
     def test_category_filter(self):
         rec = FlightRecorder(capacity=16)

@@ -6,9 +6,10 @@ client can prove a *compare-block* predicate by hashing the ciphertext at a
 given position, and servers can execute *replace-block* and *append*
 without learning plaintext.
 
-We implement a counter-mode stream cipher keyed per (object key, block
-position): keystream blocks come from SHA-256 over (key, position,
-counter).  This has the two properties the update model needs:
+We implement a stream cipher keyed per (object key, block position): a
+block's keystream is one SHAKE-256 output of ``key || position`` (the
+position as 8 big-endian bytes, so the encoding is injective), as long as
+the block.  This has the two properties the update model needs:
 
 * deterministic: the same plaintext at the same position under the same
   key always yields the same ciphertext (so compare-block via ciphertext
@@ -22,7 +23,7 @@ architecture experiments only need its interface and determinism.
 
 from __future__ import annotations
 
-from repro.crypto.hashes import sha256
+import hashlib
 
 #: Fixed block size used by the data model (bytes).  Real systems would
 #: tune this; 4 KiB matches the paper's discussion of ~4 kB updates.
@@ -39,12 +40,7 @@ class PositionDependentCipher:
 
     def _keystream(self, position: int, length: int) -> bytes:
         """Keystream for a block at logical ``position``."""
-        prefix = self._key + position.to_bytes(8, "big")
-        chunks = -(-length // 32)  # SHA-256 digests needed
-        stream = b"".join(
-            sha256(prefix + counter.to_bytes(8, "big")) for counter in range(chunks)
-        )
-        return stream[:length]
+        return hashlib.shake_256(self._key + position.to_bytes(8, "big")).digest(length)
 
     def encrypt_block(self, position: int, plaintext: bytes) -> bytes:
         """Encrypt one block at ``position``.
@@ -53,8 +49,8 @@ class PositionDependentCipher:
         its current index in the object; insert/delete reorganize indexes
         without re-encrypting (Figure 4).
         """
-        if position < 0:
-            raise ValueError(f"negative block position: {position}")
+        if not 0 <= position < 1 << 64:
+            raise ValueError(f"block position out of range [0, 2**64): {position}")
         length = len(plaintext)
         stream = self._keystream(position, length)
         mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
@@ -63,12 +59,3 @@ class PositionDependentCipher:
     def decrypt_block(self, position: int, ciphertext: bytes) -> bytes:
         """Decryption is the same XOR under the same keystream."""
         return self.encrypt_block(position, ciphertext)
-
-    def ciphertext_hash(self, ciphertext: bytes) -> bytes:
-        """Hash of a ciphertext block, used by the compare-block predicate.
-
-        The client computes this locally over its expected ciphertext and
-        submits it; any replica can recompute it over stored ciphertext
-        without any key material (Section 4.4.2).
-        """
-        return sha256(ciphertext)

@@ -2,8 +2,9 @@
 
 The OceanStore prototype uses SHA-1 as its secure hash (Section 4.1).  We
 keep SHA-1 for GUID derivation (width fidelity with the paper) and use
-SHA-256 wherever we need keyed derivation or keystream material, since the
-architecture does not depend on the hash width there.
+SHA-256 wherever we need keyed derivation, since the architecture does not
+depend on the hash width there.  Block-cipher keystream is SHAKE-256, drawn
+in ``repro.crypto.blockcipher``.
 """
 
 from __future__ import annotations

@@ -70,8 +70,26 @@ class TestBlockCipher:
             PositionDependentCipher(b"short")
 
     def test_negative_position_rejected(self):
-        with pytest.raises(ValueError):
-            PositionDependentCipher(b"k" * 16).encrypt_block(-1, b"x")
+        # Both ends of [0, 2**64): the position is encoded in 8 bytes.
+        cipher = PositionDependentCipher(b"k" * 16)
+        for position in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=str(position)):
+                cipher.encrypt_block(position, b"x")
+
+    def test_largest_position_accepted(self):
+        cipher = PositionDependentCipher(b"k" * 16)
+        top = (1 << 64) - 1
+        assert cipher.decrypt_block(top, cipher.encrypt_block(top, b"x")) == b"x"
+
+    def test_known_answer(self):
+        # SHAKE-256(key || position as 8 big-endian bytes), XORed with 40
+        # zero bytes: longer than one 32-byte hash output, so a change to
+        # how the keystream is drawn fails here, not only in golden.json.
+        cipher = PositionDependentCipher(bytes(range(16)))
+        assert cipher.encrypt_block(7, bytes(40)).hex() == (
+            "aba2cb8a2543ac20f0080b167b4bbe146c267390"
+            "c79ad9084815cc72ce97b4c2cdb89b87a59be381"
+        )
 
     def test_full_block_size(self):
         cipher = PositionDependentCipher(b"k" * 16)
@@ -84,6 +102,21 @@ class TestBlockCipher:
     def test_round_trip_property(self, plain, position):
         cipher = PositionDependentCipher(b"k" * 16)
         assert cipher.decrypt_block(position, cipher.encrypt_block(position, plain)) == plain
+
+    @given(
+        key=st.binary(min_size=16, max_size=64),
+        position=st.integers(min_value=0, max_value=(1 << 63) - 1),
+        plain=st.binary(max_size=2 * BLOCK_SIZE + 1),
+        cut=st.integers(min_value=0, max_value=2 * BLOCK_SIZE + 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_keystream_properties(self, key, position, plain, cut):
+        cipher = PositionDependentCipher(key)
+        ct = cipher.encrypt_block(position, plain)
+        assert len(ct) == len(plain)
+        assert cipher.decrypt_block(position, ct) == plain
+        # One keystream per position: a prefix encrypts to the prefix.
+        assert cipher.encrypt_block(position, plain[:cut]) == ct[:cut]
 
 
 class TestRSA:

@@ -91,7 +91,7 @@ def test_ablation_width_tradeoff(benchmark):
             3, width, objects=300, seed=width
         )
         success, wasted = query_stats(network, locator, holders, rng)
-        fill = locator._nodes[0].advertisement.levels[-1].fill_ratio()
+        fill = locator.advertisement(0).levels[-1].fill_ratio()
         rows.append([width, fmt(success, 2), wasted, fmt(fill, 2)])
         results[str(width)] = {
             "success": success,

@@ -138,8 +138,7 @@ def test_fig2_storage_is_constant_per_server(benchmark):
         for i in range(50):
             locator.add_object(rng.choice(nodes), GUID.hash_of(bytes([i])))
         locator.converge()
-        state = locator._nodes[nodes[0]]
-        return state.advertisement.size_bytes()
+        return locator.advertisement(nodes[0]).size_bytes()
 
     size_after_50 = benchmark.pedantic(add_and_size, rounds=1, iterations=1)
     # 3 levels x 2048 bits = 768 bytes regardless of content.

@@ -585,7 +585,7 @@ def wipe_roots(ctx: ChaosContext) -> None:
         for salt in salted:
             node.pointers.pop(salt, None)
     for nid in sorted(system.network.nodes()):
-        system.probabilistic._nodes[nid].neighbor_filters.clear()
+        system.probabilistic.clear_neighbor_filters(nid)
     roots = sorted(set(system.router.roots_of(guid)))
     victims = [r for r in roots if r not in system.ring_nodes]
     for root in victims:

@@ -76,6 +76,11 @@ class ProbabilisticLocator:
     neighbor's advertisement replaced last round), and a rebuild with
     unchanged bits keeps the old object, so a change stops spreading
     where it stops mattering.  Every push still happens every round.
+
+    :meth:`converge` charges its rounds at once and runs them before the
+    next read of filter state (:meth:`query`, :meth:`refresh_round`,
+    :meth:`advertisement`, :meth:`neighbor_filters`,
+    :meth:`clear_neighbor_filters`), so a batch of converges costs one.
     """
 
     def __init__(
@@ -105,25 +110,53 @@ class ProbabilisticLocator:
         self._live_edges = 0
         #: nodes whose advertisement was replaced in the last round
         self._replaced: set[NodeId] = set()
+        #: a converge() whose rounds have not run yet
+        self._pending = False
+        #: local filters as of that converge(), for nodes whose content moved since
+        self._held: dict[NodeId, BloomFilter] = {}
         self.stats_refresh_bytes = 0
 
     # -- content management -------------------------------------------------
 
     def add_object(self, node: NodeId, guid: GUID) -> None:
         state = self._nodes[node]
+        self._hold(node, state)
         state.content.add(guid)
         state.local_filter.add(guid)
 
     def remove_object(self, node: NodeId, guid: GUID) -> None:
         """Remove content; the local filter is rebuilt (no counting filters)."""
         state = self._nodes[node]
+        self._hold(node, state)
         state.content.discard(guid)
         state.local_filter = BloomFilter(self.width, self.hashes)
         for g in state.content:
             state.local_filter.add(g)
 
+    def _hold(self, node: NodeId, state: _NodeState) -> None:
+        """Keep the local bits a pending converge() must still run against."""
+        if self._pending and node not in self._held:
+            self._held[node] = BloomFilter(self.width, self.hashes, state.local_filter.bits)
+
     def objects_at(self, node: NodeId) -> set[GUID]:
         return set(self._nodes[node].content)
+
+    # -- filter state ----------------------------------------------------------
+
+    def advertisement(self, node: NodeId) -> AttenuatedBloomFilter:
+        """The filter ``node`` advertises to its neighbors."""
+        self._run_pending()
+        return self._nodes[node].advertisement
+
+    def neighbor_filters(self, node: NodeId) -> dict[NodeId, AttenuatedBloomFilter]:
+        """The filters ``node`` last received, by neighbor, in first-arrival order."""
+        self._run_pending()
+        return dict(self._nodes[node].neighbor_filters)
+
+    def clear_neighbor_filters(self, node: NodeId) -> None:
+        """Drop every filter ``node`` received (soft state expiring)."""
+        self._run_pending()
+        self._nodes[node].neighbor_filters.clear()
 
     # -- filter maintenance ---------------------------------------------------
 
@@ -134,16 +167,23 @@ class ProbabilisticLocator:
         advertisements and pushed to every live neighbor.  Byte cost is
         tracked for overhead accounting.
         """
-        nodes = self._nodes
+        self._run_pending()
         if self._live_epoch != self.network.liveness_epoch:
             self._relink()
+        self._round()
+        self._charge(1)
+
+    def _round(self) -> None:
+        """Rebuild what changed and push, over the links as last taken."""
+        nodes, held = self._nodes, self._held
         replaced = self._replaced
         new_ads: dict[NodeId, AttenuatedBloomFilter] = {}
         for node, state in nodes.items():
             ad = state.advertisement
+            local = held.get(node, state.local_filter)
             if (
                 state.built_from == state.live
-                and ad.levels[0].bits == state.local_filter.bits
+                and ad.levels[0].bits == local.bits
                 and replaced.isdisjoint(state.live)
             ):
                 continue  # same inputs as last build, so the same bits
@@ -152,7 +192,7 @@ class ProbabilisticLocator:
                 self.depth,
                 self.width,
                 self.hashes,
-                state.local_filter,
+                local,
                 [nodes[n].advertisement for n in state.live],
             )
             if built.levels != ad.levels:
@@ -164,11 +204,14 @@ class ProbabilisticLocator:
             ad = state.advertisement
             for receiver in receivers:
                 receiver.neighbor_filters[node] = ad
-        pushed_bytes = self._live_edges * self.depth * ((self.width + 7) // 8)
-        self.stats_refresh_bytes += pushed_bytes
+
+    def _charge(self, rounds: int) -> None:
+        """Account ``rounds`` rounds of pushes over the current live edges."""
+        per_round = self._live_edges * self.depth * ((self.width + 7) // 8)
+        self.stats_refresh_bytes += rounds * per_round
         tel = self.telemetry
         if tel.enabled:
-            tel.count("bloom_refresh_rounds_total")
+            tel.count("bloom_refresh_rounds_total", rounds)
 
     def _relink(self) -> None:
         """Re-take every node's live neighbors after a liveness change.
@@ -188,9 +231,30 @@ class ProbabilisticLocator:
         self._live_edges = sum(len(receivers) for _, _, receivers in self._senders)
 
     def converge(self) -> None:
-        """Run enough rounds for full depth-D convergence."""
-        for _ in range(self.depth + 1):
-            self.refresh_round()
+        """Full depth-D convergence: ``depth + 1`` rounds, run at the next read.
+
+        The rounds are charged to the byte ledger and telemetry now, and
+        run before the next read of filter state, exactly as they would
+        have run here: against each node's local bits and live neighbors
+        as of this call.  ``depth + 1`` rounds at fixed content and
+        liveness leave filters that depend on nothing else, so a later
+        converge() at the same liveness epoch replaces a pending one; at
+        a new epoch it first runs the pending rounds over their own links.
+        """
+        if self._live_epoch != self.network.liveness_epoch:
+            self._run_pending()
+            self._relink()
+        self._held.clear()
+        self._pending = True
+        self._charge(self.depth + 1)
+
+    def _run_pending(self) -> None:
+        """Run the rounds of a pending converge(), if any."""
+        if self._pending:
+            self._pending = False
+            for _ in range(self.depth + 1):
+                self._round()
+            self._held.clear()
 
     # -- querying --------------------------------------------------------------
 
@@ -203,6 +267,7 @@ class ProbabilisticLocator:
         ``2 * depth`` -- beyond that the filters carry no signal and the
         query should fall back to the global algorithm.
         """
+        self._run_pending()
         tel = self.telemetry
         if not tel.enabled:
             return self._query(start, guid, ttl)

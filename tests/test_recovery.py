@@ -420,7 +420,7 @@ def _wipe_location_state(system, guid):
         for nid in sorted(system.mesh.nodes):
             system.mesh.nodes[nid].pointers.pop(salted, None)
     for nid in sorted(system.network.nodes()):
-        system.probabilistic._nodes[nid].neighbor_filters.clear()
+        system.probabilistic.clear_neighbor_filters(nid)
 
 
 class TestDetectorDrivenHealing:

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.scenarios import ChaosContext, wipe_roots
+from repro.core.config import ChaosConfig, DeploymentConfig
+from repro.core.system import OceanStoreSystem
 from repro.routing import (
     AttenuatedBloomFilter,
     BloomFilter,
     ProbabilisticLocator,
     guid_bit_positions,
 )
-from repro.sim import Kernel, Network
+from repro.sim import Kernel, Network, TopologyParams
 from repro.util import GUID, GUID_BITS
 
 guids = st.integers(min_value=0, max_value=(1 << GUID_BITS) - 1).map(GUID)
@@ -263,7 +266,12 @@ class TestProbabilisticLocator:
 
 
 def count_builds(monkeypatch, locator):
-    """Record the node of every advertisement the locator rebuilds."""
+    """Record the node of every advertisement the locator rebuilds from now on.
+
+    A read first runs any rounds a converge() left pending, so only later
+    work is counted.  Nodes are told apart by their local filter object.
+    """
+    locator.advertisement(0)
     built = []
     original = AttenuatedBloomFilter.from_local_and_neighbors
     owner = {id(state.local_filter): node for node, state in locator._nodes.items()}
@@ -298,6 +306,7 @@ class TestIncrementalRefresh:
         built = count_builds(monkeypatch, locator)
         locator.add_object(0, GUID.hash_of(b"obj"))
         locator.converge()
+        locator.advertisement(0)  # the read runs the rounds
         assert 0 in built
         assert {network.hop_count(node, 0) for node in built} == {0, 1, 2}
         assert len(set(built)) < network.graph.number_of_nodes()
@@ -308,19 +317,19 @@ class TestIncrementalRefresh:
         locator.converge()
         assert not hasattr(AttenuatedBloomFilter, "copy")
         for node in network.nodes():
-            ad = locator._nodes[node].advertisement
+            ad = locator.advertisement(node)
             for neighbor in network.neighbors(node):
-                assert locator._nodes[neighbor].neighbor_filters[node] is ad
+                assert locator.neighbor_filters(neighbor)[node] is ad
 
     def test_published_advertisements_are_never_mutated(self):
         network, locator = make_grid_locator()
         g1, g2 = GUID.hash_of(b"one"), GUID.hash_of(b"two")
         locator.add_object(5, g1)
         locator.converge()
-        published = {
-            node: (state.advertisement, [lvl.bits for lvl in state.advertisement.levels])
-            for node, state in locator._nodes.items()
-        }
+        published = {}
+        for node in network.nodes():
+            ad = locator.advertisement(node)
+            published[node] = (ad, [lvl.bits for lvl in ad.levels])
         locator.add_object(10, g2)
         locator.remove_object(5, g1)
         network.set_down(6)
@@ -330,7 +339,7 @@ class TestIncrementalRefresh:
         replaced = 0
         for node, (ad, bits) in published.items():
             assert [lvl.bits for lvl in ad.levels] == bits
-            replaced += locator._nodes[node].advertisement is not ad
+            replaced += locator.advertisement(node) is not ad
         assert replaced > 0
 
     def test_neighbor_lists_are_computed_once(self):
@@ -338,6 +347,60 @@ class TestIncrementalRefresh:
         first = network.neighbors(5)
         assert first == (1, 4, 6, 9)
         assert network.neighbors(5) is first
+
+
+class TestDeferredConverge:
+    """converge() charges its rounds at once and runs them at the next read."""
+
+    @staticmethod
+    def converge_then_query(monkeypatch, converges):
+        _, locator = make_grid_locator(side=5)
+        locator.add_object(0, GUID.hash_of(b"first"))
+        locator.converge()
+        with monkeypatch.context() as patch:
+            built = count_builds(patch, locator)
+            locator.add_object(12, GUID.hash_of(b"obj"))
+            bytes_before = locator.stats_refresh_bytes
+            for _ in range(converges):
+                locator.converge()
+            assert built == []  # charged, not yet run
+            charged = locator.stats_refresh_bytes - bytes_before
+            assert locator.query(2, GUID.hash_of(b"obj")).found
+        return sorted(built), charged
+
+    def test_repeated_converges_build_once(self, monkeypatch):
+        once, one_charge = self.converge_then_query(monkeypatch, 1)
+        thrice, three_charges = self.converge_then_query(monkeypatch, 3)
+        assert once and thrice == once
+        edges = 2 * 5 * 4 * 2  # directed edges of a 5x5 grid
+        assert one_charge == (3 + 1) * edges * 3 * 4096 // 8
+        assert three_charges == 3 * one_charge
+
+    def test_wipe_roots_leaves_filters_blank_until_next_converge(self):
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=0,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=4
+                ),
+            )
+        )
+        ctx = ChaosContext("wipe", 0, ChaosConfig())
+        ctx.system, ctx.kernel = system, system.kernel
+        guid = GUID.hash_of(b"rooted")
+        system.create_object(guid)  # its converge is still pending
+        ctx.guids.append(guid)
+        wipe_roots(ctx)
+        locator, nodes = system.probabilistic, sorted(system.network.nodes())
+        for node in nodes:
+            assert not locator.query(node, guid).hops
+        assert all(locator.neighbor_filters(node) == {} for node in nodes)
+        locator.converge()
+        network = system.network
+        for node in nodes:
+            live = [n for n in network.neighbors(node) if not network.is_down(n)]
+            expected = [] if network.is_down(node) else live
+            assert sorted(locator.neighbor_filters(node)) == expected
 
 
 class TestReliabilityFactors:

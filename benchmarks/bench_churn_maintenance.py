@@ -6,18 +6,27 @@ infrastructure as a whole automatically adapts to the presence or
 absence of particular servers without human intervention, greatly
 reducing the cost of management."
 
-We subject the location mesh to continuous churn (nodes leaving and
-joining) while the maintenance machinery runs -- beacons evicting the
-dead, insertion wiring in the new, republish sweeps repairing pointers --
-and measure location availability with and without the maintenance.
+We subject the location mesh to continuous churn (nodes crashing and
+coming back) while the maintenance a recovery-on deployment runs is on
+-- heartbeats with a second chance evicting the dead and republishing
+the paths through them, restores re-inserting the returned, the refresh
+sweep repairing pointers -- and measure location availability with and
+without it.
 """
 
 from __future__ import annotations
 
 import random
 
-from conftest import fmt, print_table, record_result
-from repro.routing import MembershipManager, PlaxtonMesh
+from conftest import (
+    fmt,
+    linked,
+    maintenance_stack,
+    print_table,
+    record_result,
+    run_until,
+)
+from repro.routing import PlaxtonMesh, SaltedRouter
 from repro.sim import Kernel, Network, TopologyParams, build_transit_stub_topology
 from repro.util import GUID
 
@@ -32,51 +41,53 @@ def churn_run(maintain: bool, cycles: int = 6, seed: int = 0) -> float:
     mesh = PlaxtonMesh(network, rng)
     all_nodes = sorted(network.nodes())
     mesh.populate(all_nodes)
-    manager = MembershipManager(mesh)
+    router = SaltedRouter(mesh, salts=1)
+    observer = all_nodes[0]  # the heartbeat observer is never a victim
+    if maintain:
+        detector, repairer = maintenance_stack(
+            kernel, network, mesh, router, observer, seed
+        )
 
     replicas: dict[GUID, int] = {}
     for i in range(30):
         guid = GUID.hash_of(f"churn-{i}".encode())
         holder = rng.choice(all_nodes)
-        mesh.publish(holder, guid)
+        router.publish(holder, guid)
+        if maintain:
+            repairer.register(holder, guid)
         replicas[guid] = holder
 
     for cycle in range(cycles):
         # A batch of nodes dies (never the replica holders themselves:
         # we measure *location* availability, not data loss).
         candidates = [
-            n for n in mesh.nodes
-            if n not in replicas.values() and not network.is_down(n)
+            n for n in all_nodes
+            if n != observer and n not in replicas.values() and not network.is_down(n)
         ]
         victims = rng.sample(candidates, min(4, len(candidates)))
         for v in victims:
             network.set_down(v)
         if maintain:
-            manager.beacon_round()
-            manager.beacon_round()  # second chance, then eviction
-            manager.republish_sweep(
-                {guid: {holder} for guid, holder in replicas.items()}
-            )
+            # second chance, then eviction and republish; then the sweep
+            run_until(kernel, lambda: detector.suspected >= set(victims))
+            repairer.refresh()
         # Some earlier victims come back and (if maintaining) rejoin.
+        revived = set()
         for node in all_nodes:
             if network.is_down(node) and rng.random() < 0.3:
                 network.set_down(node, False)
-                if maintain and node not in mesh.nodes:
-                    manager.insert(node)
+                revived.add(node)
+        if maintain:
+            run_until(kernel, lambda: not detector.suspected & revived)
 
-    live = [n for n in mesh.nodes if not network.is_down(n)]
+    live = [n for n in all_nodes if not network.is_down(n)]
     found = 0
     checked = 0
     for guid, holder in replicas.items():
-        if network.is_down(holder) or holder not in mesh.nodes:
-            continue
         client = rng.choice([n for n in live if n != holder])
         checked += 1
-        try:
-            if mesh.locate(client, guid).found:
-                found += 1
-        except Exception:
-            pass
+        if router.locate(client, guid).found:
+            found += 1
     return found / checked if checked else 0.0
 
 
@@ -102,7 +113,7 @@ def test_churn_with_maintenance_stays_available(benchmark):
 
 
 def test_rejoined_nodes_are_routable(benchmark):
-    """Nodes that leave and rejoin serve as roots/hops again."""
+    """Nodes that crash, are evicted and come back serve as roots again."""
 
     def run() -> bool:
         rng = random.Random(9)
@@ -113,15 +124,16 @@ def test_rejoined_nodes_are_routable(benchmark):
         mesh = PlaxtonMesh(network, rng)
         nodes = sorted(network.nodes())
         mesh.populate(nodes)
-        manager = MembershipManager(mesh)
+        router = SaltedRouter(mesh, salts=1)
+        detector, _ = maintenance_stack(kernel, network, mesh, router, nodes[0], 9)
         victim = nodes[7]
         network.set_down(victim)
-        manager.beacon_round()
-        manager.beacon_round()
-        assert victim not in mesh.nodes
+        run_until(kernel, lambda: victim in detector.suspected)
+        assert not linked(mesh, victim)
         network.set_down(victim, False)
-        rejoined = manager.insert(victim)
-        trace = mesh.route_to_root(nodes[0], rejoined.node_id)
+        run_until(kernel, lambda: victim not in detector.suspected)
+        assert linked(mesh, victim)
+        trace = mesh.route_to_root(nodes[0], mesh.nodes[victim].node_id)
         return trace.path[-1] == victim
 
     assert benchmark.pedantic(run, rounds=1, iterations=1)

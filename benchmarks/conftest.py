@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+if TYPE_CHECKING:  # imported where used, so oceanbench collects repro itself
+    from repro.recovery import FailureDetector, RoutingRepairer
+    from repro.routing import PlaxtonMesh, SaltedRouter
+    from repro.sim import Kernel, Network
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -80,3 +86,54 @@ def print_table(title: str, headers: list[str], rows: list[list[Any]]) -> None:
 
 def fmt(value: float, digits: int = 3) -> str:
     return f"{value:.{digits}f}"
+
+
+def maintenance_stack(
+    kernel: Kernel,
+    network: Network,
+    mesh: PlaxtonMesh,
+    router: SaltedRouter,
+    observer: int,
+    seed: int,
+) -> tuple[FailureDetector, RoutingRepairer]:
+    """Section 4.3.3 maintenance as a recovery-on deployment wires it.
+
+    A heartbeat :class:`FailureDetector` at ``observer`` (its threshold is
+    the second chance) drives a :class:`RoutingRepairer`: a suspected
+    node is evicted and the paths through it republished; a restored one
+    is re-inserted.  Started; the caller runs the kernel.
+    """
+    from repro.recovery import FailureDetector, RecoveryConfig, RoutingRepairer
+
+    config = RecoveryConfig()
+    detector = FailureDetector(
+        kernel,
+        network,
+        observer=observer,
+        monitored=sorted(mesh.nodes),
+        rng=random.Random(seed),
+        interval_ms=config.heartbeat_interval_ms,
+        timeout_ms=config.heartbeat_timeout_ms,
+        threshold=config.suspicion_threshold,
+    )
+    repairer = RoutingRepairer(mesh, router, network)
+    detector.subscribe(on_suspect=repairer.on_suspect, on_restore=repairer.on_restore)
+    detector.start()
+    return detector, repairer
+
+
+def run_until(
+    kernel: Kernel, done: Callable[[], bool], limit_ms: float = 60_000.0
+) -> None:
+    """Run the kernel in 100 ms steps until ``done()`` holds."""
+    deadline = kernel.now + limit_ms
+    while not done():
+        assert kernel.now < deadline, "condition not reached in time"
+        kernel.run(until=kernel.now + 100.0)
+
+
+def linked(mesh: PlaxtonMesh, node: int) -> bool:
+    """True if some other node's neighbor table names ``node``."""
+    return any(
+        node in other.links() for nid, other in mesh.nodes.items() if nid != node
+    )

@@ -75,7 +75,8 @@ class RecoveryManager:
         # their catch-up traffic through a mesh that no longer points at
         # the dead node.
         self._routing_sub = self.detector.subscribe(
-            on_suspect=self.repairer.on_suspect
+            on_suspect=self.repairer.on_suspect,
+            on_restore=self.repairer.on_restore,
         )
         self._tree_sub = self.detector.subscribe(
             on_suspect=self.tree_repairer.on_suspect

@@ -13,11 +13,13 @@ deposited pointers along and the mesh's routing epoch it walked them at.
 On suspicion of a node it (1) evicts the node from every neighbor-table
 entry in the mesh, (2) scrubs and republishes every publication whose
 stored path ran through the dead node, and (3) drops publications that
-were *hosted* on the dead node.  The periodic :meth:`refresh` republishes
-every publication: scrub the old path, deposit along the current route,
-remember it.  The current route is walked only if the epoch moved since
-the stored one was; otherwise the stored one *is* the current route, and
-the refresh re-deposits along it with the same counters and telemetry.
+were *hosted* on the dead node.  On restore it re-inserts the node, so
+the tables link it again (the paper's online insertion).  The periodic
+:meth:`refresh` republishes every publication: scrub the old path,
+deposit along the current route, remember it.  The current route is
+walked only if the epoch moved since the stored one was; otherwise the
+stored one *is* the current route, and the refresh re-deposits along it
+with the same counters and telemetry.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ class RoutingRepairer:
             _, paths = self._paths[(replica_node, object_guid)]
             if any(node in trace.path for trace in paths):
                 self.republish(replica_node, object_guid)
+
+    def on_restore(self, node: NodeId) -> None:
+        """A suspected node acks again: offer it back to every table entry
+        it matches, so routes reach it and it can serve as a root again."""
+        self.mesh.insert_server(node)
 
     def evict(self, node: NodeId) -> None:
         """Remove a node from every neighbor-table entry in the mesh.

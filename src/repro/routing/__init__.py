@@ -4,9 +4,8 @@ Two tiers: a fast probabilistic layer built on attenuated Bloom filters
 (:mod:`~repro.routing.bloom`, :mod:`~repro.routing.probabilistic`), and a
 reliable global layer built on a Plaxton-style mesh
 (:mod:`~repro.routing.plaxton`) with salted replicated roots
-(:mod:`~repro.routing.salt`) and maintenance-free membership
-(:mod:`~repro.routing.membership`).  :class:`LocationService` composes
-the tiers.
+(:mod:`~repro.routing.salt`).  :class:`LocationService` composes the
+tiers; :mod:`repro.recovery` keeps the mesh up under churn.
 """
 
 from repro.routing.bloom import (
@@ -16,7 +15,6 @@ from repro.routing.bloom import (
     guid_bit_positions,
     guid_mask,
 )
-from repro.routing.membership import MembershipManager
 from repro.routing.multicast import (
     AdmissionDenied,
     DeliveryReport,
@@ -53,7 +51,6 @@ __all__ = [
     "LocationPointer",
     "LocationResult",
     "LocationService",
-    "MembershipManager",
     "PlaxtonMesh",
     "PlaxtonNode",
     "ProbabilisticLocator",

@@ -20,8 +20,11 @@ Data location uses the mesh in two phases:
 We add OceanStore's redundancy on top (Section 4.3.3, "Achieving Fault
 Tolerance"): multiple backup links per table entry and routing that jumps
 past dead neighbors; salted multi-root publishing lives in
-:mod:`repro.routing.salt`, and dynamic membership in
-:mod:`repro.routing.membership`.
+:mod:`repro.routing.salt`.  Maintenance under churn (Section 4.3.3,
+"Achieving Maintenance-Free Operation") is :mod:`repro.recovery`'s: its
+failure detector evicts a suspected node through
+:meth:`PlaxtonMesh.drop_links` and re-offers a restored one through
+:meth:`PlaxtonMesh.insert_server`.
 """
 
 from __future__ import annotations
@@ -115,12 +118,13 @@ class PlaxtonMesh:
     """The global mesh: all nodes' tables, plus publish/locate/route.
 
     Tables are built from global knowledge for the initial deployment
-    (the paper's static Plaxton construction); :meth:`insert_server`,
-    :meth:`remove_server` and :meth:`drop_links` maintain the same
-    invariants incrementally for :mod:`repro.routing.membership` and the
-    recovery layer.  Every mutation of membership or of a neighbor table
-    goes through a method of this class, because each must advance
-    :attr:`routing_epoch`.
+    (the paper's static Plaxton construction); :meth:`insert_server` and
+    :meth:`drop_links` maintain the same invariants incrementally, for
+    online insertion and for the recovery layer's evict and rejoin.
+    Membership only grows: an evicted node stays a member, linked from no
+    other node's table until it is re-inserted.  Every mutation of
+    membership or of a neighbor table goes through a method of this
+    class, because each must advance :attr:`routing_epoch`.
     """
 
     def __init__(self, network: Network, rng: random.Random, telemetry=None) -> None:
@@ -247,11 +251,17 @@ class PlaxtonMesh:
 
         The new node's table is computed against current members; existing
         members then adopt it into the entries it matches, where it fills
-        a hole or is closer than a current candidate.
+        a hole or is closer than a current candidate.  This is the
+        global-knowledge rendering of the paper's recursive insertion: it
+        uses what that algorithm gathers hop by hop (who matches which
+        suffix, who is closest).  A server already in the mesh (one
+        :meth:`drop_links` evicted, now back) keeps the table it has and
+        is re-offered to the others.
         """
-        node = self.add_server(network_id, node_id)
+        node = self.nodes.get(network_id) or self.add_server(network_id, node_id)
         height = self.table_height + 1
-        node.table = [self._scan_row(node, level) for level in range(height)]
+        if not node.table:
+            node.table = [self._scan_row(node, level) for level in range(height)]
         new_digits = node.node_id.digits()
         for other in self.nodes.values():
             if other is node:
@@ -267,16 +277,6 @@ class PlaxtonMesh:
                 other.table.append(self._scan_row(other, len(other.table)))
         self._tables_epoch += 1
         return node
-
-    def remove_server(self, network_id: NodeId) -> PlaxtonNode:
-        """Take a server out of the membership and out of every table
-        (backups take over); returns its node, pointer store included."""
-        departed = self.nodes.pop(network_id, None)
-        if departed is None:
-            raise KeyError(f"node {network_id} not in mesh")
-        del self._by_guid[departed.node_id]
-        self.drop_links(network_id)
-        return departed
 
     def drop_links(self, network_id: NodeId) -> int:
         """Remove a server from every other node's table entries, freeing

@@ -143,6 +143,20 @@ class TestFailureDetector:
         kernel.run(until=6_000.0)
         assert 2 in detector.suspected
 
+        # An ack before the threshold-th miss resets the count: two misses,
+        # an ack, then two more are not three in a row.
+        kernel, network, detector = _detector_rig(seed=0, threshold=3)
+        network.set_down(3)
+        kernel.run(until=2_800.0)
+        assert detector.suspicion[3] == 2
+        network.set_down(3, down=False)
+        kernel.run(until=3_800.0)
+        assert detector.suspicion[3] == 0
+        network.set_down(3)
+        kernel.run(until=5_800.0)
+        assert detector.suspicion[3] == 2
+        assert 3 not in detector.suspected
+
     def test_same_seed_same_timeline(self):
         timelines = []
         for _ in range(2):
@@ -489,6 +503,33 @@ class TestDetectorDrivenHealing:
         }
         assert "suspect" in kinds
         assert "evict" in kinds
+
+
+    def test_restored_node_is_linked_and_routable_again(self):
+        system = _recovery_system(seed=2)
+        mesh, detector = system.mesh, system.recovery.detector
+        victim = next(
+            n
+            for n in sorted(mesh.nodes)
+            if n not in system.ring_nodes and n != detector.observer
+        )
+
+        def linked():
+            return any(
+                victim in mesh.nodes[nid].links() for nid in mesh.nodes if nid != victim
+            )
+
+        assert linked()
+        system.injector.crash(victim)
+        system.settle(10_000.0)
+        assert victim in detector.suspected
+        assert not linked()  # evicted
+        system.injector.revive(victim)
+        system.settle(10_000.0)
+        assert victim not in detector.suspected
+        assert linked()
+        trace = mesh.route_to_root(detector.observer, mesh.nodes[victim].node_id)
+        assert trace.path[-1] == victim
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ neighbor tables and the network's down-set.  ``mesh.routing_epoch``
 advances whenever one of them may have changed, and
 ``RoutingRepairer.republish`` reuses the route it stored when the epoch
 has not moved since it walked it.  The contract: nobody can tell.  After
-any sequence of crashes, revivals, evictions, suspicions, membership
-changes, (un)publishes and refreshes, a deployment whose repairer reuses
+any sequence of crashes, revivals, evictions, suspicions, insertions and
+rejoins, (un)publishes and refreshes, a deployment whose repairer reuses
 routes is indistinguishable -- pointer stores (contents *and* key order),
 counters, stored routes, metrics, spans and flight dump -- from a twin
 whose repairer scrubs and re-walks every time, as it did before the
@@ -15,8 +15,8 @@ epoch existed.
 Over-invalidation is allowed (an epoch may advance with no route
 changed: the refresh just walks once more); under-invalidation is the
 bug, so every way of changing a route's inputs is asserted to move the
-epoch, and ``recovery/`` and ``routing/membership.py`` are asserted to
-have no way around the mesh's mutators.
+epoch, and ``recovery/`` is asserted to have no way around the mesh's
+mutators.
 """
 
 import pathlib
@@ -29,13 +29,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.recovery import RoutingRepairer
-from repro.routing import MembershipManager, PlaxtonMesh, RoutingError, SaltedRouter
+from repro.routing import PlaxtonMesh, RoutingError, SaltedRouter
 from repro.sim import Kernel, Network
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.ids import GUID, GUID_BITS
 
 GRAPH_NODES = 20
-MESH_NODES = 15  # the rest wait outside for `insert`
+MESH_NODES = 15  # the rest wait outside for `insert`; members rejoin by it
 GUIDS = 4
 
 
@@ -67,7 +67,6 @@ class Rig:
         self.repairer = repairer_cls(
             self.mesh, self.router, self.network, telemetry=self.telemetry
         )
-        self.membership = MembershipManager(self.mesh)
         self.guids = [GUID(rng.getrandbits(GUID_BITS)) for _ in range(GUIDS)]
         self.outcomes: list[str] = []
 
@@ -83,9 +82,7 @@ class Rig:
             elif kind == "suspect":
                 self.repairer.on_suspect(op[1])
             elif kind == "insert":
-                self.membership.insert(op[1])
-            elif kind == "remove":
-                self.membership.remove(op[1])
+                self.mesh.insert_server(op[1])
             elif kind == "rebuild":
                 self.mesh.build_tables()
             elif kind == "publish":
@@ -127,7 +124,6 @@ class Rig:
 
 
 _member = st.integers(min_value=0, max_value=MESH_NODES - 1)
-_outsider = st.integers(min_value=MESH_NODES, max_value=GRAPH_NODES - 1)
 _anyone = st.integers(min_value=0, max_value=GRAPH_NODES - 1)
 _guid = st.integers(min_value=0, max_value=GUIDS - 1)
 _refresh = st.tuples(st.just("refresh"))
@@ -136,8 +132,7 @@ _op = st.one_of(
     st.tuples(st.just("revive"), _anyone),
     st.tuples(st.just("evict"), _member),
     st.tuples(st.just("suspect"), _member),
-    st.tuples(st.just("insert"), _outsider),
-    st.tuples(st.just("remove"), _anyone),
+    st.tuples(st.just("insert"), _anyone),
     st.tuples(st.just("rebuild")),
     st.tuples(st.just("publish"), _member, _guid),
     st.tuples(st.just("publish"), _anyone, _guid),
@@ -226,11 +221,9 @@ class TestDirected:
             lambda: mesh.drop_links(5),
             lambda: mesh.build_tables(),
             lambda: mesh.insert_server(MESH_NODES),
-            lambda: mesh.remove_server(6),
             lambda: mesh.add_server(MESH_NODES + 1),
             lambda: rig.repairer.evict(8),
-            lambda: rig.membership.insert(MESH_NODES + 2),
-            lambda: rig.membership.remove(9),
+            lambda: mesh.insert_server(8),  # the evicted node rejoins
         ]
         for mutate in mutations:
             before = mesh.routing_epoch
@@ -250,9 +243,7 @@ class TestDirected:
 
     def test_only_the_mesh_writes_neighbor_tables(self):
         src = pathlib.Path(repro.__file__).parent
-        guarded = sorted((src / "recovery").glob("*.py")) + [
-            src / "routing" / "membership.py"
-        ]
+        guarded = sorted((src / "recovery").glob("*.py"))
         assert len(guarded) > 3
         # tables, membership maps and the tables counter are the mesh's own
         reach_in = re.compile(r"\.table\b|\._by_guid\b|\._tables_epoch\b|\.nodes\.pop\(")

@@ -652,13 +652,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  {name:<{width}}  {description}")
         return 0
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    chaos_config = ChaosConfig(
-        enabled=True,
-        intensity=args.intensity,
-        duration_ms=args.duration,
-        recovery=not args.no_recovery,
-        slo_thresholds=_parse_slo_thresholds(args.slo),
-    )
+    slo_thresholds = _parse_slo_thresholds(args.slo)
+    try:
+        chaos_config = ChaosConfig(
+            enabled=True,
+            intensity=args.intensity,
+            duration_ms=args.duration,
+            recovery=not args.no_recovery,
+            slo_thresholds=slo_thresholds,
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
     reports = [
         run_scenario(name, seed=args.seed, chaos=chaos_config)
         for name in names

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.consistency.pbft import BatchingConfig
@@ -38,10 +39,10 @@ class ChaosConfig:
     slo_thresholds: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
+        if not 0.0 < self.duration_ms < math.inf:
+            raise ValueError(f"duration_ms must be finite and positive: {self.duration_ms}")
         if not 0.0 <= self.intensity <= 1.0:
-            raise ValueError("intensity must be in [0, 1]")
+            raise ValueError(f"intensity must be in [0, 1]: {self.intensity}")
         validate_thresholds(self.slo_thresholds)
 
 

@@ -64,6 +64,29 @@ class TestCLI:
         assert exit_info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        (
+            ("--duration", "nan", "duration_ms"),
+            ("--duration", "inf", "duration_ms"),
+            ("--duration", "-5", "duration_ms"),
+            ("--intensity", "2", "intensity"),
+            ("--intensity", "nan", "intensity"),
+        ),
+        ids=("duration-nan", "duration-inf", "duration-negative",
+             "intensity-above-one", "intensity-nan"),
+    )
+    def test_chaos_bad_fault_dial_is_a_usage_error(self, flag, value, named, capsys):
+        """A non-finite or out-of-range fault window or severity fails
+        closed before any deployment is built: no traceback, no hang."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--scenario", "orphaned-subtree", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
     def test_slo_workload_with_thresholds(self, capsys):
         assert main([
             "slo", "--writes", "2", "--reads", "2",

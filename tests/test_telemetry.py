@@ -258,9 +258,9 @@ class TestZeroOverhead:
             pass
 
         kernel.call_at(1.0, callback)
-        event = kernel._queue.peek()
-        assert event.callback is callback
-        assert event.label is None
+        _, _, queued_callback, label, _ = kernel._heap[0]
+        assert queued_callback is callback
+        assert label is None
 
     def test_telemetry_off_digest_matches_committed_baseline(self):
         """The guard: a same-seed telemetry-off run must reproduce the

@@ -1,7 +1,7 @@
 """The repo's pinned behaviour: one golden file, one regen command.
 
 ``tests/data/golden.json`` holds every whole-system value the suite pins
-byte-for-byte, in five sections:
+byte-for-byte, in six sections:
 
 ``core_telemetry_on``
     the seed-1234 three-write workload with the flight recorder on --
@@ -26,8 +26,11 @@ byte-for-byte, in five sections:
     traffic totals and kernel event count of each slot-recovery case of
     :func:`recovery_run`, at one update per slot and at four
     (``tests/test_pbft_edge_cases.py``).
+``flight_dumps``
+    sha256 of the rendered flight dump of :func:`flight_dump`'s seed-3
+    write-and-read workload (``tests/test_flightrec.py``).
 
-``python tests/golden.py --check`` recomputes all five and diffs them
+``python tests/golden.py --check`` recomputes all six and diffs them
 against the file (exit 1 on any difference); ``--write`` regenerates the
 file.  Regenerating is a deliberate act: a PR that does it says which
 values moved and why.
@@ -300,6 +303,35 @@ def pbft_recovery() -> dict:
     return observed
 
 
+def flight_dump() -> str:
+    """The rendered flight dump of one write and one read at seed 3."""
+    from repro.core import DeploymentConfig, OceanStoreSystem, make_client
+    from repro.sim import TopologyParams
+    from repro.telemetry import TelemetryConfig
+
+    system = OceanStoreSystem(
+        DeploymentConfig(
+            seed=3,
+            topology=TopologyParams(
+                transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
+            ),
+            archive_every_commit=False,
+            telemetry=TelemetryConfig(enabled=True),
+        )
+    )
+    client = make_client(system, "lazy-hash-test", seed=4)
+    obj = client.create_object("hash-parity-object")
+    client.write(obj, b"parity-payload" * 8)
+    client.read(obj)
+    system.settle(5_000.0)
+    return system.telemetry.flight.render()
+
+
+def flight_dumps() -> dict:
+    dump = flight_dump().encode()
+    return {"write_and_read_seed3": hashlib.sha256(dump).hexdigest()}
+
+
 def compute_golden() -> dict:
     return {
         "core_telemetry_on": core_observables(telemetry=True),
@@ -307,6 +339,7 @@ def compute_golden() -> dict:
         "chaos_seed0": chaos_seed0(),
         "chaos_variants": chaos_variants(),
         "pbft_recovery": pbft_recovery(),
+        "flight_dumps": flight_dumps(),
     }
 
 

@@ -15,6 +15,7 @@ import hashlib
 import networkx as nx
 import pytest
 
+import golden
 from repro.chaos import SCENARIOS, FaultSchedule, run_scenario
 from repro.chaos.scenarios import settle
 from repro.cli import main
@@ -180,30 +181,14 @@ class TestDeterminism:
 
 
 class TestFlightDumpsArePinned:
-    """sha256 of a rendered dump, unchanged since the eager-hashing and
-    lazy-hashing networks both produced it (body digests, now retired,
-    were never stamped into a default dump)."""
+    """sha256 of a rendered dump, pinned in ``tests/data/golden.json``
+    (body digests, now retired, were never stamped into a default dump)."""
 
     def test_dump_without_body_digests(self):
-        system = OceanStoreSystem(
-            DeploymentConfig(
-                seed=3,
-                topology=TopologyParams(
-                    transit_nodes=4, stubs_per_transit=1, nodes_per_stub=2
-                ),
-                archive_every_commit=False,
-                telemetry=TelemetryConfig(enabled=True),
-            )
-        )
-        client = make_client(system, "lazy-hash-test", seed=4)
-        obj = client.create_object("hash-parity-object")
-        client.write(obj, b"parity-payload" * 8)
-        client.read(obj)
-        system.settle(5_000.0)
-        dump = system.telemetry.flight.render()
+        dump = golden.flight_dump()
         assert "body=" not in dump
         assert hashlib.sha256(dump.encode()).hexdigest() == (
-            "01297d7e8c88f8d3bb2656134f65c00f88a1fbe93fb83b4d6bdfda66b18a6eb0"
+            golden.load_golden()["flight_dumps"]["write_and_read_seed3"]
         )
 
 

@@ -45,7 +45,11 @@ from typing import Callable
 
 def _callback_name(callback: Callable[[], None]) -> str:
     """A deterministic name for a callback -- never ``repr``, whose
-    embedded address would break byte-identical flight-recorder replay."""
+    embedded address would break byte-identical flight-recorder replay.
+    A wrapper that sets ``__wrapped__`` (a trace wrapper) is named after
+    what it wraps."""
+    while hasattr(callback, "__wrapped__"):
+        callback = callback.__wrapped__
     return getattr(callback, "__qualname__", None) or type(callback).__name__
 
 

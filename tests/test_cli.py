@@ -87,6 +87,31 @@ class TestCLI:
         assert named in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        (
+            (["flightrec", "--capacity", "0"], "flight_capacity"),
+            (["flightrec", "--capacity", "-3"], "flight_capacity"),
+            (["rings", "--ring-count", "0"], "ring_count"),
+            (["health", "--ring-count", "0"], "ring_count"),
+            (["slo", "--writes", "-1"], "--writes"),
+            (["slo", "--reads", "-1"], "--reads"),
+        ),
+        ids=("flightrec-capacity-zero", "flightrec-capacity-negative",
+             "rings-ring-count-zero", "health-ring-count-zero",
+             "slo-writes-negative", "slo-reads-negative"),
+    )
+    def test_bad_dial_is_a_usage_error(self, argv, named, capsys):
+        """A dial the config (or the command) rejects exits 2 with the
+        message on stderr, before any output and without a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
     def test_slo_workload_with_thresholds(self, capsys):
         assert main([
             "slo", "--writes", "2", "--reads", "2",

@@ -166,6 +166,22 @@ class TestKernelPropagation:
         assert first_node["name"] == "first"
         assert [c["name"] for c in first_node["children"]] == ["second"]
 
+    def test_raising_callback_scheduled_in_a_span_is_named(self):
+        kernel = Kernel()
+        telemetry = Telemetry(clock=lambda: kernel.now)
+        kernel.trace_wrapper = telemetry.wrap
+
+        def explode_in_span() -> None:
+            raise ValueError("boom")
+
+        with telemetry.span("root"):
+            kernel.call_after(1.0, explode_in_span)
+        with pytest.raises(SimulationError) as excinfo:
+            kernel.run()
+        text = str(excinfo.value)
+        assert "explode_in_span" in text
+        assert "traced" not in text
+
 
 class TestKernelGuards:
     def test_step_cap_raises_with_label(self):

@@ -6,8 +6,10 @@ a tentative order by timestamp while the primary tier serializes; (c)
 the result multicasts down the dissemination tree.
 
 Measured here: epidemic infection speed, how often the tentative
-(timestamp) order matches the final (Byzantine) order, and the bandwidth
-saved by update->invalidation transformation at low-bandwidth leaves.
+(timestamp) order matches the final (Byzantine) order, and the bytes on a
+leaf's link when the tree carries commit notices: a leaf that holds the
+body tentatively takes the notice alone, one that does not pulls the
+body from its parent.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import random
 import networkx as nx
 
 from conftest import fmt, print_table, record_result
-from repro.consistency import SecondaryTier, order_agreement, tentative_order
+from repro.consistency import (
+    SMALL_MESSAGE_BYTES,
+    SecondaryTier,
+    order_agreement,
+    tentative_order,
+)
 from repro.crypto import make_principal
 from repro.data import AppendBlock, TruePredicate, UpdateBranch, make_update
 from repro.naming import object_guid
@@ -117,52 +124,48 @@ def test_fig5_tentative_order_predicts_final(benchmark):
     assert values == sorted(values, reverse=True)
 
 
-def test_fig5_invalidation_saves_leaf_bandwidth(benchmark):
-    """Update->invalidation transformation at low-bandwidth edges."""
+def leaf_run(holder: bool, payload: bytes, replicas: int = 12, seed: int = 3):
+    """Commit one update and return (leaf link bytes, leaf replica, update)."""
+    kernel, network, tier, author, guid, client = make_tier(replicas, seed=seed)
+    leaf = sorted(tier.replicas)[-1]
+    update = make_up(author, guid, payload, 1.0)
+    if holder:
+        tier.replicas[leaf].add_tentative(update)
+    tier.push_committed(0, update)
+    kernel.run(until=kernel.now + 5_000.0)
+    link_bytes = sum(
+        stats.bytes for (a, b), stats in network.link_stats.items() if leaf in (a, b)
+    )
+    return link_bytes, tier.replicas[leaf], update
 
-    def leaf_bytes(low_bandwidth: bool) -> int:
-        kernel, network, tier, author, guid, client = make_tier(12, seed=3)
-        leaf = sorted(tier.replicas)[-1]
-        if low_bandwidth:
-            tier.tree.mark_low_bandwidth(leaf)
-        big = make_up(author, guid, b"z" * 20_000, 1.0)
-        tier.push_committed(0, big)
-        kernel.run(until=kernel.now + 5_000.0)
-        inbound = 0
-        for (a, b), stats in network.link_stats.items():
-            if leaf in (a, b):
-                inbound += stats.bytes
-        return inbound
 
-    benchmark.pedantic(leaf_bytes, args=(False,), rounds=1, iterations=1)
-    full = leaf_bytes(False)
-    degraded = leaf_bytes(True)
+def test_fig5_leaf_bytes_holder_vs_non_holder(benchmark):
+    """A holder's link carries the notice alone; a non-holder's carries
+    the notice, its pull request and the body its parent sends back."""
+    benchmark.pedantic(leaf_run, args=(True, b"z" * 20_000), rounds=1, iterations=1)
+    holder, _, update = leaf_run(True, b"z" * 20_000)
+    non_holder, _, _ = leaf_run(False, b"z" * 20_000)
+    body_push = update.size_bytes() + SMALL_MESSAGE_BYTES
     print_table(
-        "Figure 5c: bytes into a bandwidth-limited leaf (20 kB update)",
-        ["mode", "leaf bytes"],
-        [["full update", full], ["invalidation", degraded]],
+        "Figure 5c: bytes on a leaf's link per commit (20 kB update)",
+        ["leaf", "link bytes"],
+        [["holds the body", holder], ["lacks the body", non_holder],
+         ["parent's body push", body_push]],
     )
     record_result(
-        "fig5_invalidation_savings", {"full": full, "invalidation": degraded}
+        "fig5_leaf_bytes",
+        {"holder": holder, "non_holder": non_holder, "body_push": body_push},
     )
-    assert degraded < full / 10
+    assert holder == SMALL_MESSAGE_BYTES
+    assert non_holder == body_push + 2 * SMALL_MESSAGE_BYTES
 
 
-def test_fig5_pull_after_invalidation_restores_data(benchmark):
-    """Invalidated leaves pull the bytes on demand ('pull missing
-    information from parents and primary replicas')."""
+def test_fig5_non_holder_pulls_body_from_parent(benchmark):
+    """A leaf without the body pulls it when the notice arrives ('pull
+    missing information from parents and primary replicas')."""
 
     def run() -> bool:
-        kernel, network, tier, author, guid, client = make_tier(6, seed=4)
-        leaf = sorted(tier.replicas)[-1]
-        tier.tree.mark_low_bandwidth(leaf)
-        update = make_up(author, guid, b"content", 1.0)
-        tier.push_committed(0, update)
-        kernel.run(until=kernel.now + 5_000.0)
-        replica = tier.replicas[leaf]
-        assert replica.is_stale
-        replica.pull_missing()
-        kernel.run(until=kernel.now + 5_000.0)
-        return not replica.is_stale and replica.committed_through == 0
+        _, replica, _ = leaf_run(False, b"content", replicas=6, seed=4)
+        return replica.committed_through == 0
 
     assert benchmark.pedantic(run, rounds=1, iterations=1)

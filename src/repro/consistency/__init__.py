@@ -48,8 +48,8 @@ from repro.consistency.pbft import (
 )
 from repro.consistency.secondary import (
     AntiEntropyRequest,
+    CommitNotice,
     CommittedPush,
-    Invalidation,
     SecondaryReplica,
     SecondaryTier,
     TentativeGossip,
@@ -66,6 +66,7 @@ __all__ = [
     "ByzantineStrategy",
     "ClientRequest",
     "CommitCertificate",
+    "CommitNotice",
     "CommittedPush",
     "CorruptDigestStrategy",
     "CostConstants",
@@ -75,7 +76,6 @@ __all__ = [
     "EquivocatingStrategy",
     "FaultMode",
     "InnerRing",
-    "Invalidation",
     "OptimisticTimestamp",
     "PBFTReplica",
     "PROTOCOL_PHASES",

@@ -5,10 +5,12 @@ multicast trees, called dissemination trees, that serve as conduits of
 information between the primary tier and secondary tier ... the
 dissemination trees push a stream of committed updates to the secondary
 replicas, and they serve as communication paths along which secondary
-replicas pull missing information from parents and primary replicas.
-This architecture permits dissemination trees to transform updates into
-invalidations as they progress downward; such a transformation is
-exploited at the leaves of the network where bandwidth is limited."
+replicas pull missing information from parents and primary replicas."
+
+Here every edge carries the same small commit notice and a replica
+pulls only the bodies it lacks (:mod:`repro.consistency.secondary`), so
+the paper's update-to-invalidation transformation is the only shape,
+not a per-edge option.
 
 The tree is built greedily by latency: members attach to the closest
 already-attached node with spare fanout, which keeps subtrees regional.
@@ -37,9 +39,6 @@ class DisseminationTree:
     telemetry: object = None
     _children: dict[NodeId, list[NodeId]] = field(default_factory=dict)
     _parent: dict[NodeId, NodeId] = field(default_factory=dict)
-    #: members flagged as bandwidth-limited leaves: they receive
-    #: invalidations instead of full updates.
-    low_bandwidth: set[NodeId] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.max_fanout < 1:
@@ -81,8 +80,6 @@ class DisseminationTree:
     ) -> dict[NodeId, NodeId]:
         """Detach a member; orphaned subtrees re-attach greedily.
 
-        The departed node's low-bandwidth flag is cleared, so a node
-        that later rejoins does not inherit a stale degraded edge.
         ``candidate_filter`` optionally restricts which members may
         adopt orphans (recovery passes a liveness check so a crashed
         parent's children never reattach under another dead node); the
@@ -96,7 +93,6 @@ class DisseminationTree:
         orphans = self._children.pop(node)
         parent = self._parent.pop(node)
         self._children[parent].remove(node)
-        self.low_bandwidth.discard(node)
         reparented: dict[NodeId, NodeId] = {}
         for orphan in orphans:
             subtree = self._subtree(orphan)
@@ -162,49 +158,19 @@ class DisseminationTree:
             depth += 1
         return depth
 
-    def mark_low_bandwidth(self, node: NodeId) -> None:
-        if node not in self._children:
-            raise TreeError(f"{node} not in tree")
-        self.low_bandwidth.add(node)
-
     # -- multicast ----------------------------------------------------------------
 
-    def send_to_children(
-        self,
-        node: NodeId,
-        payload: object,
-        size_bytes: int,
-        small_payload: object | None = None,
-        small_size_bytes: int = 100,
-    ) -> None:
+    def send_to_children(self, node: NodeId, payload: object, size_bytes: int) -> None:
         """Forward one hop down the tree from ``node``.
 
         Multicast is hop-by-hop: the root calls this once, and each
-        member calls it again when the message *arrives* (so latency
-        accumulates down the tree, as in a real overlay).  If
-        ``small_payload`` is given, low-bandwidth children receive it
-        instead of the full payload -- the update-to-invalidation
-        transformation at bandwidth-limited edges.
+        member calls it again when it has applied what arrived (so
+        latency accumulates down the tree, as in a real overlay).
         """
         tel = self.telemetry
         for child in self._children.get(node, []):
-            degrade = small_payload is not None and child in self.low_bandwidth
-            child_payload = small_payload if degrade else payload
-            child_size = small_size_bytes if degrade else size_bytes
             if tel.enabled:
-                tel.record(
-                    "dissem",
-                    "push",
-                    parent=node,
-                    child=child,
-                    payload="invalidation" if degrade else "update",
-                    bytes=child_size,
-                )
+                tel.record("dissem", "push", parent=node, child=child, bytes=size_bytes)
             self.network.send(
-                node,
-                child,
-                child_payload,
-                child_size,
-                phase="invalidation" if degrade else "push",
-                subsystem="dissemination",
+                node, child, payload, size_bytes, phase="push", subsystem="dissemination"
             )

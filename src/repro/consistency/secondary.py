@@ -12,10 +12,17 @@ Each :class:`SecondaryReplica` keeps a committed version log plus a set
 of tentative (not-yet-serialized) updates.  Its *tentative state* is the
 committed head with tentative updates applied in optimistic-timestamp
 order, so every replica holding the same update set derives the same
-tentative view.  Anti-entropy exchanges reconcile update sets pairwise;
-committed results arriving down the dissemination tree retire tentative
-entries.  Replicas beyond a low-bandwidth tree edge receive
-*invalidations* instead of update bodies and pull the bytes on demand.
+tentative view.  Anti-entropy exchanges reconcile update sets pairwise.
+
+The dissemination tree carries the result of agreement as a
+:class:`CommitNotice` -- object, seq, update id -- never the body.  A
+replica that holds the update tentatively applies it from there; one
+that does not pulls every missing seq from its tree parent.  A replica
+announces seq s to its children only once it has *applied* s, so a
+child's pull always finds the body at its parent.  Every tier of a
+deployment shares one :class:`TierMailboxes`: one subscription per
+replica host and one per tree root, each dispatching on the payload's
+object GUID.
 """
 
 from __future__ import annotations
@@ -38,10 +45,14 @@ from repro.util.ids import GUID
 
 @dataclass(frozen=True, slots=True)
 class TentativeGossip:
-    """Push of tentative updates during anti-entropy."""
+    """Push of tentative updates (one object's, at least one)."""
 
     updates: tuple[Update, ...]
     sender: NodeId
+
+    @property
+    def object_guid(self) -> GUID:
+        return self.updates[0].object_guid
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,18 +67,22 @@ class AntiEntropyRequest:
 
 @dataclass(frozen=True, slots=True)
 class CommittedPush:
-    """A serialized update flowing down the dissemination tree."""
+    """A serialized update in anti-entropy's committed catch-up stream."""
 
     seq: int
     update: Update
 
+    @property
+    def object_guid(self) -> GUID:
+        return self.update.object_guid
+
 
 @dataclass(frozen=True, slots=True)
-class Invalidation:
-    """Bandwidth-saving stand-in for a committed update at leaf edges."""
+class CommitNotice:
+    """What one tree edge carries per commit: which update took ``seq``."""
 
-    seq: int
     object_guid: GUID
+    seq: int
     update_id: bytes
 
 
@@ -83,6 +98,10 @@ class PullResponse:
     seq: int
     update: Update
 
+    @property
+    def object_guid(self) -> GUID:
+        return self.update.object_guid
+
 
 class SecondaryReplica:
     """One floating replica in the secondary tier (single object)."""
@@ -94,8 +113,9 @@ class SecondaryReplica:
         self.committed_updates: dict[int, Update] = {}
         self.committed_through = -1
         self._commit_buffer: dict[int, Update] = {}
+        #: seq -> the parent asked for its body, until the seq applies
+        self._pulling: dict[int, NodeId] = {}
         self.tentative: dict[bytes, Update] = {}
-        self.invalidated: dict[int, Invalidation] = {}
         self._tentative_cache: DataObjectState | None = None
 
     # -- state views ----------------------------------------------------------
@@ -118,11 +138,6 @@ class SecondaryReplica:
             self._tentative_cache = state
         return self._tentative_cache
 
-    @property
-    def is_stale(self) -> bool:
-        """True when an invalidation told us we miss committed bytes."""
-        return bool(self.invalidated)
-
     def _invalidate_cache(self) -> None:
         self._tentative_cache = None
 
@@ -139,7 +154,11 @@ class SecondaryReplica:
         self._invalidate_cache()
 
     def apply_committed(self, seq: int, update: Update) -> None:
-        """Apply a serialized update (in order; out-of-order buffers)."""
+        """Apply a serialized update (in order; out-of-order buffers).
+
+        Each seq applied here is announced to this replica's tree
+        children, so their pulls for it find the body here.
+        """
         if seq <= self.committed_through:
             return
         self._commit_buffer[seq] = update
@@ -150,23 +169,11 @@ class SecondaryReplica:
             self.committed_updates[next_seq] = next_update
             self.committed_through = next_seq
             self.tentative.pop(next_update.update_id, None)
-            self.invalidated.pop(next_seq, None)
+            self._pulling.pop(next_seq, None)
             self._invalidate_cache()
+            self.tier.notify_children(self.network_id, next_seq, next_update.update_id)
 
     # -- message handling ------------------------------------------------------------
-
-    def handle(self, message: Message) -> None:
-        """Dispatch one tier message.
-
-        A node can host secondary replicas of *several* objects, all
-        subscribed to the same mailbox, so every branch first checks the
-        payload names this tier's object -- without that, one object's
-        committed pushes would silently apply to another object's
-        replica on a shared node.
-        """
-        # subscribed with exactly the table's keys; the table is read per
-        # message because benchmark tracers wrap its values in place
-        _SECONDARY_DISPATCH[type(message.payload)](self, message.payload)
 
     def _on_tentative_gossip(self, payload: TentativeGossip) -> None:
         guid = self.tier.object_guid
@@ -174,43 +181,42 @@ class SecondaryReplica:
             if update.object_guid == guid:
                 self.add_tentative(update)
 
-    def _on_anti_entropy_request(self, payload: AntiEntropyRequest) -> None:
-        if payload.object_guid == self.tier.object_guid:
-            self._serve_anti_entropy(payload)
-
     def _on_committed_push(self, payload: CommittedPush) -> None:
-        if payload.update.object_guid != self.tier.object_guid:
-            return
         self.apply_committed(payload.seq, payload.update)
-        self.tier._forward_down_tree(self.network_id, payload)
 
-    def _on_invalidation(self, payload: Invalidation) -> None:
-        if payload.object_guid != self.tier.object_guid:
+    def _on_commit_notice(self, payload: CommitNotice) -> None:
+        """Apply from the tentative copy if held, and pull every seq
+        through the noticed one that is neither held nor asked for."""
+        if payload.seq <= self.committed_through:
             return
-        if payload.seq > self.committed_through:
-            self.invalidated[payload.seq] = payload
-            self._invalidate_cache()
-        self.tier._forward_down_tree(self.network_id, payload)
-
-    def _on_pull_request(self, payload: PullRequest) -> None:
-        if payload.object_guid != self.tier.object_guid:
+        held = self.tentative.get(payload.update_id)
+        if held is not None:
+            self.apply_committed(payload.seq, held)
+        parent = self.tier.tree.parent(self.network_id)
+        if parent is None:
             return
-        update = self.committed_updates.get(payload.seq)
-        if update is not None:
+        for seq in range(self.committed_through + 1, payload.seq + 1):
+            if seq in self._commit_buffer or self._pulling.get(seq) == parent:
+                continue
+            self._pulling[seq] = parent
             self.tier.network.send(
                 self.network_id,
-                payload.sender,
-                PullResponse(seq=payload.seq, update=update),
-                size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
+                parent,
+                PullRequest(
+                    object_guid=self.tier.object_guid, seq=seq, sender=self.network_id
+                ),
+                size_bytes=SMALL_MESSAGE_BYTES,
                 phase="pull",
                 subsystem="dissemination",
             )
 
-    def _on_pull_response(self, payload: PullResponse) -> None:
-        if payload.update.object_guid == self.tier.object_guid:
-            self.apply_committed(payload.seq, payload.update)
+    def _on_pull_request(self, payload: PullRequest) -> None:
+        self.tier.serve_pull(self.network_id, payload, self.committed_updates)
 
-    def _serve_anti_entropy(self, request: AntiEntropyRequest) -> None:
+    def _on_pull_response(self, payload: PullResponse) -> None:
+        self.apply_committed(payload.seq, payload.update)
+
+    def _on_anti_entropy_request(self, request: AntiEntropyRequest) -> None:
         known = set(request.known_tentative)
         missing = tuple(
             u for uid, u in sorted(self.tentative.items()) if uid not in known
@@ -224,18 +230,7 @@ class SecondaryReplica:
                 phase="anti_entropy",
                 subsystem="dissemination",
             )
-        # Committed catch-up: stream anything the requester lacks.
-        for seq in sorted(self.committed_updates):
-            if seq > request.committed_through:
-                update = self.committed_updates[seq]
-                self.tier.network.send(
-                    self.network_id,
-                    request.sender,
-                    CommittedPush(seq=seq, update=update),
-                    size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
-                    phase="anti_entropy",
-                    subsystem="dissemination",
-                )
+        self.tier.stream_committed(self.network_id, request, self.committed_updates)
 
     # -- initiating exchanges -----------------------------------------------------------
 
@@ -269,47 +264,53 @@ class SecondaryReplica:
                 subsystem="dissemination",
             )
 
-    def pull_missing(self) -> None:
-        """Ask the tree parent for the bodies of invalidated versions.
 
-        Requests every sequence number from the first gap through the
-        newest invalidation: a replica that joined late may be missing
-        updates *before* the invalidated one, and commits apply in order.
-        """
-        parent = self.tier.tree.parent(self.network_id)
-        if parent is None or not self.invalidated:
-            return
-        newest = max(self.invalidated)
-        for seq in range(self.committed_through + 1, newest + 1):
-            self.tier.network.send(
-                self.network_id,
-                parent,
-                PullRequest(
-                    object_guid=self.tier.object_guid,
-                    seq=seq,
-                    sender=self.network_id,
-                ),
-                size_bytes=SMALL_MESSAGE_BYTES,
-                phase="pull",
-                subsystem="dissemination",
-            )
-
-
-#: payload type -> handler for :meth:`SecondaryReplica.handle`, and (its
-#: keys) the types a replica's mailbox subscribes with, so heartbeats and
-#: PBFT traffic on a shared node never reach it.
+#: payload type -> replica handler, and (its keys) the types a replica
+#: host's :class:`TierMailboxes` subscription takes, so heartbeats and
+#: PBFT traffic on a shared node never reach it.  Read per message: the
+#: benchmark's tracer wraps the values in place.
 _SECONDARY_DISPATCH = {
     TentativeGossip: SecondaryReplica._on_tentative_gossip,
     AntiEntropyRequest: SecondaryReplica._on_anti_entropy_request,
     CommittedPush: SecondaryReplica._on_committed_push,
-    Invalidation: SecondaryReplica._on_invalidation,
+    CommitNotice: SecondaryReplica._on_commit_notice,
     PullRequest: SecondaryReplica._on_pull_request,
     PullResponse: SecondaryReplica._on_pull_response,
 }
 
 
-#: what :meth:`SecondaryTier._root_handle` serves from the pushed log
-_ROOT_TYPES = (PullRequest, AntiEntropyRequest)
+def _dispatch_to_replica(replica: SecondaryReplica, payload) -> None:
+    _SECONDARY_DISPATCH[type(payload)](replica, payload)
+
+
+class _GuidMailbox:
+    """One subscription per node; a payload goes to what that node hosts
+    for the payload's ``object_guid``, and nowhere else."""
+
+    def __init__(self, network: Network, types, act) -> None:
+        self.network = network
+        self.types = tuple(types)
+        self.act = act
+        self.hosted: dict[NodeId, dict[GUID, object]] = {}
+
+    def add(self, node: NodeId, guid: GUID, target: object) -> None:
+        hosted = self.hosted.get(node)
+        if hosted is None:
+            hosted = self.hosted[node] = {}
+            self.network.subscribe(node, self.handle, self.types)
+        hosted[guid] = target
+
+    def remove(self, node: NodeId, guid: GUID) -> None:
+        hosted = self.hosted.get(node)
+        if hosted is not None and hosted.pop(guid, None) is not None and not hosted:
+            del self.hosted[node]
+            self.network.unsubscribe(node, self.handle)
+
+    def handle(self, message: Message) -> None:
+        payload = message.payload
+        target = self.hosted.get(message.dst, {}).get(payload.object_guid)
+        if target is not None:
+            self.act(target, payload)
 
 
 class SecondaryTier:
@@ -317,7 +318,9 @@ class SecondaryTier:
 
     The tree's root is the primary-tier contact node; committed updates
     enter via :meth:`push_committed` (wired to the inner ring's
-    certificate callback by :mod:`repro.core`).
+    certificate callback by :mod:`repro.core`).  Tiers that share
+    ``mailboxes`` share each node's subscription; without it a tier
+    keeps its own.
     """
 
     def __init__(
@@ -328,6 +331,7 @@ class SecondaryTier:
         rng: random.Random,
         max_fanout: int = 4,
         telemetry=None,
+        mailboxes: "TierMailboxes | None" = None,
     ) -> None:
         self.network = network
         self.object_guid = object_guid
@@ -344,41 +348,47 @@ class SecondaryTier:
         #: serve pulls ("pull missing information from parents and
         #: primary replicas").
         self._pushed: dict[int, Update] = {}
-        network.subscribe(root_contact, self._root_handle, _ROOT_TYPES)
+        self.mailboxes = mailboxes if mailboxes is not None else TierMailboxes(network)
+        self.mailboxes.roots.add(root_contact, object_guid, self)
 
-    def _root_handle(self, message: Message) -> None:
-        payload = message.payload
+    def serve_root(self, payload: PullRequest | AntiEntropyRequest) -> None:
+        """The root serves pulls and catch-up from the primary tier's
+        pushed log: an orphan reparented directly under the root streams
+        everything it missed."""
         if isinstance(payload, PullRequest):
-            if payload.object_guid != self.object_guid:
-                return
-            update = self._pushed.get(payload.seq)
-            if update is not None:
+            self.serve_pull(self.tree.root, payload, self._pushed)
+        else:
+            self.stream_committed(self.tree.root, payload, self._pushed)
+
+    def serve_pull(
+        self, node: NodeId, request: PullRequest, committed: dict[int, Update]
+    ) -> None:
+        update = committed.get(request.seq)
+        if update is not None:
+            self.network.send(
+                node,
+                request.sender,
+                PullResponse(seq=request.seq, update=update),
+                size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
+                phase="pull",
+                subsystem="dissemination",
+            )
+
+    def stream_committed(
+        self, node: NodeId, request: AntiEntropyRequest, committed: dict[int, Update]
+    ) -> None:
+        """Anti-entropy's committed catch-up: every seq the requester lacks."""
+        for seq in sorted(committed):
+            if seq > request.committed_through:
+                update = committed[seq]
                 self.network.send(
-                    self.tree.root,
-                    payload.sender,
-                    PullResponse(seq=payload.seq, update=update),
+                    node,
+                    request.sender,
+                    CommittedPush(seq=seq, update=update),
                     size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
-                    phase="pull",
+                    phase="anti_entropy",
                     subsystem="dissemination",
                 )
-        elif isinstance(payload, AntiEntropyRequest):
-            # Catch-up served from the primary tier's pushed log: an
-            # orphan reparented directly under the root ("pull missing
-            # information from parents and primary replicas") streams
-            # everything it missed.
-            if payload.object_guid != self.object_guid:
-                return
-            for seq in sorted(self._pushed):
-                if seq > payload.committed_through:
-                    update = self._pushed[seq]
-                    self.network.send(
-                        self.tree.root,
-                        payload.sender,
-                        CommittedPush(seq=seq, update=update),
-                        size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
-                        phase="anti_entropy",
-                        subsystem="dissemination",
-                    )
 
     def repoint_root(self, new_root: NodeId) -> None:
         """Move the tree root to a new primary-tier contact.
@@ -390,23 +400,20 @@ class SecondaryTier:
         old_root = self.tree.root
         if new_root == old_root:
             return
-        self.network.unsubscribe(old_root, self._root_handle)
+        self.mailboxes.roots.remove(old_root, self.object_guid)
         self.tree.repoint_root(new_root)
-        self.network.subscribe(new_root, self._root_handle, _ROOT_TYPES)
+        self.mailboxes.roots.add(new_root, self.object_guid, self)
 
-    def add_replica(self, network_id: NodeId, low_bandwidth: bool = False) -> SecondaryReplica:
+    def add_replica(self, network_id: NodeId) -> SecondaryReplica:
         replica = SecondaryReplica(network_id, self)
         self.replicas[network_id] = replica
-        self.network.subscribe(network_id, replica.handle, _SECONDARY_DISPATCH)
+        self.mailboxes.replicas.add(network_id, self.object_guid, replica)
         self.tree.add_member(network_id)
-        if low_bandwidth:
-            self.tree.mark_low_bandwidth(network_id)
         return replica
 
     def remove_replica(self, network_id: NodeId) -> None:
-        replica = self.replicas.pop(network_id, None)
-        if replica is not None:
-            self.network.unsubscribe(network_id, replica.handle)
+        if self.replicas.pop(network_id, None) is not None:
+            self.mailboxes.replicas.remove(network_id, self.object_guid)
         self.tree.remove_member(network_id)
 
     def repair_member_failure(self, network_id: NodeId) -> dict[NodeId, NodeId]:
@@ -419,9 +426,8 @@ class SecondaryTier:
         Returns the ``orphan -> new parent`` mapping so the caller can
         drive catch-up anti-entropy.
         """
-        replica = self.replicas.pop(network_id, None)
-        if replica is not None:
-            self.network.unsubscribe(network_id, replica.handle)
+        if self.replicas.pop(network_id, None) is not None:
+            self.mailboxes.replicas.remove(network_id, self.object_guid)
         return self.tree.remove_member(
             network_id,
             candidate_filter=lambda member: not self.network.is_down(member),
@@ -483,43 +489,23 @@ class SecondaryTier:
     # -- committed path ---------------------------------------------------------------
 
     def push_committed(self, seq: int, update: Update) -> None:
-        """Multicast a serialized update down the dissemination tree,
-        degrading to invalidations across low-bandwidth edges.
+        """Announce a serialized update down the dissemination tree.
 
-        The root sends one hop; each replica forwards to its children on
-        receipt (see :meth:`_forward_down_tree`), so delivery time grows
+        The root sends a :class:`CommitNotice` one hop; each replica
+        announces it to its children once it has applied the seq (see
+        :meth:`SecondaryReplica.apply_committed`), so delivery time grows
         with tree depth as in a real overlay multicast.
         """
         self._pushed[seq] = update
         with self.telemetry.span("dissem.push", seq=seq):
-            self.tree.send_to_children(
-                self.tree.root,
-                CommittedPush(seq=seq, update=update),
-                size_bytes=update.size_bytes() + SMALL_MESSAGE_BYTES,
-                small_payload=self._invalidation_for(seq, update.update_id),
-                small_size_bytes=SMALL_MESSAGE_BYTES,
-            )
+            self.notify_children(self.tree.root, seq, update.update_id)
 
-    def _invalidation_for(self, seq: int, update_id: bytes) -> Invalidation:
-        return Invalidation(seq=seq, object_guid=self.object_guid, update_id=update_id)
-
-    def _forward_down_tree(self, node: NodeId, payload: object) -> None:
-        """A replica received a tree push; forward it to its children."""
-        if isinstance(payload, CommittedPush):
-            self.tree.send_to_children(
-                node,
-                payload,
-                size_bytes=payload.update.size_bytes() + SMALL_MESSAGE_BYTES,
-                small_payload=self._invalidation_for(
-                    payload.seq, payload.update.update_id
-                ),
-                small_size_bytes=SMALL_MESSAGE_BYTES,
-            )
-        elif isinstance(payload, Invalidation):
-            # A node that only has the invalidation can only pass it on.
-            self.tree.send_to_children(
-                node, payload, size_bytes=SMALL_MESSAGE_BYTES
-            )
+    def notify_children(self, node: NodeId, seq: int, update_id: bytes) -> None:
+        self.tree.send_to_children(
+            node,
+            CommitNotice(object_guid=self.object_guid, seq=seq, update_id=update_id),
+            size_bytes=SMALL_MESSAGE_BYTES,
+        )
 
     # -- queries -----------------------------------------------------------------------
 
@@ -544,3 +530,15 @@ class SecondaryTier:
             key = tuple(sorted(replica.tentative))
             signatures[key] = signatures.get(key, 0) + 1
         return max(signatures.values()) / len(self.replicas)
+
+
+class TierMailboxes:
+    """The secondary tiers' mailboxes on one network: each replica host
+    and each tree root holds one subscription, however many objects it
+    serves, so a tier message runs one handler, not one per object."""
+
+    def __init__(self, network: Network) -> None:
+        self.replicas = _GuidMailbox(network, _SECONDARY_DISPATCH, _dispatch_to_replica)
+        self.roots = _GuidMailbox(
+            network, (PullRequest, AntiEntropyRequest), SecondaryTier.serve_root
+        )

@@ -36,7 +36,7 @@ from repro.archival.reconstruction import FragmentFetcher
 from repro.archival.reed_solomon import ReedSolomonCode
 from repro.archival.repair import ArchiveIndex, RepairSweeper
 from repro.consistency.pbft import CommitCertificate, FaultMode, InnerRing
-from repro.consistency.secondary import SecondaryTier
+from repro.consistency.secondary import SecondaryTier, TierMailboxes
 from repro.core.config import DeploymentConfig
 from repro.core.server import OceanStoreServer
 from repro.crypto.keys import KeyPool
@@ -191,6 +191,7 @@ class OceanStoreSystem:
                 f"{ring_count} inner ring(s) need {ring_size * ring_count}"
             )
         self.tiers: dict[GUID, SecondaryTier] = {}
+        self.tier_mailboxes = TierMailboxes(self.network)
         self._outcomes: dict[bytes, UpdateOutcome] = {}
         #: per-(shard, epoch) commit-certificate reordering buffers; the
         #: epoch in the key is the fence that keeps a retired ring's
@@ -349,6 +350,7 @@ class OceanStoreSystem:
             rng=self._rng,
             max_fanout=self.config.dissemination_fanout,
             telemetry=self.telemetry,
+            mailboxes=self.tier_mailboxes,
         )
         self.tiers[object_guid] = tier
         ring_hosts = self.rings.all_ring_nodes()

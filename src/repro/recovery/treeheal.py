@@ -1,12 +1,12 @@
 """Dissemination-tree self-repair (Section 4.4.4).
 
 When a secondary replica dies, its children become an orphaned subtree:
-committed pushes stop reaching them and their pull path is gone.  On
+commit notices stop reaching them and their pull path is gone.  On
 suspicion, :class:`TreeRepairer` walks every tier hosting a replica on
 the dead node and
 
-1. removes the dead member (its mailbox is unsubscribed, its replica
-   record dropped, its low-bandwidth flag cleared),
+1. removes the dead member (its replica record is dropped, and with it
+   its host's tier subscription once the host serves no other object),
 2. reparents the orphans via the tree's own membership rules, restricted
    to *live* candidates,
 3. has each orphan anti-entropy with its new parent, which streams the

@@ -7,12 +7,19 @@ import networkx as nx
 import pytest
 
 from repro.consistency import (
+    CommitNotice,
     DisseminationTree,
     OptimisticTimestamp,
     SecondaryTier,
     TreeError,
     order_agreement,
     tentative_order,
+)
+from repro.consistency.secondary import (
+    _SECONDARY_DISPATCH,
+    PullRequest,
+    PullResponse,
+    TierMailboxes,
 )
 from repro.crypto import make_principal
 from repro.data import AppendBlock, TruePredicate, UpdateBranch, make_update
@@ -30,6 +37,19 @@ def make_net(n=12, latency=20.0):
     graph = nx.complete_graph(n)
     nx.set_edge_attributes(graph, latency, "latency_ms")
     return kernel, Network(kernel, graph)
+
+
+def log_sends(network):
+    """Record every send as ``(src, dst, payload)``."""
+    sent = []
+    send = network.send
+
+    def logged(src, dst, payload, size_bytes, phase=None, subsystem=None):
+        sent.append((src, dst, payload))
+        send(src, dst, payload, size_bytes, phase=phase, subsystem=subsystem)
+
+    network.send = logged
+    return sent
 
 
 def obj_guid(author, name="shared"):
@@ -140,12 +160,12 @@ class TestDisseminationTree:
 
 
 class TestSecondaryTier:
-    def make_tier(self, author, n_replicas=6, seed=0, low_bandwidth=()):
+    def make_tier(self, author, n_replicas=6, seed=0):
         kernel, network = make_net(n_replicas + 2)
         rng = random.Random(seed)
         tier = SecondaryTier(network, obj_guid(author), root_contact=0, rng=rng)
         for node in range(1, n_replicas + 1):
-            tier.add_replica(node, low_bandwidth=node in low_bandwidth)
+            tier.add_replica(node)
         client = n_replicas + 1
         return kernel, network, tier, client
 
@@ -213,29 +233,66 @@ class TestSecondaryTier:
         replica.add_tentative(forged)
         assert forged.update_id not in replica.tentative
 
-    def test_low_bandwidth_gets_invalidation(self, author):
-        kernel, network, tier, client = self.make_tier(author, low_bandwidth={3})
+    def test_holder_gets_one_notice_and_no_body(self, author):
+        kernel, network, tier, client = self.make_tier(author)
+        sent = log_sends(network)
         update = make_up(author, b"big-payload" * 100, 1.0)
+        holder = max(tier.replicas, key=tier.tree.depth)
+        tier.replicas[holder].add_tentative(update)
         tier.push_committed(0, update)
         kernel.run(until=10_000.0)
-        lb_replica = tier.replicas[3]
-        assert lb_replica.is_stale
-        assert lb_replica.committed_through == -1
-        # Everyone else has the bytes.
-        others = [r for nid, r in tier.replicas.items() if nid != 3 and not r.is_stale]
-        assert others
+        assert [type(p) for _, dst, p in sent if dst == holder] == [CommitNotice]
+        assert tier.replicas[holder].committed_through == 0
+        assert tier.consistent_fraction() == 1.0
 
-    def test_pull_missing_after_invalidation(self, author):
-        kernel, network, tier, client = self.make_tier(author, low_bandwidth={3})
-        update = make_up(author, b"payload", 1.0)
-        tier.push_committed(0, update)
+    def test_non_holder_pulls_each_seq_once(self, author):
+        kernel, network, tier, client = self.make_tier(author)
+        sent = log_sends(network)
+        for seq in range(3):
+            tier.push_committed(seq, make_up(author, b"u%d" % seq, float(seq)))
         kernel.run(until=10_000.0)
-        lb_replica = tier.replicas[3]
-        assert lb_replica.is_stale
-        lb_replica.pull_missing()
+        for node, replica in tier.replicas.items():
+            pulls = [p.seq for src, _, p in sent if src == node and isinstance(p, PullRequest)]
+            assert sorted(pulls) == [0, 1, 2]
+            assert replica.committed_through == 2
+        # each body crosses each tree edge once, in a pull response
+        bodies = [p for _, _, p in sent if isinstance(p, PullResponse)]
+        assert len(bodies) == 3 * len(tier.replicas)
+
+    def test_one_replica_handler_per_delivered_tier_message(self, author, monkeypatch):
+        kernel, network = make_net(8)
+        mailboxes = TierMailboxes(network)
+        tiers = [
+            SecondaryTier(
+                network, obj_guid(author, f"obj-{i}"), root_contact=0,
+                rng=random.Random(i), mailboxes=mailboxes,
+            )
+            for i in range(3)
+        ]
+        for tier in tiers:
+            for node in range(1, 7):
+                tier.add_replica(node)
+        calls = []
+        for payload_type, handler in list(_SECONDARY_DISPATCH.items()):
+            def counted(replica, payload, handler=handler):
+                calls.append((replica.network_id, replica.tier.object_guid))
+                handler(replica, payload)
+            monkeypatch.setitem(_SECONDARY_DISPATCH, payload_type, counted)
+        sent = log_sends(network)
+        for i, tier in enumerate(tiers):
+            update = make_up(author, b"x", 1.0, name=f"obj-{i}")
+            tier.submit_tentative(7, update)
+            tier.push_committed(0, update)
+        kernel.run(until=10_000.0)
+        for tier in tiers:
+            tier.epidemic_round()
         kernel.run(until=20_000.0)
-        assert not lb_replica.is_stale
-        assert lb_replica.committed_through == 0
+        to_replicas = [
+            (dst, p.object_guid) for _, dst, p in sent if dst in range(1, 7)
+        ]
+        assert sorted(calls) == sorted(to_replicas)
+        assert all(len(network._subscriptions[node]) == 1 for node in range(1, 7))
+        assert all(tier.consistent_fraction() == 1.0 for tier in tiers)
 
     def test_anti_entropy_catches_up_committed(self, author):
         kernel, network, tier, client = self.make_tier(author)
@@ -257,3 +314,43 @@ class TestSecondaryTier:
         tier.push_committed(0, update)
         kernel.run(until=10_000.0)
         assert tier.consistent_fraction() == 1.0
+
+
+class TestMissedNotice:
+    def test_secondary_that_missed_a_notice_catches_up_on_the_next(self):
+        """A secondary down for one commit pulls the seq it missed when
+        the next notice arrives, instead of buffering behind the gap."""
+        from repro import DeploymentConfig, OceanStoreSystem, make_client
+        from repro.sim import TopologyParams
+
+        system = OceanStoreSystem(
+            DeploymentConfig(  # examples/quickstart.py's deployment
+                seed=2026,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
+                ),
+                secondaries_per_object=4,
+            )
+        )
+        assert system.recovery is None
+        alice = make_client(system, "alice", seed=1)
+        obj = alice.create_object("meeting-notes")
+        alice.write(obj, b"v0")
+        system.settle()
+        tier = system.tiers[obj.guid]
+        victim = sorted(tier.replicas)[0]
+        system.injector.crash(victim)
+        alice.write(obj, b"v1")
+        system.settle()
+        system.injector.revive(victim)
+        for i in range(2, 5):
+            alice.write(obj, b"v%d" % i)
+        system.settle(120_000.0)
+        ring_version = (
+            system.servers[system.ring_nodes[0]].objects[obj.guid].active.version
+        )
+        assert tier.replicas[victim].committed_through == 4
+        read = system.read_state(
+            obj.guid, allow_tentative=False, min_version=0, client_node=victim
+        )
+        assert read.version == ring_version == 5

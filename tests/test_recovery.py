@@ -306,7 +306,7 @@ class TestRoutingRepairer:
 
 
 # ---------------------------------------------------------------------------
-# Dissemination-tree repair and the low-bandwidth regression
+# Dissemination-tree repair
 # ---------------------------------------------------------------------------
 
 
@@ -324,18 +324,6 @@ def _tree_rig(n=10, fanout=2):
 
 
 class TestTreeRepair:
-    def test_remove_member_clears_low_bandwidth_flag(self):
-        """Regression: a departed member must not bequeath a stale
-        degraded edge to a later rejoin under the same id."""
-        _, tree = _tree_rig()
-        victim = next(m for m in tree.members if m != tree.root)
-        tree.mark_low_bandwidth(victim)
-        tree.remove_member(victim)
-        assert victim not in tree.low_bandwidth
-        rejoined_parent = tree.add_member(victim)
-        assert rejoined_parent in tree.members
-        assert victim not in tree.low_bandwidth
-
     def test_orphans_reparent_to_live_members_only(self):
         network, tree = _tree_rig(n=12, fanout=2)
         victim = next(

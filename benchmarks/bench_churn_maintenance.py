@@ -11,12 +11,13 @@ coming back) while the maintenance a recovery-on deployment runs is on
 -- heartbeats with a second chance evicting the dead and republishing
 the paths through them, restores re-inserting the returned, the refresh
 sweep repairing pointers -- and measure location availability with and
-without it.
+without it, and what one refresh sweep costs when nothing changed.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 from conftest import (
     fmt,
@@ -26,6 +27,7 @@ from conftest import (
     record_result,
     run_until,
 )
+from repro.recovery import RoutingRepairer
 from repro.routing import PlaxtonMesh, SaltedRouter
 from repro.sim import Kernel, Network, TopologyParams, build_transit_stub_topology
 from repro.util import GUID
@@ -138,3 +140,60 @@ def test_rejoined_nodes_are_routable(benchmark):
 
     assert benchmark.pedantic(run, rounds=1, iterations=1)
     record_result("churn_rejoin", {"routable_after_rejoin": True})
+
+
+#: oceanbench's heartbeat_soak deployment: 152 servers
+LARGE = TopologyParams(transit_nodes=8, stubs_per_transit=3, nodes_per_stub=6)
+
+
+def refresh_sweeps(sweeps: int, moved: bool, seed: int = 0) -> tuple[int, float]:
+    """Run ``sweeps`` refreshes over 256 publications on LARGE; return
+    (deposits per sweep, seconds per sweep).  ``moved`` bumps the routing
+    epoch before each sweep (a liveness change that moves no route), so
+    every sweep scrubs and walks; otherwise each deposits in place."""
+    rng = random.Random(seed)
+    kernel = Kernel()
+    network = Network(kernel, build_transit_stub_topology(LARGE, rng))
+    mesh = PlaxtonMesh(network, rng)
+    nodes = sorted(network.nodes())
+    mesh.populate(nodes)
+    router = SaltedRouter(mesh)
+    repairer = RoutingRepairer(mesh, router, network)
+    for i in range(64):
+        guid = GUID.hash_of(f"refresh-{i}".encode())
+        for holder in rng.sample(nodes, 4):
+            router.publish(holder, guid)
+            repairer.register(holder, guid)
+    before = mesh.stats_publish_messages
+    elapsed = 0.0
+    for _ in range(sweeps):
+        if moved:
+            network.set_down(nodes[0], False)  # already up: the epoch moves
+        started = time.perf_counter()
+        repairer.refresh()
+        elapsed += time.perf_counter() - started
+    return (mesh.stats_publish_messages - before) // sweeps, elapsed / sweeps
+
+
+def test_refresh_at_a_standing_epoch_deposits_in_place(benchmark):
+    """A sweep that finds nothing changed only re-deposits: no scrub, no walk."""
+    benchmark.pedantic(refresh_sweeps, args=(2, False), rounds=1, iterations=1)
+    rows = []
+    results = {}
+    for moved in (False, True):
+        deposits, seconds = refresh_sweeps(20, moved)
+        label = "epoch moved" if moved else "standing epoch"
+        per_deposit_us = seconds / deposits * 1e6
+        rows.append([label, deposits, fmt(per_deposit_us, 3)])
+        results[label] = {
+            "deposits_per_sweep": deposits,
+            "us_per_deposit": per_deposit_us,
+        }
+    print_table(
+        "Section 4.3.3: one pointer refresh sweep, 256 publications on 152 servers",
+        ["sweep", "deposits/sweep", "us/deposit"],
+        rows,
+    )
+    record_result("churn_refresh_sweep", results)
+    standing, moved = results["standing epoch"], results["epoch moved"]
+    assert standing["deposits_per_sweep"] == moved["deposits_per_sweep"] > 0

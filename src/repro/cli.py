@@ -393,7 +393,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
             nodes_per_stub=args.nodes_per_stub,
         ),
     )
-    system = OceanStoreSystem(config)
+    system = _checked(OceanStoreSystem, config=config)
     transit = [n for n, d in system.graph.nodes(data=True) if d["kind"] == "transit"]
     stub = [n for n, d in system.graph.nodes(data=True) if d["kind"] == "stub"]
     print(f"servers: {len(system.servers)} ({len(transit)} transit, {len(stub)} stub)")
@@ -407,10 +407,14 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_reliability(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.down_fraction <= 1.0:
+        _usage_error("--down-fraction must be in [0, 1]")
     n = args.machines
     m = int(n * args.down_fraction)
-    rep = replication_availability(n, m, replicas=2)
-    er = erasure_availability(n, m, fragments=args.fragments, rate=args.rate)
+    rep = _checked(replication_availability, n=n, m=m, replicas=2)
+    er = _checked(
+        erasure_availability, n=n, m=m, fragments=args.fragments, rate=args.rate
+    )
     print(f"machines={n}, down={m} ({args.down_fraction:.0%})")
     print(f"  2x replication:      P={rep:.6f}  ({nines(rep):.1f} nines)")
     print(f"  {args.fragments} fragments @ rate {args.rate}: "
@@ -421,7 +425,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
 def cmd_costmodel(args: argparse.Namespace) -> int:
     if args.fit:
         return _costmodel_fit(args)
-    n = replicas_for_faults(args.faults)
+    n = _checked(replicas_for_faults, m=args.faults)
     print(f"m={args.faults} -> n={n} replicas")
     print(f"{'update size':>12} | normalized cost b/(u*n)")
     for size in (100, 1_000, 4_000, 10_000, 100_000, 1_000_000):
@@ -570,6 +574,8 @@ def _print_traffic_table(report: dict) -> None:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
+    if args.max_depth < 0:
+        _usage_error("--max-depth must be >= 0")
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=args.seed,
@@ -699,6 +705,8 @@ def _sharded_deployment(
     """A ``--ring-count`` deployment with one object per shard and
     ``--updates`` writes submitted to each, so every ring has commits to
     show.  Returns the settled system and its stub nodes."""
+    if args.updates < 0:
+        _usage_error("--updates must be >= 0")
     ring_count = args.ring_count
     system = OceanStoreSystem(
         _checked(
@@ -855,6 +863,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
+    if args.crash < 0:
+        _usage_error("--crash must be >= 0")
     system, stubs = _sharded_deployment(
         args, "health", "health", recovery=RecoveryConfig(enabled=args.crash > 0)
     )

@@ -15,11 +15,13 @@ entry in the mesh, (2) scrubs and republishes every publication whose
 stored path ran through the dead node, and (3) drops publications that
 were *hosted* on the dead node.  On restore it re-inserts the node, so
 the tables link it again (the paper's online insertion).  The periodic
-:meth:`refresh` republishes every publication: scrub the old path,
-deposit along the current route, remember it.  The current route is
-walked only if the epoch moved since the stored one was; otherwise the
-stored one *is* the current route, and the refresh re-deposits along it
-with the same counters and telemetry.
+:meth:`refresh` republishes every publication.  If the epoch moved since
+its routes were walked, that means: scrub the old paths, then walk,
+deposit along and remember the current routes.  Otherwise the stored routes
+*are* the current ones, and scrub-then-deposit along them would leave
+every pointer store as it is (an emptied key keeps its place), so the
+refresh only deposits, in place, with the counters and telemetry of a
+fresh publish.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ class RoutingRepairer:
             tel.record("recovery", "evict", node=node, links_removed=removed)
 
     def republish(self, replica_node: NodeId, object_guid: GUID) -> None:
-        """Scrub the stored paths and deposit pointers along the current
-        routes, which are the stored ones unless the routing epoch moved."""
+        """Deposit pointers along the current routes.  While the routing
+        epoch stands those are the stored routes, deposited in place;
+        once it moved, the stored paths are scrubbed and walked again."""
         key = (replica_node, object_guid)
         record = self._paths.get(key)
         if record is None:
@@ -124,14 +127,18 @@ class RoutingRepairer:
             self.forget(replica_node, object_guid, scrub=True)
             return
         walked_at, paths = record
-        self._scrub(replica_node, object_guid, paths)
+        salted = self.router.salted_guids(object_guid)
         epoch = self.mesh.routing_epoch
-        current = walked_at == epoch
-        fresh = [
-            self.mesh.publish(replica_node, salted, walked=trace if current else None)
-            for salted, trace in zip(self.router.salted_guids(object_guid), paths)
-        ]
-        self._paths[key] = (epoch, fresh)
+        if walked_at == epoch:
+            # Scrub-then-deposit along the same path changes no pointer
+            # store (an emptied key keeps its place), so the deposit
+            # alone is made; it still restores a pointer removed while
+            # the publication stayed registered.
+            self.mesh.redeposit(replica_node, salted, paths)
+        else:
+            self._scrub(replica_node, object_guid, paths)
+            paths = [self.mesh.publish(replica_node, guid) for guid in salted]
+            self._paths[key] = (epoch, paths)
         self.stats_republishes += 1
         tel = self.telemetry
         if tel.enabled:
@@ -140,7 +147,7 @@ class RoutingRepairer:
                 "republish",
                 replica=replica_node,
                 object=object_guid,
-                salts=len(fresh),
+                salts=len(paths),
             )
 
     def refresh(self) -> None:

@@ -23,7 +23,6 @@ from repro.routing.multicast import (
 )
 from repro.routing.plaxton import (
     LocateResult,
-    LocationPointer,
     PlaxtonMesh,
     PlaxtonNode,
     RouteTrace,
@@ -48,7 +47,6 @@ __all__ = [
     "MulticastError",
     "MulticastService",
     "LocateResult",
-    "LocationPointer",
     "LocationResult",
     "LocationService",
     "PlaxtonMesh",

@@ -44,15 +44,6 @@ class RoutingError(RuntimeError):
     """Routing failed (disconnected mesh or exhausted redundancy)."""
 
 
-@dataclass(frozen=True, slots=True)
-class LocationPointer:
-    """A (object GUID -> replica server) pointer deposited along a
-    publish path."""
-
-    object_guid: GUID
-    replica_node: NodeId
-
-
 @dataclass(slots=True)
 class RouteTrace:
     """Diagnostics for one routing operation."""
@@ -86,7 +77,8 @@ class PlaxtonNode:
         #: table[level][digit] -> ordered list of candidate network ids,
         #: closest first (primary + backups).
         self.table: list[list[list[NodeId]]] = []
-        #: location pointers deposited by publish paths
+        #: location pointers deposited by publish paths (an emptied set
+        #: keeps its key; see remove_pointer)
         self.pointers: dict[GUID, set[NodeId]] = {}
 
     def entry(self, level: int, digit: int) -> list[NodeId]:
@@ -103,15 +95,14 @@ class PlaxtonNode:
                     if nid != self.network_id:
                         yield nid
 
-    def add_pointer(self, pointer: LocationPointer) -> None:
-        self.pointers.setdefault(pointer.object_guid, set()).add(pointer.replica_node)
-
     def remove_pointer(self, object_guid: GUID, replica_node: NodeId) -> None:
+        """Drop one pointer.  An emptied set stays under its key: a locate
+        reads it as no pointer, and a scrub followed by a deposit along the
+        same path leaves the store as the deposit alone would, key order
+        included."""
         locations = self.pointers.get(object_guid)
         if locations is not None:
             locations.discard(replica_node)
-            if not locations:
-                del self.pointers[object_guid]
 
 
 class PlaxtonMesh:
@@ -366,30 +357,45 @@ class PlaxtonMesh:
 
     # -- publish / locate -----------------------------------------------------
 
-    def publish(
-        self,
-        replica_node: NodeId,
-        object_guid: GUID,
-        walked: RouteTrace | None = None,
-    ) -> RouteTrace:
-        """Deposit pointers from the replica's server up to the root.
-
-        ``walked`` is the trace of this very route taken at the current
-        :attr:`routing_epoch`; passing it saves the walk and nothing else
-        -- the deposits, counters and telemetry are those of a fresh one.
-        """
+    def publish(self, replica_node: NodeId, object_guid: GUID) -> RouteTrace:
+        """Deposit pointers from the replica's server up to the root
+        (:meth:`redeposit` re-publishes along a route already walked)."""
         tel = self.telemetry
         with tel.span("plaxton.publish", replica=replica_node):
-            trace = walked or self.route_to_root(replica_node, object_guid)
-            pointer = LocationPointer(
-                object_guid=object_guid, replica_node=replica_node
-            )
-            for nid in trace.path:
-                self.nodes[nid].add_pointer(pointer)
-                self.stats_publish_messages += 1
+            trace = self.route_to_root(replica_node, object_guid)
+            self._deposit(replica_node, object_guid, trace.path)
         if tel.enabled:
             tel.count("plaxton_publishes_total")
         return trace
+
+    def redeposit(
+        self, replica_node: NodeId, object_guids: list[GUID], traces: list[RouteTrace]
+    ) -> None:
+        """:meth:`publish` each GUID along its trace, which must be the
+        route :meth:`route_to_root` finds at the current
+        :attr:`routing_epoch`; the deposits, counters and telemetry are
+        those of a fresh publish."""
+        tel = self.telemetry
+        if not tel.enabled:
+            for guid, trace in zip(object_guids, traces):
+                self._deposit(replica_node, guid, trace.path)
+            return
+        for guid, trace in zip(object_guids, traces):
+            with tel.span("plaxton.publish", replica=replica_node):
+                self._deposit(replica_node, guid, trace.path)
+            tel.count("plaxton_publishes_total")
+
+    def _deposit(self, replica_node: NodeId, object_guid: GUID, path: list[NodeId]) -> None:
+        """One pointer per node on ``path``, one publish message per hop."""
+        nodes = self.nodes
+        for nid in path:
+            pointers = nodes[nid].pointers
+            locations = pointers.get(object_guid)
+            if locations is None:
+                pointers[object_guid] = {replica_node}
+            else:
+                locations.add(replica_node)
+        self.stats_publish_messages += len(path)
 
     def unpublish(self, replica_node: NodeId, object_guid: GUID) -> None:
         """Remove this replica's pointers along its current publish path."""

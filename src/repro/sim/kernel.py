@@ -193,7 +193,13 @@ class Kernel:
         """
         if not 0.0 <= delay < inf:
             raise _bad_delay(delay)
-        self._push(self._now + delay, callback, label, None)
+        if self.event_hook is None and self.trace_wrapper is None:
+            # no observer to name, wrap or tell: the entry goes straight in
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (self._now + delay, seq, callback, label, None))
+        else:
+            self._push(self._now + delay, callback, label, None)
 
     def _push(
         self,

@@ -184,9 +184,6 @@ class Network:
         #: a delivery iterates a stable snapshot without copying per message.
         #: A node is present iff it has at least one subscription.
         self._handlers: dict[NodeId, dict[type | None, tuple[Handler, ...]]] = {}
-        #: memoized ``net.deliver:<sub>/<ph>`` labels (one f-string per
-        #: distinct phase instead of one per send)
-        self._deliver_labels: dict[tuple[str, str], str] = {}
         #: per-(src, dst, subsystem, phase) send-path memo and traffic
         #: ledger: (Traffic, delay_ms | None, deliver label, sub, ph).
         #: The topology graph is immutable for the lifetime of a run (the
@@ -360,10 +357,7 @@ class Network:
         _, _, subsystem, phase = route_key
         sub = subsystem if subsystem is not None else "other"
         ph = phase if phase is not None else "other"
-        label = self._deliver_labels.get((sub, ph))
-        if label is None:
-            label = self._deliver_labels[(sub, ph)] = f"net.deliver:{sub}/{ph}"
-        route = (Traffic(), None, label, sub, ph)
+        route = (Traffic(), None, f"net.deliver:{sub}/{ph}", sub, ph)
         self._route_cache[route_key] = route
         return route
 

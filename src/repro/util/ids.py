@@ -15,7 +15,7 @@ provides digit extraction and shared-suffix length helpers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 #: Number of bits in every GUID.  The prototype uses SHA-1 (160 bits); we
@@ -29,6 +29,8 @@ DIGIT_BITS = 4
 #: Number of digits in a GUID at ``DIGIT_BITS`` bits per digit.
 GUID_DIGITS = GUID_BITS // DIGIT_BITS
 
+_GUID_LIMIT = 1 << GUID_BITS
+
 
 @total_ordering
 @dataclass(frozen=True, slots=True)
@@ -36,14 +38,22 @@ class GUID:
     """A fixed-width identifier, stored as a non-negative integer.
 
     GUIDs are immutable and hashable so they can serve as dictionary keys
-    throughout the routing and storage layers.
+    throughout the routing and storage layers.  The hash is the one the
+    dataclass would compute, ``hash((value,))``, taken once at
+    construction: a GUID is hashed far more often than it is made.
     """
 
     value: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << GUID_BITS):
-            raise ValueError(f"GUID value out of range: {self.value:#x}")
+        value = self.value
+        if not 0 <= value < _GUID_LIMIT:
+            raise ValueError(f"GUID value out of range: {value:#x}")
+        _set_hash(self, hash((value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors ------------------------------------------------------
 
@@ -123,6 +133,10 @@ class GUID:
         different root node, removing the single point of failure.
         """
         return GUID.hash_of(self.to_bytes(), salt.to_bytes(4, "big"))
+
+
+#: the ``_hash`` slot's own setter, which a frozen dataclass leaves usable
+_set_hash = GUID._hash.__set__
 
 
 def secure_hash(*parts: bytes) -> bytes:

@@ -96,10 +96,22 @@ class TestCLI:
             (["health", "--ring-count", "0"], "ring_count"),
             (["slo", "--writes", "-1"], "--writes"),
             (["slo", "--reads", "-1"], "--reads"),
+            (["rings", "--updates", "-1"], "--updates"),
+            (["health", "--updates", "-1"], "--updates"),
+            (["health", "--crash", "-1"], "--crash"),
+            (["telemetry", "--max-depth", "-1"], "--max-depth"),
+            (["topology", "--transit", "0"], "transit"),
+            (["costmodel", "--faults", "-1"], "m=-1"),
+            (["reliability", "--fragments", "0"], "f=0"),
+            (["reliability", "--down-fraction", "2"], "--down-fraction"),
         ),
         ids=("flightrec-capacity-zero", "flightrec-capacity-negative",
              "rings-ring-count-zero", "health-ring-count-zero",
-             "slo-writes-negative", "slo-reads-negative"),
+             "slo-writes-negative", "slo-reads-negative",
+             "rings-updates-negative", "health-updates-negative",
+             "health-crash-negative", "telemetry-max-depth-negative",
+             "topology-transit-zero", "costmodel-faults-negative",
+             "reliability-fragments-zero", "reliability-down-fraction-above-one"),
     )
     def test_bad_dial_is_a_usage_error(self, argv, named, capsys):
         """A dial the config (or the command) rejects exits 2 with the

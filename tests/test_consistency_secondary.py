@@ -354,3 +354,45 @@ class TestMissedNotice:
             obj.guid, allow_tentative=False, min_version=0, client_node=victim
         )
         assert read.version == ring_version == 5
+
+
+class TestLeaderRootedTree:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the dissemination tree stays rooted at the crashed view-0 "
+        "leader: ROADMAP item 3's second slice, repoint the root on view "
+        "change, has not landed",
+    )
+    def test_secondaries_hear_of_commits_after_the_root_leader_crashes(self):
+        """Commits the ring makes after its view-0 leader (the tree's root)
+        crashes still reach every secondary."""
+        from repro import DeploymentConfig, OceanStoreSystem, make_client
+        from repro.sim import TopologyParams
+
+        system = OceanStoreSystem(
+            DeploymentConfig(  # examples/quickstart.py's deployment
+                seed=2026,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
+                ),
+                secondaries_per_object=4,
+            )
+        )
+        assert system.recovery is None
+        alice = make_client(system, "alice", seed=1)
+        obj = alice.create_object("meeting-notes")
+        alice.write(obj, b"v0")
+        system.settle()
+        tier = system.tiers[obj.guid]
+        leader = system.ring_nodes[system.ring.leader_index(0)]
+        assert tier.tree.root == leader
+        system.injector.crash(leader)
+        for i in range(1, 4):
+            assert alice.write(obj, b"v%d" % i).committed
+        system.settle(120_000.0)
+        survivors = [n for n in system.ring_nodes if n != leader]
+        assert {
+            system.servers[n].objects[obj.guid].active.version for n in survivors
+        } == {4}
+        assert len(tier.replicas) == 4
+        assert {r.committed_through for r in tier.replicas.values()} == {3}

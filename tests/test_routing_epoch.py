@@ -19,7 +19,9 @@ epoch, and ``recovery/`` is asserted to have no way around the mesh's
 mutators.
 """
 
+import copy
 import pathlib
+import pickle
 import random
 import re
 
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.recovery import RoutingRepairer
-from repro.routing import PlaxtonMesh, RoutingError, SaltedRouter
+from repro.routing import PlaxtonMesh, PlaxtonNode, RoutingError, SaltedRouter
 from repro.sim import Kernel, Network
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.ids import GUID, GUID_BITS
@@ -200,6 +202,62 @@ class TestDirected:
         rig.repairer.refresh()
         assert walks[0] == routes  # ... and not again
         assert rig.mesh.stats_publish_messages - before == 3 * deposited
+
+    def test_refresh_at_a_standing_epoch_deposits_in_place(self, monkeypatch):
+        rig = Rig(RoutingRepairer)
+        for replica, guid in ((0, 0), (3, 1), (7, 2)):
+            rig.apply(("publish", replica, guid))
+        walks = _walk_counter(rig.mesh)
+        scrubs = [0]
+        original = PlaxtonNode.remove_pointer
+
+        def counted(node, object_guid, replica_node):
+            scrubs[0] += 1
+            original(node, object_guid, replica_node)
+
+        monkeypatch.setattr(PlaxtonNode, "remove_pointer", counted)
+        rig.repairer.refresh()
+        assert (walks[0], scrubs[0]) == (0, 0)
+        assert rig.repairer.stats_republishes == 3
+
+    def test_refresh_in_place_restores_lost_pointers(self):
+        rig = Rig(RoutingRepairer)
+        for replica, guid in ((0, 0), (3, 1)):
+            rig.apply(("publish", replica, guid))
+        before = rig.observe()["pointers"]
+        # one pointer store loses a key outright; a third party unpublishes
+        # a publication the repairer still holds
+        salted = rig.router.salted_guids(rig.guids[0])[0]
+        _, routes = rig.repairer._paths[(0, rig.guids[0])]
+        popped = routes[0].path[-1]
+        rig.mesh.nodes[popped].pointers.pop(salted)
+        rig.router.unpublish(3, rig.guids[1])
+        assert rig.observe()["pointers"] != before
+        epoch = rig.mesh.routing_epoch
+        rig.repairer.refresh()
+        assert rig.mesh.routing_epoch == epoch
+        restored = rig.observe()["pointers"]
+        for nid, entries in before.items():
+            assert dict(restored[nid]) == dict(entries)
+        assert 0 in rig.mesh.nodes[popped].pointers[salted]
+        assert rig.router.locate(popped, rig.guids[1]).found
+
+    def test_a_guid_hashes_as_its_value_tuple(self):
+        rng = random.Random(7)
+        values = [0, 2**GUID_BITS - 1] + [rng.getrandbits(GUID_BITS) for _ in range(50)]
+        for value in values:
+            guid = GUID(value)
+            assert hash(guid) == hash((value,))
+            for copied in (
+                pickle.loads(pickle.dumps(guid)),
+                copy.deepcopy(guid),
+                copy.copy(guid),
+                GUID.from_bytes(guid.to_bytes()),
+            ):
+                assert copied == guid
+                assert hash(copied) == hash((value,))
+            salted = guid.with_salt(1)
+            assert hash(salted) == hash((salted.value,))
 
     def test_a_set_down_that_changes_nothing_may_bump_but_never_unbumps(self):
         rig = Rig(RoutingRepairer)

@@ -328,6 +328,34 @@ class TestSchedulerGuardsAndHooks:
         )
         assert observed == (6, 4, [3, 2, 1, 0])
 
+    def test_event_hook_installed_by_a_callback_labels_what_follows(self):
+        # post_after skips the hook machinery only while no observer is
+        # set; one installed mid-run sees every event scheduled after it.
+        kernel = Kernel()
+        seen = []
+
+        def delivery():
+            pass
+
+        def install():
+            kernel.event_hook = lambda kind, t, label: seen.append((kind, t, label))
+            kernel.post_after(1.0, delivery)
+            kernel.post_after(2.0, delivery, label="net.deliver:x/y")
+            kernel.call_after(3.0, delivery)
+
+        kernel.post_after(5.0, install)
+        kernel.post_after(0.5, delivery)  # before the hook: fired unseen
+        kernel.run()
+        name = delivery.__qualname__
+        assert seen == [
+            ("schedule", 6.0, name),
+            ("schedule", 7.0, "net.deliver:x/y"),
+            ("schedule", 8.0, name),
+            ("fire", 6.0, name),
+            ("fire", 7.0, "net.deliver:x/y"),
+            ("fire", 8.0, name),
+        ]
+
     def test_describe_event_fallback_has_no_memory_address(self):
         # Regression: the unlabeled fallback used repr(callback), whose
         # 0x... address broke cross-run diffability.  Trip the guard the

@@ -27,7 +27,7 @@ def main() -> None:
     )
     system = OceanStoreSystem(config)
     print(f"   servers: {len(system.servers)}")
-    print(f"   inner ring (Byzantine, m={config.byzantine_m}): nodes {system.ring_nodes}")
+    print(f"   inner ring (Byzantine, m={system.ring.m}): nodes {system.ring_nodes}")
 
     print("\n== 2. Creating an object and writing through the update path ==")
     alice = make_client(system, "alice", seed=1)

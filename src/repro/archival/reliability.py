@@ -24,6 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.util import ConfigError
+
 
 def document_availability(n: int, m: int, f: int, rf: int) -> float:
     """The paper's hypergeometric availability formula.
@@ -32,11 +34,11 @@ def document_availability(n: int, m: int, f: int, rf: int) -> float:
     code, rf = f - k; for plain replication with f replicas, rf = f - 1.
     """
     if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+        raise ConfigError(f"need 0 <= m <= n, got m={m}, n={n}")
     if not 1 <= f <= n:
-        raise ValueError(f"need 1 <= f <= n, got f={f}, n={n}")
+        raise ConfigError(f"need 1 <= f <= n, got f={f}, n={n}")
     if not 0 <= rf < f:
-        raise ValueError(f"need 0 <= rf < f, got rf={rf}, f={f}")
+        raise ConfigError(f"need 0 <= rf < f, got rf={rf}, f={f}")
     total = math.comb(n, f)
     acc = 0
     for i in range(min(rf, m) + 1):
@@ -54,7 +56,7 @@ def replication_availability(n: int, m: int, replicas: int) -> float:
 def erasure_availability(n: int, m: int, fragments: int, rate: float) -> float:
     """Availability with a rate-``rate`` erasure code into ``fragments``."""
     if not 0 < rate < 1:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
+        raise ConfigError(f"rate must be in (0, 1), got {rate}")
     needed = math.ceil(fragments * rate)
     return document_availability(n, m, f=fragments, rf=fragments - needed)
 

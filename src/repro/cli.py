@@ -37,7 +37,6 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 from repro.archival import erasure_availability, nines, replication_availability
 from repro.chaos import SCENARIOS, run_scenario, scenario_descriptions
@@ -50,7 +49,27 @@ from repro.recovery import RecoveryConfig
 from repro.sim import TopologyParams
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import export_telemetry
-from repro.telemetry.slo import summary_table, validate_thresholds
+from repro.telemetry.slo import summary_table
+from repro.util import ConfigError
+
+#: the small deployment the demo and instrumented scenarios run on
+_DEMO_TOPOLOGY = TopologyParams(transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5)
+
+
+def _bounded(convert, low, high=float("inf")):
+    """An argparse ``type=`` for a number no config carries: ``convert``
+    the text and hold it to ``[low, high]``, so a miss is a usage error
+    that names the flag."""
+    bound = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rel = sub.add_parser("reliability", help="Section 4.5 availability table")
     rel.add_argument("--machines", type=int, default=1_000_000)
-    rel.add_argument("--down-fraction", type=float, default=0.1)
+    rel.add_argument("--down-fraction", type=_bounded(float, 0.0, 1.0), default=0.1)
     rel.add_argument("--fragments", type=int, default=16)
     rel.add_argument("--rate", type=float, default=0.5)
 
@@ -84,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "fit b = c1*n^2 + (u+c2)*n + c3 to the observed bytes",
     )
     cost.add_argument(
-        "--update-size", type=int, default=10_000, help="payload bytes for --fit"
+        "--update-size", type=_bounded(int, 0), default=10_000, help="payload bytes for --fit"
     )
     cost.add_argument(
         "--updates-per-round",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         metavar="U",
         help="with --fit: batch U updates into each agreement round and "
@@ -111,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which instrumented scenario to run",
     )
     telem.add_argument(
-        "--max-depth", type=int, default=8, help="span tree display depth"
+        "--max-depth", type=_bounded(int, 0), default=8, help="span tree display depth"
     )
     telem.add_argument(
         "--json",
@@ -132,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     flight.add_argument(
         "--chaos",
+        choices=sorted(SCENARIOS),
         metavar="NAME",
         default=None,
         help="record a chaos scenario instead (see `repro chaos --list`)",
@@ -144,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "net, pbft, dissem, archival, kernel",
     )
     flight.add_argument(
-        "--limit", type=int, default=None, help="show only the last N events"
+        "--limit", type=_bounded(int, 0), default=None, help="show only the last N events"
     )
     flight.add_argument(
         "--capacity", type=int, default=4096, help="ring-buffer size"
@@ -236,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rings.add_argument(
         "--updates",
-        type=int,
+        type=_bounded(int, 0),
         default=2,
         help="updates to commit per shard before printing stats",
     )
@@ -250,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--seed", type=int, default=42)
     slo.add_argument(
-        "--writes", type=int, default=4, help="updates to drive"
+        "--writes", type=_bounded(int, 0), default=4, help="updates to drive"
     )
-    slo.add_argument("--reads", type=int, default=4, help="reads to drive")
+    slo.add_argument("--reads", type=_bounded(int, 0), default=4, help="reads to drive")
     slo.add_argument(
         "--threshold",
         action="append",
@@ -263,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument(
         "--chaos",
+        choices=sorted(SCENARIOS),
         metavar="NAME",
         default=None,
         help="judge a chaos scenario's operations instead of driving "
@@ -285,13 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument(
         "--updates",
-        type=int,
+        type=_bounded(int, 0),
         default=1,
         help="updates to commit per shard before snapshotting",
     )
     health.add_argument(
         "--crash",
-        type=int,
+        type=_bounded(int, 0),
         default=0,
         metavar="N",
         help="crash N stub nodes first, so degraded/suspected fields "
@@ -316,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--processes",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         help="worker processes; 1 (default) runs inline with no "
         "multiprocessing -- the byte-identical reference mode",
@@ -328,21 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> NoReturn:
-    """Fail like an argparse usage error: the message on stderr, exit 2."""
-    print(f"repro: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _checked(build, **dials):
-    """Call a config constructor or validator on CLI dials; a dial it
-    rejects with ``ValueError`` is a usage error."""
-    try:
-        return build(**dials)
-    except ValueError as exc:
-        _usage_error(str(exc))
-
-
 def _parse_slo_thresholds(
     entries: list[str] | None,
 ) -> dict[str, dict[str, float]]:
@@ -351,26 +357,18 @@ def _parse_slo_thresholds(
     for entry in entries or []:
         parts = entry.split(":")
         if len(parts) != 3:
-            _usage_error(f"bad SLO spec {entry!r}; expected OP:pQ:LIMIT_MS")
+            raise ConfigError(f"bad SLO spec {entry!r}; expected OP:pQ:LIMIT_MS")
         op, qname, limit = parts
         try:
             thresholds.setdefault(op, {})[qname] = float(limit)
         except ValueError:
-            _usage_error(f"bad SLO limit in {entry!r}")
-    _checked(validate_thresholds, thresholds=thresholds)
+            raise ConfigError(f"bad SLO limit in {entry!r}") from None
     return thresholds
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     print(f"Building deployment (seed={args.seed})...")
-    system = OceanStoreSystem(
-        DeploymentConfig(
-            seed=args.seed,
-            topology=TopologyParams(
-                transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5
-            ),
-        )
-    )
+    system = OceanStoreSystem(DeploymentConfig(seed=args.seed, topology=_DEMO_TOPOLOGY))
     print(f"  {len(system.servers)} servers; inner ring {system.ring_nodes}")
     alice = make_client(system, "alice", seed=args.seed + 1)
     obj = alice.create_object("demo-object")
@@ -393,28 +391,24 @@ def cmd_topology(args: argparse.Namespace) -> int:
             nodes_per_stub=args.nodes_per_stub,
         ),
     )
-    system = _checked(OceanStoreSystem, config=config)
+    system = OceanStoreSystem(config)
     transit = [n for n, d in system.graph.nodes(data=True) if d["kind"] == "transit"]
     stub = [n for n, d in system.graph.nodes(data=True) if d["kind"] == "stub"]
     print(f"servers: {len(system.servers)} ({len(transit)} transit, {len(stub)} stub)")
     print(f"edges: {system.graph.number_of_edges()}")
-    print(f"inner ring (n={config.ring_size}, m={config.byzantine_m}): "
+    print(f"inner ring (n={config.ring_size}, m={system.ring.m}): "
           f"{system.ring_nodes}")
-    print(f"location: {config.salts} salted roots, Bloom depth "
+    print(f"location: {system.router.salts} salted roots, Bloom depth "
           f"{system.probabilistic.depth} x {system.probabilistic.width} bits")
     print(f"archival: {config.archival_k}-of-{config.archival_n} Reed-Solomon")
     return 0
 
 
 def cmd_reliability(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.down_fraction <= 1.0:
-        _usage_error("--down-fraction must be in [0, 1]")
     n = args.machines
     m = int(n * args.down_fraction)
-    rep = _checked(replication_availability, n=n, m=m, replicas=2)
-    er = _checked(
-        erasure_availability, n=n, m=m, fragments=args.fragments, rate=args.rate
-    )
+    rep = replication_availability(n, m, replicas=2)
+    er = erasure_availability(n, m, fragments=args.fragments, rate=args.rate)
     print(f"machines={n}, down={m} ({args.down_fraction:.0%})")
     print(f"  2x replication:      P={rep:.6f}  ({nines(rep):.1f} nines)")
     print(f"  {args.fragments} fragments @ rate {args.rate}: "
@@ -425,7 +419,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
 def cmd_costmodel(args: argparse.Namespace) -> int:
     if args.fit:
         return _costmodel_fit(args)
-    n = _checked(replicas_for_faults, m=args.faults)
+    n = replicas_for_faults(args.faults)
     print(f"m={args.faults} -> n={n} replicas")
     print(f"{'update size':>12} | normalized cost b/(u*n)")
     for size in (100, 1_000, 4_000, 10_000, 100_000, 1_000_000):
@@ -437,7 +431,7 @@ def _costmodel_fit(args: argparse.Namespace) -> int:
     """Measure real simulated traffic and fit the Figure 6 equation."""
     from repro.consistency import fit_cost_model, measure_sweep
 
-    u = max(1, args.updates_per_round)
+    u = args.updates_per_round
     measurements = measure_sweep(update_size=args.update_size, seed=args.seed)
     fit = fit_cost_model(
         [(t.n, t.update_bytes, t.total_bytes) for t in measurements]
@@ -574,14 +568,10 @@ def _print_traffic_table(report: dict) -> None:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
-    if args.max_depth < 0:
-        _usage_error("--max-depth must be >= 0")
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=args.seed,
-            topology=TopologyParams(
-                transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5
-            ),
+            topology=_DEMO_TOPOLOGY,
             telemetry=TelemetryConfig(enabled=True),
         )
     )
@@ -603,8 +593,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def cmd_flightrec(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 0:
-        _usage_error("--limit must be >= 0")
     if args.chaos is not None:
         # Chaos deployments own their telemetry; the report carries the
         # captured timeline (category/limit filters apply to the
@@ -626,11 +614,8 @@ def cmd_flightrec(args: argparse.Namespace) -> int:
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=args.seed,
-            topology=TopologyParams(
-                transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5
-            ),
-            telemetry=_checked(
-                TelemetryConfig,
+            topology=_DEMO_TOPOLOGY,
+            telemetry=TelemetryConfig(
                 enabled=True,
                 flight_capacity=args.capacity,
                 flight_kernel=args.kernel,
@@ -666,8 +651,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     slo_thresholds = _parse_slo_thresholds(args.slo)
-    chaos_config = _checked(
-        ChaosConfig,
+    chaos_config = ChaosConfig(
         enabled=True,
         intensity=args.intensity,
         duration_ms=args.duration,
@@ -705,12 +689,9 @@ def _sharded_deployment(
     """A ``--ring-count`` deployment with one object per shard and
     ``--updates`` writes submitted to each, so every ring has commits to
     show.  Returns the settled system and its stub nodes."""
-    if args.updates < 0:
-        _usage_error("--updates must be >= 0")
     ring_count = args.ring_count
     system = OceanStoreSystem(
-        _checked(
-            DeploymentConfig,
+        DeploymentConfig(
             seed=args.seed,
             ring_count=ring_count,
             topology=TopologyParams(
@@ -808,9 +789,6 @@ def cmd_rings(args: argparse.Namespace) -> int:
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
-    for dial in ("writes", "reads"):
-        if getattr(args, dial) < 0:
-            _usage_error(f"--{dial} must be >= 0")
     thresholds = _parse_slo_thresholds(args.threshold)
     if args.chaos is not None:
         report = run_scenario(
@@ -838,9 +816,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     system = OceanStoreSystem(
         DeploymentConfig(
             seed=args.seed,
-            topology=TopologyParams(
-                transit_nodes=4, stubs_per_transit=2, nodes_per_stub=5
-            ),
+            topology=_DEMO_TOPOLOGY,
             telemetry=TelemetryConfig(
                 enabled=True, slo_thresholds=thresholds
             ),
@@ -863,8 +839,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    if args.crash < 0:
-        _usage_error("--crash must be >= 0")
     system, stubs = _sharded_deployment(
         args, "health", "health", recovery=RecoveryConfig(enabled=args.crash > 0)
     )
@@ -883,10 +857,7 @@ def cmd_health(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import merge_chaos_results, parse_seed_spec, sweep_chaos
 
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    seeds = parse_seed_spec(args.seeds)
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     results = sweep_chaos(names, seeds, processes=args.processes)
     merged = merge_chaos_results(results)
@@ -923,7 +894,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        # the one path for a rejected dial, whichever layer declared it
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

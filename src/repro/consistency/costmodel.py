@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.util import ConfigError
+
 
 @dataclass(frozen=True, slots=True)
 class CostConstants:
@@ -39,7 +41,7 @@ class CostConstants:
 def replicas_for_faults(m: int) -> int:
     """n = 3m + 1: the Byzantine bound (footnote 8)."""
     if m < 1:
-        raise ValueError(f"must tolerate at least one fault: m={m}")
+        raise ConfigError(f"must tolerate at least one fault: m={m}")
     return 3 * m + 1
 
 

@@ -38,7 +38,7 @@ from repro.data.update import Update
 from repro.sim.kernel import Kernel
 from repro.sim.network import Message, Network, NodeId
 from repro.telemetry import coalesce
-from repro.util import serialization
+from repro.util import ConfigError, serialization
 
 #: Size in bytes of small protocol messages (the paper's c1 ~ 100 bytes).
 SMALL_MESSAGE_BYTES = 100
@@ -1303,11 +1303,11 @@ class BatchingConfig:
 
     def __post_init__(self) -> None:
         if self.size < 1:
-            raise ValueError(f"batching size must be >= 1: {self.size}")
+            raise ConfigError(f"batching size must be >= 1: {self.size}")
         if self.delay_ms < 0:
-            raise ValueError(f"batching delay_ms must be >= 0: {self.delay_ms}")
+            raise ConfigError(f"batching delay_ms must be >= 0: {self.delay_ms}")
         if self.pipeline_depth < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"batching pipeline_depth must be >= 0: {self.pipeline_depth}"
             )
 

@@ -10,6 +10,11 @@ from repro.recovery.config import RecoveryConfig
 from repro.sim.network import TopologyParams
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.slo import validate_thresholds
+from repro.util import ConfigError
+
+#: Byzantine fault budget: every inner ring has 3m+1 replicas placed on
+#: transit (well-connected) nodes (Section 4.4)
+BYZANTINE_M = 1
 
 
 @dataclass
@@ -40,9 +45,9 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duration_ms < math.inf:
-            raise ValueError(f"duration_ms must be finite and positive: {self.duration_ms}")
+            raise ConfigError(f"duration_ms must be finite and positive: {self.duration_ms}")
         if not 0.0 <= self.intensity <= 1.0:
-            raise ValueError(f"intensity must be in [0, 1]: {self.intensity}")
+            raise ConfigError(f"intensity must be in [0, 1]: {self.intensity}")
         validate_thresholds(self.slo_thresholds)
 
 
@@ -59,10 +64,6 @@ class DeploymentConfig:
     seed: int = 0
     topology: TopologyParams = field(default_factory=TopologyParams)
 
-    #: Byzantine fault budget; the inner ring has 3m+1 replicas placed on
-    #: transit (well-connected) nodes.
-    byzantine_m: int = 1
-
     #: control-plane shards: the GUID space is range-partitioned across
     #: this many independent inner rings (each 3m+1 replicas).  1 keeps
     #: the single global ring, byte-identical to the pre-sharding
@@ -77,9 +78,6 @@ class DeploymentConfig:
     #: secondary replicas created per object
     secondaries_per_object: int = 4
     dissemination_fanout: int = 4
-
-    #: data location
-    salts: int = 3
 
     #: deep archival storage
     archival_k: int = 8
@@ -104,17 +102,19 @@ class DeploymentConfig:
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
     def __post_init__(self) -> None:
-        if self.byzantine_m < 1:
-            raise ValueError("byzantine_m must be >= 1")
         if self.ring_count < 1:
-            raise ValueError("ring_count must be >= 1")
+            raise ConfigError("ring_count must be >= 1")
+        need = self.ring_size * self.ring_count
+        if self.topology.transit_nodes < need:
+            raise ConfigError(
+                f"topology has {self.topology.transit_nodes} transit nodes; "
+                f"{self.ring_count} inner ring(s) need {need}"
+            )
         if self.secondaries_per_object < 0:
-            raise ValueError("secondaries_per_object must be >= 0")
+            raise ConfigError("secondaries_per_object must be >= 0")
         if not 1 <= self.archival_k < self.archival_n:
-            raise ValueError("need 1 <= archival_k < archival_n")
-        if self.salts < 1:
-            raise ValueError("salts must be >= 1")
+            raise ConfigError("need 1 <= archival_k < archival_n")
 
     @property
     def ring_size(self) -> int:
-        return 3 * self.byzantine_m + 1
+        return 3 * BYZANTINE_M + 1

@@ -37,7 +37,7 @@ from repro.archival.reed_solomon import ReedSolomonCode
 from repro.archival.repair import ArchiveIndex, RepairSweeper
 from repro.consistency.pbft import CommitCertificate, FaultMode, InnerRing
 from repro.consistency.secondary import SecondaryTier, TierMailboxes
-from repro.core.config import DeploymentConfig
+from repro.core.config import BYZANTINE_M, DeploymentConfig
 from repro.core.server import OceanStoreServer
 from repro.crypto.keys import KeyPool
 from repro.data.objects import ArchivalReference
@@ -174,7 +174,7 @@ class OceanStoreSystem:
             width=4096,
             telemetry=self.telemetry,
         )
-        self.router = SaltedRouter(self.mesh, salts=self.config.salts)
+        self.router = SaltedRouter(self.mesh)
         self.location = LocationService(
             self.probabilistic, self.router, telemetry=self.telemetry
         )
@@ -185,11 +185,6 @@ class OceanStoreSystem:
         )
         ring_size = self.config.ring_size
         ring_count = self.config.ring_count
-        if len(transit_nodes) < ring_size * ring_count:
-            raise ValueError(
-                f"topology has {len(transit_nodes)} transit nodes; "
-                f"{ring_count} inner ring(s) need {ring_size * ring_count}"
-            )
         self.tiers: dict[GUID, SecondaryTier] = {}
         self.tier_mailboxes = TierMailboxes(self.network)
         self._outcomes: dict[bytes, UpdateOutcome] = {}
@@ -727,7 +722,7 @@ class OceanStoreSystem:
             self.network,
             members,
             [self.servers[n].principal for n in members],
-            m=self.config.byzantine_m,
+            m=BYZANTINE_M,
             telemetry=self.telemetry,
             batching=self.config.batching,
         )

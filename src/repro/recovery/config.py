@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util import ConfigError
+
 
 @dataclass
 class RecoveryConfig:
@@ -30,12 +32,12 @@ class RecoveryConfig:
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be positive")
+            raise ConfigError("heartbeat_interval_ms must be positive")
         if not 0 < self.heartbeat_timeout_ms < self.heartbeat_interval_ms:
-            raise ValueError(
+            raise ConfigError(
                 "heartbeat_timeout_ms must be in (0, heartbeat_interval_ms)"
             )
         if self.suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
+            raise ConfigError("suspicion_threshold must be >= 1")
         if self.refresh_interval_ms <= 0:
-            raise ValueError("refresh_interval_ms must be positive")
+            raise ConfigError("refresh_interval_ms must be positive")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.rng import SeedSequence
+from repro.util import ConfigError, SeedSequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,15 +33,15 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
+            raise ConfigError("deadline_ms must be positive")
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ConfigError("max_attempts must be >= 1")
         if self.backoff_base_ms <= 0:
-            raise ValueError("backoff_base_ms must be positive")
+            raise ConfigError("backoff_base_ms must be positive")
         if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
+            raise ConfigError("backoff_factor must be >= 1.0")
         if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be in [0, 1]")
+            raise ConfigError("jitter_frac must be in [0, 1]")
 
     def backoff_delays(self) -> list[float]:
         """The full backoff schedule (ms), one entry per attempt."""

@@ -22,6 +22,7 @@ from typing import Any, Callable, Collection, Iterable
 import networkx as nx
 
 from repro.sim.kernel import Kernel
+from repro.util import ConfigError
 
 NodeId = int
 Handler = Callable[["Message"], None]
@@ -87,18 +88,31 @@ class Traffic:
     bytes: int = 0
 
 
+#: link latencies (ms) of a generated topology, each stretched by up to
+#: +/- ``LATENCY_JITTER`` of itself at generation time
+TRANSIT_TRANSIT_LATENCY_MS = 40.0
+TRANSIT_STUB_LATENCY_MS = 20.0
+STUB_STUB_LATENCY_MS = 5.0
+LATENCY_JITTER = 0.2
+#: random chords added across the ring of transit routers
+EXTRA_TRANSIT_EDGES = 4
+
+
 @dataclass
 class TopologyParams:
-    """Parameters for transit-stub topology generation."""
+    """Node counts for transit-stub topology generation."""
 
     transit_nodes: int = 8
     stubs_per_transit: int = 3
     nodes_per_stub: int = 8
-    transit_transit_latency_ms: float = 40.0
-    transit_stub_latency_ms: float = 20.0
-    stub_stub_latency_ms: float = 5.0
-    latency_jitter: float = 0.2  # +/- fraction applied at generation time
-    extra_transit_edges: int = 4
+
+    def __post_init__(self) -> None:
+        if self.transit_nodes < 1:
+            raise ConfigError(f"transit_nodes must be >= 1: {self.transit_nodes}")
+        if self.stubs_per_transit < 0:
+            raise ConfigError(f"stubs_per_transit must be >= 0: {self.stubs_per_transit}")
+        if self.nodes_per_stub < 1:
+            raise ConfigError(f"nodes_per_stub must be >= 1: {self.nodes_per_stub}")
 
 
 def build_transit_stub_topology(
@@ -113,8 +127,7 @@ def build_transit_stub_topology(
     graph = nx.Graph()
 
     def jittered(base: float) -> float:
-        spread = params.latency_jitter
-        return base * (1.0 + rng.uniform(-spread, spread))
+        return base * (1.0 + rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
 
     transit = list(range(params.transit_nodes))
     for t in transit:
@@ -122,13 +135,13 @@ def build_transit_stub_topology(
     for i, t in enumerate(transit):
         u = transit[(i + 1) % len(transit)]
         if t != u:
-            graph.add_edge(t, u, latency_ms=jittered(params.transit_transit_latency_ms))
-    for _ in range(params.extra_transit_edges):
+            graph.add_edge(t, u, latency_ms=jittered(TRANSIT_TRANSIT_LATENCY_MS))
+    for _ in range(EXTRA_TRANSIT_EDGES):
         if len(transit) < 2:
             break
         a, b = rng.sample(transit, 2)
         if not graph.has_edge(a, b):
-            graph.add_edge(a, b, latency_ms=jittered(params.transit_transit_latency_ms))
+            graph.add_edge(a, b, latency_ms=jittered(TRANSIT_TRANSIT_LATENCY_MS))
 
     next_id = params.transit_nodes
     for t in transit:
@@ -140,16 +153,16 @@ def build_transit_stub_topology(
             # Connect stub nodes in a short path plus random chords, then
             # attach the first node (the stub gateway) to the transit router.
             for a, b in zip(stub_nodes, stub_nodes[1:]):
-                graph.add_edge(a, b, latency_ms=jittered(params.stub_stub_latency_ms))
+                graph.add_edge(a, b, latency_ms=jittered(STUB_STUB_LATENCY_MS))
             for s in stub_nodes[2:]:
                 if rng.random() < 0.3:
                     other = rng.choice(stub_nodes[: stub_nodes.index(s)])
                     if not graph.has_edge(s, other):
                         graph.add_edge(
-                            s, other, latency_ms=jittered(params.stub_stub_latency_ms)
+                            s, other, latency_ms=jittered(STUB_STUB_LATENCY_MS)
                         )
             graph.add_edge(
-                stub_nodes[0], t, latency_ms=jittered(params.transit_stub_latency_ms)
+                stub_nodes[0], t, latency_ms=jittered(TRANSIT_STUB_LATENCY_MS)
             )
     return graph
 

@@ -26,6 +26,7 @@ import multiprocessing
 from typing import Any, Iterable, Sequence
 
 from repro.core.config import ChaosConfig
+from repro.util import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +122,15 @@ def parse_seed_spec(spec: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:  # allow a leading minus only as a typo guard
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"descending seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        # a leading minus is a negative seed, not a range
+        bounds = part.split("-", 1) if "-" in part[1:] else (part, part)
+        try:
+            lo, hi = int(bounds[0]), int(bounds[1])
+        except ValueError:
+            raise ConfigError(f"seed spec {part!r} is not a seed or a lo-hi range") from None
+        if hi < lo:
+            raise ConfigError(f"descending seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"no seeds in spec {spec!r}")
+        raise ConfigError(f"no seeds in spec {spec!r}")
     return seeds

@@ -45,6 +45,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.slo import SLORecorder, SLOViolation, validate_thresholds
 from repro.telemetry.tracing import NULL_SPAN, Span, Tracer
+from repro.util import ConfigError
 
 
 class NullTelemetry:
@@ -112,7 +113,7 @@ class TelemetryConfig:
 
     def __post_init__(self) -> None:
         if self.flight_capacity < 1:
-            raise ValueError("flight_capacity must be >= 1")
+            raise ConfigError("flight_capacity must be >= 1")
         validate_thresholds(self.slo_thresholds)
 
 

@@ -28,6 +28,7 @@ from typing import Callable
 
 from repro.sim.stats import Distribution
 from repro.telemetry.metrics import LabelKey, flatten_name, label_key
+from repro.util import ConfigError
 
 #: default summary quantiles (p50/p95/p99 -- the SLO vocabulary)
 DEFAULT_QUANTILES: tuple[float, ...] = (50.0, 95.0, 99.0)
@@ -47,12 +48,12 @@ def validate_thresholds(thresholds: dict[str, dict[str, float]]) -> None:
             except ValueError:
                 q = None
             if q is None or not 0 <= q <= 100:
-                raise ValueError(
+                raise ConfigError(
                     f"slo_thresholds[{op!r}]: quantile key {key!r} must be "
                     f"p<q> with 0 <= q <= 100, e.g. 'p95'"
                 )
             if not limit >= 0:
-                raise ValueError(f"slo_thresholds[{op!r}][{key!r}] must be >= 0")
+                raise ConfigError(f"slo_thresholds[{op!r}][{key!r}] must be >= 0")
 
 
 def summary_table(summary: dict[str, dict[str, float]]) -> list[str]:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,64 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+
+#: (flag, value, text stderr must name) for a fault dial ``repro chaos``
+#: rejects before any deployment is built
+BAD_CHAOS_FAULT_DIALS = (
+    ("--duration", "nan", "duration_ms"),
+    ("--duration", "inf", "duration_ms"),
+    ("--duration", "-5", "duration_ms"),
+    ("--intensity", "2", "intensity"),
+    ("--intensity", "nan", "intensity"),
+)
+BAD_CHAOS_FAULT_DIAL_IDS = (
+    "duration-nan", "duration-inf", "duration-negative",
+    "intensity-above-one", "intensity-nan",
+)
+
+#: (argv, text stderr must name) for a dial rejected before any output
+BAD_DIALS = (
+    (["flightrec", "--capacity", "0"], "flight_capacity"),
+    (["flightrec", "--capacity", "-3"], "flight_capacity"),
+    (["rings", "--ring-count", "0"], "ring_count"),
+    (["health", "--ring-count", "0"], "ring_count"),
+    (["slo", "--writes", "-1"], "--writes"),
+    (["slo", "--reads", "-1"], "--reads"),
+    (["rings", "--updates", "-1"], "--updates"),
+    (["health", "--updates", "-1"], "--updates"),
+    (["health", "--crash", "-1"], "--crash"),
+    (["telemetry", "--max-depth", "-1"], "--max-depth"),
+    (["topology", "--transit", "0"], "transit"),
+    (["costmodel", "--faults", "-1"], "m=-1"),
+    (["reliability", "--fragments", "0"], "f=0"),
+    (["reliability", "--down-fraction", "2"], "--down-fraction"),
+    (["topology", "--nodes-per-stub", "0"], "nodes_per_stub"),
+    (["topology", "--stubs", "-1"], "stubs_per_transit"),
+    (["flightrec", "--chaos", "nope"], "--chaos"),
+    (["slo", "--chaos", "nope"], "--chaos"),
+    (["sweep", "--processes", "0"], "--processes"),
+    (["sweep", "--seeds", "x"], "seed spec"),
+    (["costmodel", "--fit", "--updates-per-round", "-3"], "--updates-per-round"),
+    (["costmodel", "--fit", "--update-size", "-5"], "--update-size"),
+    (["reliability", "--machines", "1"], "n=1"),
+    (["reliability", "--rate", "1"], "rate"),
+)
+BAD_DIAL_IDS = (
+    "flightrec-capacity-zero", "flightrec-capacity-negative",
+    "rings-ring-count-zero", "health-ring-count-zero",
+    "slo-writes-negative", "slo-reads-negative",
+    "rings-updates-negative", "health-updates-negative",
+    "health-crash-negative", "telemetry-max-depth-negative",
+    "topology-transit-zero", "costmodel-faults-negative",
+    "reliability-fragments-zero", "reliability-down-fraction-above-one",
+    "topology-nodes-per-stub-zero", "topology-stubs-negative",
+    "flightrec-chaos-unknown", "slo-chaos-unknown",
+    "sweep-processes-zero", "sweep-seeds-not-a-number",
+    "costmodel-updates-per-round-negative", "costmodel-update-size-negative",
+    "reliability-machines-one", "reliability-rate-one",
+)
 
 
 class TestCLI:
@@ -65,16 +123,7 @@ class TestCLI:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "flag, value, named",
-        (
-            ("--duration", "nan", "duration_ms"),
-            ("--duration", "inf", "duration_ms"),
-            ("--duration", "-5", "duration_ms"),
-            ("--intensity", "2", "intensity"),
-            ("--intensity", "nan", "intensity"),
-        ),
-        ids=("duration-nan", "duration-inf", "duration-negative",
-             "intensity-above-one", "intensity-nan"),
+        "flag, value, named", BAD_CHAOS_FAULT_DIALS, ids=BAD_CHAOS_FAULT_DIAL_IDS
     )
     def test_chaos_bad_fault_dial_is_a_usage_error(self, flag, value, named, capsys):
         """A non-finite or out-of-range fault window or severity fails
@@ -87,32 +136,7 @@ class TestCLI:
         assert named in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
-        "argv, named",
-        (
-            (["flightrec", "--capacity", "0"], "flight_capacity"),
-            (["flightrec", "--capacity", "-3"], "flight_capacity"),
-            (["rings", "--ring-count", "0"], "ring_count"),
-            (["health", "--ring-count", "0"], "ring_count"),
-            (["slo", "--writes", "-1"], "--writes"),
-            (["slo", "--reads", "-1"], "--reads"),
-            (["rings", "--updates", "-1"], "--updates"),
-            (["health", "--updates", "-1"], "--updates"),
-            (["health", "--crash", "-1"], "--crash"),
-            (["telemetry", "--max-depth", "-1"], "--max-depth"),
-            (["topology", "--transit", "0"], "transit"),
-            (["costmodel", "--faults", "-1"], "m=-1"),
-            (["reliability", "--fragments", "0"], "f=0"),
-            (["reliability", "--down-fraction", "2"], "--down-fraction"),
-        ),
-        ids=("flightrec-capacity-zero", "flightrec-capacity-negative",
-             "rings-ring-count-zero", "health-ring-count-zero",
-             "slo-writes-negative", "slo-reads-negative",
-             "rings-updates-negative", "health-updates-negative",
-             "health-crash-negative", "telemetry-max-depth-negative",
-             "topology-transit-zero", "costmodel-faults-negative",
-             "reliability-fragments-zero", "reliability-down-fraction-above-one"),
-    )
+    @pytest.mark.parametrize("argv, named", BAD_DIALS, ids=BAD_DIAL_IDS)
     def test_bad_dial_is_a_usage_error(self, argv, named, capsys):
         """A dial the config (or the command) rejects exits 2 with the
         message on stderr, before any output and without a traceback."""
@@ -124,6 +148,26 @@ class TestCLI:
         assert named in captured.err
         assert "Traceback" not in captured.err
 
+    def test_every_numeric_flag_has_a_bad_dial_row(self):
+        """Every flag with a numeric default (``--seed`` aside) has a row
+        above, so a new count or size flag cannot land without a test
+        that its bound rejects."""
+        covered = {(argv[0], flag) for argv, _ in BAD_DIALS for flag in argv[1:]}
+        covered |= {("chaos", flag) for flag, _, _ in BAD_CHAOS_FAULT_DIALS}
+        commands = next(
+            action.choices
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        missing = [
+            f"{name} {action.option_strings[0]}"
+            for name, command in commands.items()
+            for action in command._actions
+            if type(action.default) in (int, float)
+            and "--seed" not in action.option_strings
+            and not any((name, flag) in covered for flag in action.option_strings)
+        ]
+        assert missing == []
     def test_slo_workload_with_thresholds(self, capsys):
         assert main([
             "slo", "--writes", "2", "--reads", "2",

@@ -77,7 +77,7 @@ class TestRingBuffer:
         with pytest.raises(SystemExit) as exit_info:
             main(["flightrec", "--limit", "-2"])
         assert exit_info.value.code == 2
-        assert "--limit must be >= 0" in capsys.readouterr().err
+        assert "--limit: must be >= 0" in capsys.readouterr().err
 
     def test_category_filter(self):
         rec = FlightRecorder(capacity=16)

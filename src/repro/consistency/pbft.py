@@ -35,7 +35,7 @@ from repro.consistency.byzantine import (
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import Principal
 from repro.data.update import Update
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, Timer
 from repro.sim.network import Message, Network, NodeId
 from repro.telemetry import coalesce
 from repro.util import ConfigError, serialization
@@ -388,7 +388,14 @@ class PBFTReplica:
         self._claim_signers: dict[tuple[int, bytes], set[int]] = {}
         #: view -> {sender -> that sender's prepared-slot reports}
         self.view_change_votes: dict[int, dict[int, tuple[PreparedReport, ...]]] = {}
-        self._pending_timeouts: dict[bytes, object] = {}
+        #: update ids and deferred slot numbers waited on, oldest first
+        self._waiting: dict[bytes | int, None] = {}
+        self._progress_timer = Timer(
+            ring.kernel,
+            self.VIEW_TIMEOUT_MS,
+            self._on_progress_timeout,
+            label=f"pbft.progress[{index}]",
+        )
         #: slot digest -> sequence number reserved for it while its bodies
         #: are fetched from peers (view-change recovery of lost requests)
         self._awaiting_body: dict[bytes, int] = {}
@@ -497,12 +504,12 @@ class PBFTReplica:
             return  # write not allowed by the object's ACL (Section 4.2)
         digest = update_digest(update)
         self.known_by_digest[digest] = update
-        # Every replica times the request -- including one that believes
+        # Every replica waits on the request -- including one that believes
         # it is the leader.  A view-desynced replica whose stale view
         # maps the leader role onto itself would otherwise propose into
         # the void and never fire the catch-up/view-change machinery
         # that is its only way back to the ring.
-        self._arm_view_change_timer(update)
+        self._wait_for(update.update_id)
         if (
             self.is_leader
             and not self._already_in_flight(digest)
@@ -718,8 +725,11 @@ class PBFTReplica:
             known = self.known_by_digest
             if any(d not in known for d in members):
                 # Some client copies have not arrived yet; hold the
-                # proposal until they (or fetched bodies) land.
+                # proposal until they (or fetched bodies) land, and wait
+                # on its number, which catch-up alone may bring.
                 self._deferred_pre_prepares[msg.digest] = msg
+                if msg.seq > self.last_executed_seq:
+                    self._wait_for(msg.seq)
                 return
             updates = tuple(known[d] for d in members)
         instance = self._instance(msg.view, msg.seq)
@@ -727,16 +737,10 @@ class PBFTReplica:
             return  # conflicting pre-prepare for the slot
         self._assign_slot(instance, msg.digest, updates, members)
         for update in updates or ():
-            if (
-                update.update_id not in self.executed_updates
-                and update.update_id not in self._pending_timeouts
-            ):
-                # The client's own broadcast may never arrive (lossy
-                # links), making this pre-prepare the replica's only
-                # sight of the request -- it must still drive catch-up /
-                # view change if the slot stalls, so the progress timer
-                # arms here too.
-                self._arm_view_change_timer(update)
+            # The client's own copy may never arrive (lossy links): this
+            # pre-prepare can be the replica's only sight of the request.
+            if update.update_id not in self.executed_updates:
+                self._wait_for(update.update_id)
         instance.prepares.add(self.ring.leader_index(msg.view))
         instance.prepares.add(self.index)
         instance.prepares |= instance.early_prepares.pop(msg.digest, set())
@@ -811,6 +815,7 @@ class PBFTReplica:
             digest, updates = self.execution_queue.pop(seq)
             self.last_executed_seq = seq
             self.executed_by_seq[seq] = digest
+            self._done_waiting(seq)
             if updates is None:
                 continue  # no-op gap filler from a view change
             executed_any = False
@@ -818,7 +823,7 @@ class PBFTReplica:
                 if update.update_id in self.executed_updates:
                     continue  # client retry already executed elsewhere
                 self.executed_updates.add(update.update_id)
-                self._cancel_view_change_timer(update.update_id)
+                self._done_waiting(update.update_id)
                 with self.ring.telemetry.span(
                     "pbft.execute", seq=seq, replica=self.index
                 ):
@@ -894,50 +899,39 @@ class PBFTReplica:
 
     # -- view change -------------------------------------------------------------------
 
-    def _arm_view_change_timer(self, update: Update) -> None:
-        update_id = update.update_id
+    def _wait_for(self, item: bytes | int) -> None:
+        """Wait to execute ``item``: an update id, or the number of a
+        pre-prepare deferred for missing bodies.  The one progress timer
+        runs while anything is waited on; a repeat leaves it alone."""
+        if item not in self._waiting:
+            self._waiting[item] = None
+            self._progress_timer.start()
 
-        def check() -> None:
-            self._pending_timeouts.pop(update_id, None)
-            if update_id in self.executed_updates:
-                return
-            # A lone laggard cannot force a view change (the others are
-            # satisfied and will not vote), so first ask peers for
-            # committed state this replica may simply have missed --
-            # the role PBFT's checkpoint/state-transfer protocol plays.
-            self._broadcast(
-                CatchUpRequest(self.index, self.last_executed_seq),
-                size=SMALL_MESSAGE_BYTES,
-            )
-            # Escalate past any view we already voted for: if an earlier
-            # vote assembled a view whose NEW-VIEW announcement was lost
-            # in transit, re-voting for that same view would be a no-op
-            # and the replica would stall in its old view forever.
-            voted = [
-                view
-                for view, votes in self.view_change_votes.items()
-                if self.index in votes
-            ]
-            self._send_view_change(max([self.view, *voted]) + 1)
-            if update_id in self.executed_updates:
-                return
-            # Re-arm: under message loss both the catch-up and the view
-            # change can vanish in transit, and this timer is the only
-            # local driver left once the client has its quorum ack.
-            self._pending_timeouts[update_id] = self.ring.kernel.call_after(
-                self.VIEW_TIMEOUT_MS, check
-            )
+    def _done_waiting(self, item: bytes | int) -> None:
+        """``item`` executed; if it was the oldest, restart the timer for
+        the next oldest (the view-change timer of Castro and Liskov)."""
+        if item in self._waiting:
+            oldest = next(iter(self._waiting)) == item
+            del self._waiting[item]
+            if oldest:
+                self._progress_timer.stop()
+                if self._waiting:
+                    self._progress_timer.start()
 
-        old = self._pending_timeouts.pop(update_id, None)
-        if old is not None:
-            old.cancel()
-        handle = self.ring.kernel.call_after(self.VIEW_TIMEOUT_MS, check)
-        self._pending_timeouts[update_id] = handle
-
-    def _cancel_view_change_timer(self, update_id: bytes) -> None:
-        handle = self._pending_timeouts.pop(update_id, None)
-        if handle is not None:
-            handle.cancel()
+    def _on_progress_timeout(self) -> None:
+        # A lone laggard cannot force a view change (the others are
+        # satisfied), so first ask peers for state it may have missed --
+        # PBFT's state transfer.  Then vote past any view already voted
+        # for: re-voting a view whose NEW-VIEW was lost would stall this
+        # replica.  The timer keeps running: either message can be lost.
+        self._broadcast(
+            CatchUpRequest(self.index, self.last_executed_seq),
+            size=SMALL_MESSAGE_BYTES,
+        )
+        voted = [
+            v for v, votes in self.view_change_votes.items() if self.index in votes
+        ]
+        self._send_view_change(max([self.view, *voted]) + 1)
 
     def _prepared_reports(self) -> tuple[PreparedReport, ...]:
         """Every slot this replica has prepared, *including executed ones*.
@@ -1127,7 +1121,7 @@ class PBFTReplica:
             return  # bodies do not hash to the requested slot digest
         self._learn_members(msg.digest, digests)
         # Register each member through the request path: it dedupes,
-        # verifies signatures, arms progress timers, and (via the retry
+        # verifies signatures, waits on each request, and (via the retry
         # hooks) completes any reservation or deferred pre-prepare that
         # was waiting on these bodies.
         for update in msg.updates:

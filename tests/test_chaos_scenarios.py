@@ -114,6 +114,16 @@ def test_infrastructure_faults_tolerated(name, seed, batched):
     assert report.invariants.violated_names() == set()
 
 
+def test_dissemination_loss_at_seed_1_executes_on_every_replica():
+    """Inside the lossy window replica 0 holds a pre-prepare whose
+    request never reached it.  It waits on the slot's number, so its
+    progress timer asks for catch-up and it executes the slot with the
+    rest of the ring; no client retry is needed."""
+    report = run_scenario("dissemination-loss", seed=1)
+    assert report.passed, report.render(include_trace=True)
+    assert report.invariants.violated_names() == set()
+
+
 def test_archival_scenario_checks_reconstruction_not_routing():
     """Survivor-only reconstruction: nodes stay down, so the routing
     check is deliberately out of scope for this scenario."""

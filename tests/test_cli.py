@@ -95,6 +95,20 @@ class TestCLI:
         assert "n=13 replicas" in out
         assert "normalized cost" in out
 
+    def test_costmodel_fit_json(self, capsys):
+        import json
+
+        argv = ["costmodel", "--fit", "--updates-per-round", "8", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        # Fig. 6 refit from measured traffic: batching eight updates per
+        # round divides the quadratic coefficient by eight.
+        assert report["fit"]["c1"] == pytest.approx(300.0)
+        assert report["batched_fit"]["c1"] == pytest.approx(37.5)
+        assert report["c1_amortization"] == pytest.approx(1 / 8)
+        assert report["fit"]["quadratic_ok"] is True
+        assert report["batched_fit"]["quadratic_ok"] is True
+
     def test_rings(self, capsys):
         assert main(["rings", "--ring-count", "2", "--updates", "1"]) == 0
         out = capsys.readouterr().out

@@ -391,11 +391,28 @@ class TestLaggardCatchUp:
         assert laggard.last_executed_seq == -1
 
     def test_pre_prepare_alone_arms_progress_timer(self, author):
-        from repro.consistency.pbft import PrePrepare, update_digest
+        from repro.consistency.pbft import (
+            CatchUpRequest,
+            PBFTReplica,
+            PrePrepare,
+            update_digest,
+        )
 
         kernel, network, ring, clients = make_ring(m=1)
         update = make_simple_update(author)
         replica = ring.replicas[2]  # non-leader that never saw the request
+        catch_ups = []
+        send = network.send
+
+        def logged_send(src, dst, payload, size_bytes, **kw):
+            if isinstance(payload, CatchUpRequest):
+                catch_ups.append((kernel.now, src))
+            send(src, dst, payload, size_bytes, **kw)
+
+        network.send = logged_send
         replica.known_by_digest[update_digest(update)] = update
         replica._on_pre_prepare(PrePrepare(0, 0, update_digest(update)))
-        assert update.update_id in replica._pending_timeouts
+        kernel.run(until=PBFTReplica.VIEW_TIMEOUT_MS)
+        # The pre-prepare alone started the timer: one timeout later the
+        # replica asks each peer for the state it may have missed.
+        assert catch_ups == [(PBFTReplica.VIEW_TIMEOUT_MS, replica.network_id)] * 3

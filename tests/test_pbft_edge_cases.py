@@ -7,11 +7,12 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from repro.consistency import FaultMode, InnerRing, update_digest
+from repro.consistency import BatchingConfig, FaultMode, InnerRing, update_digest
 from repro.consistency.pbft import (
     NOOP_DIGEST,
     SMALL_MESSAGE_BYTES,
     CommitCertificate,
+    PBFTReplica,
     slot_digest_for,
 )
 from repro.crypto import make_principal
@@ -22,7 +23,7 @@ from repro.sim import Kernel, Network
 import golden
 
 
-def make_ring(m=1, clients=2, seed=0, latency=40.0):
+def make_ring(m=1, clients=2, seed=0, latency=40.0, batch_size=1):
     n = 3 * m + 1
     kernel = Kernel()
     graph = nx.complete_graph(n + clients)
@@ -30,7 +31,14 @@ def make_ring(m=1, clients=2, seed=0, latency=40.0):
     network = Network(kernel, graph)
     rng = random.Random(seed)
     principals = [make_principal(f"r{i}", rng, bits=256) for i in range(n)]
-    ring = InnerRing(kernel, network, list(range(n)), principals, m=m)
+    ring = InnerRing(
+        kernel,
+        network,
+        list(range(n)),
+        principals,
+        m=m,
+        batching=BatchingConfig(size=batch_size),
+    )
     return kernel, network, ring, list(range(n, n + clients))
 
 
@@ -203,7 +211,8 @@ class TestDeferredPrePrepare:
     def test_pre_prepare_before_request_is_held(self, author):
         """If the leader's proposal beats the client's request to a
         replica (possible under partition heal reordering), the replica
-        holds it and proceeds once the request arrives."""
+        holds it; when its progress timer fires, catch-up brings the
+        executed slot, and a later client retry executes nothing twice."""
         kernel, network, ring, clients = make_ring(m=1)
         update = up(author, b"deferred")
         # Deliver the request everywhere except replica 3 by partitioning
@@ -212,13 +221,63 @@ class TestDeferredPrePrepare:
         executed = []
         ring.on_execute(lambda rep, seq, u: executed.append(rep.index))
         ring.submit(clients[0], update)
-        kernel.run(until=5_000.0)
+        kernel.run(until=2_000.0)
         assert {0, 1, 2}.issubset(set(executed))
         assert 3 not in executed  # has pre-prepare but no request body
+        assert ring.replicas[3]._deferred_pre_prepares
+        kernel.run(until=5_000.0)
+        assert 3 in executed  # caught up without the client's copy
         network.heal_partitions()
         ring.submit(clients[0], update)  # client retry reaches replica 3
         kernel.run(until=60_000.0)
-        assert 3 in executed
+        assert sorted(executed) == [0, 1, 2, 3]
+
+
+class TestProgressTimer:
+    """One progress timer per replica, aimed at the oldest request or
+    deferred slot it waits to execute (Castro-Liskov's view-change
+    timer)."""
+
+    def test_resubmission_does_not_reset_the_timer(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        ring.set_fault(0, FaultMode.SILENT)
+        update = up(author, b"resubmitted")
+        executed = []
+        ring.on_execute(lambda rep, seq, u: executed.append(kernel.now))
+        # The client resubmits the same update every 2 s for 20 s; the
+        # silent leader's backups still time out 3 s after the first copy.
+        for at in range(0, 20_001, 2_000):
+            kernel.call_at(float(at), lambda: ring.submit(clients[0], update))
+        kernel.run(until=60_000.0)
+        assert executed
+        assert min(executed) < PBFTReplica.VIEW_TIMEOUT_MS + 1_000
+
+    def test_stalled_batch_moves_one_view(self, author):
+        kernel, network, ring, clients = make_ring(m=1, batch_size=4)
+        ring.set_fault(0, FaultMode.SILENT)
+        updates = [up(author, b"s%d" % i, ts=float(i + 1)) for i in range(4)]
+        for update in updates:
+            ring.submit(clients[0], update)
+        kernel.run(until=60_000.0)
+        # Four waited requests, one timer: view 1, not one view per member.
+        assert [r.view for r in ring.replicas[1:]] == [1, 1, 1]
+        assert [u.update_id for u in ring.committed_order] == [
+            u.update_id for u in updates
+        ]
+
+    def test_pre_prepare_alone_catches_up_without_a_retry(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        update = up(author, b"pre-prepare only")
+        network.add_partition({3}, {clients[0]})
+        executed = {}
+        ring.on_execute(lambda rep, seq, u: executed.setdefault(rep.index, kernel.now))
+        ring.submit(clients[0], update)
+        kernel.run(until=60_000.0)
+        # Replica 3 waits on the deferred slot's number; its timer asks
+        # for catch-up one timeout after the pre-prepare arrived.
+        assert set(executed) == {0, 1, 2, 3}
+        assert executed[3] <= executed[0] + PBFTReplica.VIEW_TIMEOUT_MS
+        assert [r.view for r in ring.replicas] == [0, 0, 0, 0]
 
 
 def recovery(case, size):
@@ -280,10 +339,9 @@ class TestSlotRecovery:
         assert not any(
             s.time_ms > 0 and s.src == golden.RECOVERY_CLIENT for s in sends
         )
-        # Pinned quirk: each member of the stalled slot has its own
-        # progress timer, and each timer escalates one view in the same
-        # instant -- a slot of four ends three views on, not one.
-        assert [r.view for r in ring.replicas[1:]] == [{1: 1, 4: 3}[size]] * 3
+        # One progress timer per replica: the stalled slot moves the
+        # ring one view whatever its size.
+        assert [r.view for r in ring.replicas[1:]] == [1] * 3
 
     def test_late_request_fills_reservation(self, size):
         ring, submitted, sends = recovery("reservation_filled_by_request", size)

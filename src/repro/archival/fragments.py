@@ -110,10 +110,10 @@ def encode_archival(
                 archival_guid=archival_guid,
                 index=f.index,
                 payload=f.payload,
-                proof=tree.proof(i),
+                proof=proof,
                 merkle_root=tree.root,
             )
-            for i, f in enumerate(coded)
+            for f, proof in zip(coded, tree.proofs())
         )
     if tel.enabled:
         tel.count("archival_encodes_total")

@@ -2,8 +2,14 @@
 
 The field is GF(2)[x] mod the primitive polynomial x^8+x^4+x^3+x^2+1
 (0x11D), the conventional choice for storage codes; alpha = 2 generates
-the multiplicative group.  Exp/log tables make multiplication a lookup,
-and numpy vectorization keeps whole-fragment operations fast.
+the multiplicative group.  Exp/log tables give scalar products and the
+full 256 x 256 product table.
+
+A matrix product is one gather per data row.  For each column j of an
+r x k matrix M, :class:`PackedMatrix` packs the r products M[i, j] * v of
+every byte v into ceil(r/8) uint64 words, so k data rows of L bytes take
+one gather of k*L table rows and an XOR over k, not r*k*L byte lookups.
+A code packs its fixed parity matrix once; :func:`gf_matmul` packs per call.
 """
 
 from __future__ import annotations
@@ -33,20 +39,9 @@ def _build_tables() -> None:
 _build_tables()
 
 #: Full 256x256 product table (64 KiB): ``_MUL[a, b] = a * b`` in
-#: GF(256).  Lets :func:`gf_matmul` run as one fancy-index gather plus
-#: an XOR reduction instead of r*k separate vector ops -- the per-call
-#: numpy overhead of the loop form dwarfed the arithmetic for the small
-#: fragments archival actually encodes.
+#: GF(256).  :class:`PackedMatrix` slices its column tables out of it.
 _MUL = np.zeros((256, 256), dtype=np.uint8)
-
-
-def _build_mul_table() -> None:
-    nz = np.arange(1, 256)
-    logs = _LOG[nz]
-    _MUL[1:, 1:] = _EXP[logs[:, None] + logs[None, :]]
-
-
-_build_mul_table()
+_MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -77,59 +72,55 @@ def gf_pow(a: int, exponent: int) -> int:
     return int(_EXP[(int(_LOG[a]) * exponent) % 255])
 
 
-def gf_mul_bytes(scalar: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by ``scalar`` (vectorized)."""
-    if scalar == 0:
-        return np.zeros_like(data)
-    if scalar == 1:
-        return data.copy()
-    log_s = int(_LOG[scalar])
-    result = np.zeros_like(data)
-    nonzero = data != 0
-    result[nonzero] = _EXP[_LOG[data[nonzero]] + log_s]
-    return result
+class PackedMatrix:
+    """An r x k matrix whose table row ``256 * j + v`` packs ``M[:, j] * v``."""
+
+    __slots__ = ("rows", "cols", "_table")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.rows, self.cols = matrix.shape
+        words = -(-self.rows // 8)
+        packed = np.zeros((self.cols, 256, 8 * words), dtype=np.uint8)
+        packed[:, :, : self.rows] = _MUL[matrix.astype(np.uint8).T].transpose(0, 2, 1)
+        self._table = packed.view(np.uint64).reshape(self.cols * 256, words)
+
+    def __matmul__(self, data: np.ndarray) -> np.ndarray:
+        """This matrix times ``data`` (k x L bytes): an r x L uint8 array."""
+        if data.shape[0] != self.cols:
+            raise ValueError(f"shape mismatch: matrix k={self.cols}, data rows={data.shape[0]}")
+        rows = data + np.arange(0, 256 * self.cols, 256, dtype=np.intp)[:, None]
+        gathered = self._table.take(rows, axis=0)
+        packed = np.bitwise_xor.reduce(gathered, axis=0)
+        return np.ascontiguousarray(packed.view(np.uint8)[:, : self.rows].T)
 
 
 def gf_matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Matrix (r x k) times data (k x L) over GF(256).
-
-    One table gather of shape (r, k, L) followed by an XOR reduction
-    over k -- identical output to the scalar definition, but the work is
-    a single vectorized expression regardless of matrix shape.
-    """
-    rows, k = matrix.shape
-    if data.shape[0] != k:
-        raise ValueError(f"shape mismatch: matrix k={k}, data rows={data.shape[0]}")
-    products = _MUL[matrix.astype(np.uint8)[:, :, None], data[None, :, :]]
-    return np.bitwise_xor.reduce(products, axis=1)
+    """Matrix (r x k) times data (k x L) over GF(256)."""
+    return PackedMatrix(matrix) @ data
 
 
 def gf_mat_inv(matrix: np.ndarray) -> np.ndarray:
     """Invert a square matrix over GF(256) by Gauss-Jordan elimination.
 
-    Raises ``ValueError`` if singular.
+    Each pivot scales its row and clears its column from every other row
+    as whole-row table lookups.  Raises ``ValueError`` if singular.
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    a = matrix.astype(np.int32).copy()
-    inv = np.eye(n, dtype=np.int32)
+    a = matrix.astype(np.uint8)
+    inv = np.eye(n, dtype=np.uint8)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r, col] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix over GF(256)")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        pivot_inv = gf_inv(int(a[col, col]))
-        for c in range(n):
-            a[col, c] = gf_mul(int(a[col, c]), pivot_inv)
-            inv[col, c] = gf_mul(int(inv[col, c]), pivot_inv)
-        for r in range(n):
-            if r == col or a[r, col] == 0:
-                continue
-            factor = int(a[r, col])
-            for c in range(n):
-                a[r, c] ^= gf_mul(factor, int(a[col, c]))
-                inv[r, c] ^= gf_mul(factor, int(inv[col, c]))
-    return inv.astype(np.uint8)
+        a[[col, pivot]] = a[[pivot, col]]
+        inv[[col, pivot]] = inv[[pivot, col]]
+        scale = gf_inv(int(a[col, col]))
+        a[col] = _MUL[scale, a[col]]
+        inv[col] = _MUL[scale, inv[col]]
+        factors = a[:, col, None].copy()
+        factors[col] = 0
+        a ^= _MUL[factors, a[col]]
+        inv ^= _MUL[factors, inv[col]]
+    return inv

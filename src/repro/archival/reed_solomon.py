@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.archival.gf256 import gf_inv, gf_mat_inv, gf_matmul
+from repro.archival.gf256 import PackedMatrix, gf_inv, gf_mat_inv, gf_matmul
 
 
 class CodingError(ValueError):
@@ -59,7 +59,10 @@ class ReedSolomonCode:
             raise CodingError(f"n must be <= 256 for GF(256) codes, got {n}")
         self.k = k
         self.n = n
-        self._parity = cauchy_matrix(k, n - k)
+        parity = cauchy_matrix(k, n - k)
+        self._packed_parity = PackedMatrix(parity)
+        #: identity rows for the data fragments, then the parity rows
+        self._generator = np.vstack([np.eye(k, dtype=np.uint8), parity])
 
     @property
     def rate(self) -> float:
@@ -84,7 +87,7 @@ class ReedSolomonCode:
         stacked = np.frombuffer(b"".join(data_fragments), dtype=np.uint8).reshape(
             self.k, length
         )
-        parity = gf_matmul(self._parity, stacked)
+        parity = self._packed_parity @ stacked
         fragments = [
             CodedFragment(index=i, payload=data_fragments[i]) for i in range(self.k)
         ]
@@ -95,15 +98,6 @@ class ReedSolomonCode:
         return fragments
 
     # -- decode -------------------------------------------------------------------
-
-    def _row_for_index(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.n:
-            raise CodingError(f"fragment index out of range: {index}")
-        if index < self.k:
-            row = np.zeros(self.k, dtype=np.uint8)
-            row[index] = 1
-            return row
-        return self._parity[index - self.k]
 
     def decode(self, fragments: list[CodedFragment]) -> list[bytes]:
         """Reconstruct the k data fragments from any k coded fragments."""
@@ -118,7 +112,10 @@ class ReedSolomonCode:
         length = len(chosen[0].payload)
         if any(len(f.payload) != length for f in chosen):
             raise CodingError("fragments have inconsistent lengths")
-        matrix = np.stack([self._row_for_index(f.index) for f in chosen])
+        for f in chosen:
+            if not 0 <= f.index < self.n:
+                raise CodingError(f"fragment index out of range: {f.index}")
+        matrix = self._generator[[f.index for f in chosen]]
         stacked = np.frombuffer(
             b"".join(f.payload for f in chosen), dtype=np.uint8
         ).reshape(self.k, length)

@@ -18,12 +18,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.archival.reed_solomon import CodedFragment, CodingError
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    # Big-int XOR is orders of magnitude faster than a per-byte loop and
-    # keeps the Tornado path all-XOR (its speed advantage over RS).
+    # Big-int XOR is orders of magnitude faster than a per-byte loop; the
+    # peeling decoder resolves one fragment at a time with it.
     n = len(a)
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
@@ -83,11 +85,13 @@ class TornadoCode:
         fragments = [
             CodedFragment(index=i, payload=data_fragments[i]) for i in range(self.k)
         ]
+        stacked = np.frombuffer(b"".join(data_fragments), dtype=np.uint8).reshape(self.k, length)
         for check in self._checks:
-            payload = bytes(length)
-            for neighbor in check.neighbors:
-                payload = _xor_bytes(payload, data_fragments[neighbor])
-            fragments.append(CodedFragment(index=check.index, payload=payload))
+            first, *rest = check.neighbors
+            parity = stacked[first].copy()
+            for neighbor in rest:
+                parity ^= stacked[neighbor]
+            fragments.append(CodedFragment(index=check.index, payload=parity.tobytes()))
         return fragments
 
     # -- decode --------------------------------------------------------------------

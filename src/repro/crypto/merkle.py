@@ -53,9 +53,8 @@ class MerkleTree:
     def __init__(self, leaves: list[bytes]) -> None:
         if not leaves:
             raise ValueError("Merkle tree requires at least one leaf")
-        self._leaf_hashes = [_leaf_hash(leaf) for leaf in leaves]
-        self._levels: list[list[bytes]] = [self._leaf_hashes]
-        current = self._leaf_hashes
+        current = [_leaf_hash(leaf) for leaf in leaves]
+        self._levels: list[list[bytes]] = [current]
         while len(current) > 1:
             next_level = []
             for i in range(0, len(current) - 1, 2):
@@ -69,29 +68,29 @@ class MerkleTree:
     def root(self) -> bytes:
         return self._levels[-1][0]
 
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaf_hashes)
-
     def proof(self, index: int) -> MerkleProof:
         """Inclusion proof for leaf ``index``."""
-        if not 0 <= index < self.leaf_count:
+        if not 0 <= index < len(self._levels[0]):
             raise IndexError(f"leaf index out of range: {index}")
-        path: list[tuple[bytes, bool]] = []
-        i = index
-        for level in self._levels[:-1]:
-            if i % 2 == 0:
-                sibling_index = i + 1
-                sibling_is_right = True
-            else:
-                sibling_index = i - 1
-                sibling_is_right = False
-            if sibling_index < len(level):
-                path.append((level[sibling_index], sibling_is_right))
-            # If there is no sibling (odd promotion), the node carries up
-            # unchanged and contributes nothing to the proof.
-            i //= 2
-        return MerkleProof(leaf_index=index, path=tuple(path))
+        return self.proofs()[index]
+
+    def proofs(self) -> list[MerkleProof]:
+        """Every leaf's inclusion proof, in one walk from the root down.
+
+        A node's path is its own sibling step, if it has a sibling, then
+        its parent's path: leaves under one parent share every step above.
+        """
+        paths: list[tuple[tuple[bytes, bool], ...]] = [()]
+        for level in reversed(self._levels[:-1]):
+            below = []
+            for i in range(len(level)):
+                sibling = i ^ 1
+                if sibling < len(level):
+                    below.append(((level[sibling], sibling > i),) + paths[i // 2])
+                else:
+                    below.append(paths[i // 2])
+            paths = below
+        return [MerkleProof(leaf_index=i, path=path) for i, path in enumerate(paths)]
 
 
 def verify_proof(leaf_data: bytes, proof: MerkleProof, root: bytes) -> bool:

@@ -7,8 +7,9 @@ EXPERIMENTS.md can cite them.  pytest-benchmark wraps a representative
 unit of work from each experiment for timing.
 
 Results are written in one envelope shape: the sweep data lands under
-``series``, with schema version, seed, and git revision alongside, so
-every recorded number states how to reproduce it.
+``series``, with schema version and seed alongside.  The envelope holds
+nothing that changes when the code does not, so running the benches
+leaves the tracked result files unchanged unless a number moved.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-import subprocess
 import sys
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -30,40 +30,16 @@ if TYPE_CHECKING:  # imported where used, so oceanbench collects repro itself
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _git_rev() -> str:
-    """Short git revision of the working tree, or ``unknown``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=pathlib.Path(__file__).parent,
-        )
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
 def record_result(experiment: str, data: Any) -> None:
     """Persist an experiment's series for EXPERIMENTS.md.
 
-    ``data`` becomes the envelope's ``series``.  ``metrics``, ``timings``
-    and ``meta.config`` are written empty: no paper-figure bench fills
-    them, and the keys stay so every committed result keeps one shape.
+    ``data`` becomes the envelope's ``series``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     envelope = {
-        "schema_version": 1,
+        "schema_version": 2,
         "name": experiment,
-        "meta": {
-            "seed": 0,
-            "fast": False,
-            "git_rev": _git_rev(),
-            "config": {},
-        },
-        "metrics": {},
-        "timings": {},
+        "meta": {"seed": 0, "fast": False},
         "series": data,
     }
     path = RESULTS_DIR / f"{experiment}.json"

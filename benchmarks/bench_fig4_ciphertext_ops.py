@@ -121,13 +121,17 @@ def test_fig4_server_learns_only_structure(benchmark):
 
 def test_fig4_structural_overhead_and_reencryption_escape(benchmark):
     """Insert/delete indirection grows structure; periodic whole-object
-    re-encryption (the paper's escape hatch) resets it."""
+    re-encryption (the paper's escape hatch) resets it.
+
+    The document starts with eight top-level slots.  A delete empties a
+    slot but keeps it, so with one slot the walk would delete the whole
+    document and measure nothing."""
     principal, guid, codec = make_env(seed=4)
     state = DataObjectState()
-    _, state = apply_update(
-        state,
-        UpdateBuilder(codec, state).append(b"seed").build(principal, guid, 1.0),
-    )
+    seed = UpdateBuilder(codec, state)
+    for j in range(8):
+        seed.append(f"seed-{j}".encode())
+    _, state = apply_update(state, seed.build(principal, guid, 1.0))
     rng = random.Random(9)
     for i in range(40):
         builder = UpdateBuilder(codec, state)

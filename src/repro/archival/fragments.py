@@ -40,23 +40,33 @@ class ErasureCode(Protocol):
 class ArchivalFragment:
     """A coded fragment plus its path of neighboring hashes.
 
-    The fragment carries the tree's root hash; the archival GUID is the
-    (GUID-width) hash of that root.  Verification therefore needs no
-    outside context: check the proof against the carried root, and the
-    root against the GUID.
+    The fragment carries its archive's Merkle tree; the archival GUID is
+    the (GUID-width) hash of the tree's root.  Verification therefore
+    needs no outside context: check the proof against the carried root,
+    and the root against the GUID.  All fragments of one archive share
+    one tree and one ``guid_bytes`` object; the proof and the root are
+    read out of the tree when asked for.
     """
 
-    archival_guid: GUID
+    guid_bytes: bytes
     index: int
     payload: bytes
-    proof: MerkleProof
-    merkle_root: bytes
+    tree: MerkleTree
+
+    @property
+    def proof(self) -> MerkleProof:
+        return self.tree.proof(self.index)
+
+    @property
+    def merkle_root(self) -> bytes:
+        return self.tree.root
 
     def verify(self) -> bool:
         """Fully self-verifying against the archival GUID."""
-        if GUID.hash_of(self.merkle_root) != self.archival_guid:
+        root = self.tree.root
+        if GUID.hash_of(root).to_bytes() != self.guid_bytes:
             return False
-        return verify_proof(self.payload, self.proof, self.merkle_root)
+        return verify_proof(self.payload, self.proof, root)
 
     def size_bytes(self) -> int:
         return len(self.payload) + self.proof.size_bytes() + len(self.merkle_root) + 28
@@ -105,15 +115,9 @@ def encode_archival(
         # The archival GUID is the top-most hash (the paper's rule).  Merkle
         # roots are 32 bytes; GUIDs are 20 -- hash down to GUID width.
         archival_guid = GUID.hash_of(tree.root)
+        guid_bytes = archival_guid.to_bytes()
         fragments = tuple(
-            ArchivalFragment(
-                archival_guid=archival_guid,
-                index=f.index,
-                payload=f.payload,
-                proof=proof,
-                merkle_root=tree.root,
-            )
-            for f, proof in zip(coded, tree.proofs())
+            ArchivalFragment(guid_bytes, f.index, f.payload, tree) for f in coded
         )
     if tel.enabled:
         tel.count("archival_encodes_total")

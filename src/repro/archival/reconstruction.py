@@ -20,7 +20,7 @@ fragments to request up front.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.archival.fragments import ArchivalFragment, ErasureCode, reconstruct_archival
 from repro.archival.reed_solomon import CodingError
@@ -30,15 +30,21 @@ from repro.sim.network import Network, NodeId
 
 @dataclass
 class FragmentStore:
-    """Per-server storage of archival fragments, keyed by archival GUID."""
+    """Per-server storage of archival fragments, keyed by archival GUID.
 
-    fragments: dict[bytes, list[ArchivalFragment]] = field(default_factory=dict)
+    The key is the ``guid_bytes`` object every fragment of an archive
+    shares.  A server usually holds one fragment of an archive, so a
+    value is a tuple rather than a list with room to grow.
+    """
+
+    fragments: dict[bytes, tuple[ArchivalFragment, ...]] = field(default_factory=dict)
 
     def put(self, fragment: ArchivalFragment) -> None:
-        self.fragments.setdefault(fragment.archival_guid.to_bytes(), []).append(fragment)
+        key = fragment.guid_bytes
+        self.fragments[key] = self.fragments.get(key, ()) + (fragment,)
 
     def get(self, archival_guid_bytes: bytes) -> list[ArchivalFragment]:
-        return list(self.fragments.get(archival_guid_bytes, []))
+        return list(self.fragments.get(archival_guid_bytes, ()))
 
 
 @dataclass
@@ -189,10 +195,4 @@ class FragmentFetcher:
 def _corrupt(fragment: ArchivalFragment) -> ArchivalFragment:
     """A malicious holder flips payload bits; verification must catch it."""
     mutated = bytes([fragment.payload[0] ^ 0xFF]) + fragment.payload[1:]
-    return ArchivalFragment(
-        archival_guid=fragment.archival_guid,
-        index=fragment.index,
-        payload=mutated,
-        proof=fragment.proof,
-        merkle_root=fragment.merkle_root,
-    )
+    return replace(fragment, payload=mutated)

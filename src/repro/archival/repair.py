@@ -49,7 +49,7 @@ class ArchiveIndex:
     )
 
     def register(self, archival: ArchivalObject, code: ErasureCode) -> None:
-        self.objects[archival.archival_guid.to_bytes()] = (archival, code)
+        self.objects[archival.fragments[0].guid_bytes] = (archival, code)
 
 
 class RepairSweeper:

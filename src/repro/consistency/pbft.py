@@ -21,7 +21,7 @@ individual signatures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -309,13 +309,15 @@ _PHASE_BY_TYPE: dict[type, str] = {
 # -- replica -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     """Per-(view, seq) agreement state.
 
-    ``early_prepares``/``early_commits`` buffer votes that arrive before
-    the pre-prepare fixes the slot's digest (message reordering across
-    partitions); they merge in once the digest is known.
+    Votes are bitmasks over replica indices.  ``early_prepares`` and
+    ``early_commits`` buffer votes that arrive before the pre-prepare
+    fixes the slot's digest (message reordering across partitions), as
+    digest -> bitmask; they exist only once such a vote arrives, and
+    merge in when the digest is known.
     """
 
     digest: bytes | None = None
@@ -324,11 +326,11 @@ class _Instance:
     #: member update digests, () for noop slots; used to answer "is this
     #: request already riding some slot?" without rehashing bodies
     members: tuple[bytes, ...] = ()
-    prepares: set[int] = field(default_factory=set)
-    commits: set[int] = field(default_factory=set)
+    prepares: int = 0
+    commits: int = 0
     committed: bool = False
-    early_prepares: dict[bytes, set[int]] = field(default_factory=dict)
-    early_commits: dict[bytes, set[int]] = field(default_factory=dict)
+    early_prepares: dict[bytes, int] | None = None
+    early_commits: dict[bytes, int] | None = None
 
 
 class PBFTReplica:
@@ -421,8 +423,9 @@ class PBFTReplica:
         updates: tuple[Update, ...] | None,
         members: tuple[bytes, ...],
     ) -> None:
-        """Fix an instance's slot, keeping :attr:`_carried` counting each
-        digest the instance answers to (its own and its members')."""
+        """Fix an instance's slot, counting the votes held for its digest
+        and keeping :attr:`_carried` counting each digest the instance
+        answers to (its own and its members')."""
         carried = self._carried
         if instance.digest is not None:
             for key in {instance.digest, *instance.members}:
@@ -433,6 +436,10 @@ class PBFTReplica:
         instance.digest = digest
         instance.updates = updates
         instance.members = members
+        if instance.early_prepares:
+            instance.prepares |= instance.early_prepares.pop(digest, 0)
+        if instance.early_commits:
+            instance.commits |= instance.early_commits.pop(digest, 0)
         for key in {digest, *members}:
             carried[key] = carried.get(key, 0) + 1
 
@@ -667,9 +674,7 @@ class PBFTReplica:
         self._learn_members(slot, digests)
         instance = self._instance(self.view, seq)
         self._assign_slot(instance, slot, updates, digests)
-        instance.prepares.add(self.index)
-        instance.prepares |= instance.early_prepares.pop(slot, set())
-        instance.commits |= instance.early_commits.pop(slot, set())
+        instance.prepares |= 1 << self.index
         for member_digest, update in zip(digests, updates):
             self.known_by_digest[member_digest] = update
         tel = self.ring.telemetry
@@ -701,9 +706,7 @@ class PBFTReplica:
         """Fill a sequence gap with a null request (view-change padding)."""
         instance = self._instance(self.view, seq)
         self._assign_slot(instance, NOOP_DIGEST, None, ())
-        instance.prepares.add(self.index)
-        instance.prepares |= instance.early_prepares.pop(NOOP_DIGEST, set())
-        instance.commits |= instance.early_commits.pop(NOOP_DIGEST, set())
+        instance.prepares |= 1 << self.index
         self._broadcast(
             PrePrepare(self.view, seq, NOOP_DIGEST), size=SMALL_MESSAGE_BYTES
         )
@@ -741,10 +744,7 @@ class PBFTReplica:
             # pre-prepare can be the replica's only sight of the request.
             if update.update_id not in self.executed_updates:
                 self._wait_for(update.update_id)
-        instance.prepares.add(self.ring.leader_index(msg.view))
-        instance.prepares.add(self.index)
-        instance.prepares |= instance.early_prepares.pop(msg.digest, set())
-        instance.commits |= instance.early_commits.pop(msg.digest, set())
+        instance.prepares |= 1 << self.ring.leader_index(msg.view) | 1 << self.index
         self._broadcast(
             PrepareMsg(msg.view, msg.seq, msg.digest, self.index),
             size=SMALL_MESSAGE_BYTES,
@@ -753,24 +753,26 @@ class PBFTReplica:
         self._maybe_committed(msg.view, msg.seq)
 
     def _on_prepare(self, msg: PrepareMsg) -> None:
-        if msg.view != self.view:
+        if msg.view != self.view or not 0 <= msg.sender < self.ring.n:
             return
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is None:
             # Pre-prepare not here yet (reordering); hold the vote.
-            instance.early_prepares.setdefault(msg.digest, set()).add(msg.sender)
+            early = instance.early_prepares = instance.early_prepares or {}
+            early[msg.digest] = early.get(msg.digest, 0) | 1 << msg.sender
             return
         if msg.digest != instance.digest:
             return  # mismatched digest: ignore (equivocator)
-        instance.prepares.add(msg.sender)
+        instance.prepares |= 1 << msg.sender
         self._maybe_prepared(msg.view, msg.seq)
 
     def _maybe_prepared(self, view: int, seq: int) -> None:
         instance = self._instance(view, seq)
         if instance.digest is None or instance.committed:
             return
-        if len(instance.prepares) >= self.ring.quorum and self.index not in instance.commits:
-            instance.commits.add(self.index)
+        mine = 1 << self.index
+        if instance.prepares.bit_count() >= self.ring.quorum and not instance.commits & mine:
+            instance.commits |= mine
             tel = self.ring.telemetry
             if tel.enabled:
                 tel.record("pbft", "prepared", view=view, seq=seq, replica=self.index)
@@ -781,24 +783,25 @@ class PBFTReplica:
             self._maybe_committed(view, seq)
 
     def _on_commit(self, msg: CommitMsg) -> None:
-        if msg.view != self.view:
+        if msg.view != self.view or not 0 <= msg.sender < self.ring.n:
             return
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is None:
-            instance.early_commits.setdefault(msg.digest, set()).add(msg.sender)
+            early = instance.early_commits = instance.early_commits or {}
+            early[msg.digest] = early.get(msg.digest, 0) | 1 << msg.sender
             return
         if msg.digest != instance.digest:
             return
-        instance.commits.add(msg.sender)
+        instance.commits |= 1 << msg.sender
         self._maybe_committed(msg.view, msg.seq)
 
     def _maybe_committed(self, view: int, seq: int) -> None:
         instance = self._instance(view, seq)
         if instance.committed or instance.digest is None:
             return
-        if len(instance.commits) < self.ring.quorum:
+        if instance.commits.bit_count() < self.ring.quorum:
             return
-        if len(instance.prepares) < self.ring.quorum:
+        if instance.prepares.bit_count() < self.ring.quorum:
             return
         instance.committed = True
         tel = self.ring.telemetry
@@ -954,7 +957,7 @@ class PBFTReplica:
         for (view, seq), instance in self.instances.items():
             if instance.digest is None:
                 continue
-            if len(instance.prepares) >= self.ring.quorum:
+            if instance.prepares.bit_count() >= self.ring.quorum:
                 existing = reports.get(seq)
                 if existing is None or view > existing[0]:
                     reports[seq] = (view, instance.digest)

@@ -257,7 +257,6 @@ class OceanStoreSystem:
         )
         #: archival GUID bookkeeping per (object, version)
         self._archival_refs: dict[tuple[GUID, int], ArchivalReference] = {}
-        self._archival_roots: dict[GUID, bytes] = {}
 
         # -- introspection ---------------------------------------------------------
         self.replica_manager = ReplicaManager(
@@ -943,7 +942,6 @@ class OceanStoreSystem:
             fragment_count=archival.n,
         )
         self._archival_refs[key] = reference
-        self._archival_roots[archival.archival_guid] = archival.fragments[0].merkle_root
         primary.record_archival(reference)
         return reference
 
@@ -961,12 +959,14 @@ class OceanStoreSystem:
             self.telemetry.record(
                 "archival", "restore", object=object_guid, version=version
             )
+        guid_bytes = reference.archival_guid.to_bytes()
+        archival, _ = self.archive_index.objects[guid_bytes]
         with self.telemetry.span("archival.restore", version=version):
             result = self.fetcher.fetch(
                 client,
-                reference.archival_guid.to_bytes(),
+                guid_bytes,
                 self.archival_code,
-                self._archival_roots[reference.archival_guid],
+                archival.fragments[0].merkle_root,
                 extra=2,
             )
         if not result.success or result.data is None:

@@ -16,6 +16,7 @@ from repro.crypto.hashes import sha256
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
+_HASH_BYTES = 32
 
 
 def _leaf_hash(data: bytes) -> bytes:
@@ -48,49 +49,57 @@ class MerkleTree:
 
     Odd nodes at any level are promoted unchanged (Bitcoin-style
     duplication would allow a malleability quirk; promotion does not).
+
+    The node hashes are one blob, level by level from the leaves up; a
+    proof is read out of it on demand, so the n fragments of an archive
+    share one tree, not n overlapping paths.  Trees compare by value.
     """
+
+    __slots__ = ("leaf_count", "nodes")
 
     def __init__(self, leaves: list[bytes]) -> None:
         if not leaves:
             raise ValueError("Merkle tree requires at least one leaf")
-        current = [_leaf_hash(leaf) for leaf in leaves]
-        self._levels: list[list[bytes]] = [current]
-        while len(current) > 1:
-            next_level = []
-            for i in range(0, len(current) - 1, 2):
-                next_level.append(_node_hash(current[i], current[i + 1]))
-            if len(current) % 2 == 1:
-                next_level.append(current[-1])
-            self._levels.append(next_level)
-            current = next_level
+        level = [_leaf_hash(leaf) for leaf in leaves]
+        hashes = list(level)
+        while len(level) > 1:
+            up = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+            if len(level) % 2 == 1:
+                up.append(level[-1])
+            hashes += up
+            level = up
+        self.leaf_count = len(leaves)
+        self.nodes = b"".join(hashes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MerkleTree) and self.nodes == other.nodes
+
+    def __hash__(self) -> int:
+        return hash(self.nodes)
 
     @property
     def root(self) -> bytes:
-        return self._levels[-1][0]
+        return self.nodes[-_HASH_BYTES:]
 
     def proof(self, index: int) -> MerkleProof:
-        """Inclusion proof for leaf ``index``."""
-        if not 0 <= index < len(self._levels[0]):
+        """Inclusion proof for leaf ``index``: its sibling at each level
+        that has one, from the leaf upward."""
+        width = self.leaf_count
+        if not 0 <= index < width:
             raise IndexError(f"leaf index out of range: {index}")
-        return self.proofs()[index]
-
-    def proofs(self) -> list[MerkleProof]:
-        """Every leaf's inclusion proof, in one walk from the root down.
-
-        A node's path is its own sibling step, if it has a sibling, then
-        its parent's path: leaves under one parent share every step above.
-        """
-        paths: list[tuple[tuple[bytes, bool], ...]] = [()]
-        for level in reversed(self._levels[:-1]):
-            below = []
-            for i in range(len(level)):
-                sibling = i ^ 1
-                if sibling < len(level):
-                    below.append(((level[sibling], sibling > i),) + paths[i // 2])
-                else:
-                    below.append(paths[i // 2])
-            paths = below
-        return [MerkleProof(leaf_index=i, path=path) for i, path in enumerate(paths)]
+        nodes = self.nodes
+        path = []
+        start = 0
+        i = index
+        while width > 1:
+            sibling = i ^ 1
+            if sibling < width:
+                at = start + sibling * _HASH_BYTES
+                path.append((nodes[at : at + _HASH_BYTES], sibling > i))
+            start += width * _HASH_BYTES
+            width = (width + 1) // 2
+            i //= 2
+        return MerkleProof(leaf_index=index, path=tuple(path))
 
 
 def verify_proof(leaf_data: bytes, proof: MerkleProof, root: bytes) -> bool:

@@ -19,22 +19,27 @@ each must produce the very bytes its reference in
   from every row in one table lookup.  Square matrices up to 16 x 16,
   singular ones included, invert to the same bytes as scalar
   Gauss-Jordan or raise the same error.
-* :meth:`~repro.crypto.merkle.MerkleTree.proofs` builds every leaf's
-  proof in one walk from the root down.  For 1..40 leaves the root and
-  every proof equal the per-leaf walk, and sibling leaves share the
-  steps above their parent.
+* :class:`~repro.crypto.merkle.MerkleTree` keeps every node hash in one
+  blob and reads a proof out of it on demand.  For 1..40 leaves the
+  root, the blob and every proof equal the per-leaf walk over separate
+  levels, odd-width promotion included.
 
 The Tornado code's parities, now XORed as rows of one byte array, equal
 the per-neighbor big-int XOR.  Last, whole archival objects -- every
-fragment payload, proof, Merkle root and archival GUID -- equal the
-reference composition of the parts.
+fragment payload, proof, Merkle root, archival GUID and wire size --
+equal the reference composition of the parts, although the fragments of
+one archive share one tree and one store key; and a
+:class:`~repro.archival.reconstruction.FragmentStore` keyed by that
+shared key still tells two archives on one server apart.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from collections import namedtuple
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,11 +52,21 @@ from reference_archival import (
     reference_gf_matmul,
     reference_tornado_parity,
 )
-from repro.archival import ReedSolomonCode, TornadoCode, encode_archival
+from repro.archival import (
+    FragmentFetcher,
+    FragmentStore,
+    ReedSolomonCode,
+    TornadoCode,
+    encode_archival,
+    reconstruct_archival,
+    verify_fragment,
+)
 from repro.archival.fragments import _chunk_for_code
+from repro.archival.reconstruction import _corrupt
 from repro.archival.gf256 import PackedMatrix, gf_mat_inv, gf_matmul
 from repro.archival.reed_solomon import cauchy_matrix
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MerkleTree, verify_proof
+from repro.sim import Kernel, Network
 from repro.util.ids import GUID
 from repro.util.serialization import encode
 
@@ -266,17 +281,32 @@ class TestMerkleProofs:
         tree = MerkleTree(leaves)
         reference = ReferenceMerkleTree(leaves)
         assert tree.root == reference.root
-        proofs = tree.proofs()
-        assert proofs == [reference.proof(i) for i in range(len(leaves))]
-        assert [tree.proof(i) for i in range(len(leaves))] == proofs
+        assert tree.nodes == b"".join(h for level in reference.levels for h in level)
+        for i, leaf in enumerate(leaves):
+            assert tree.proof(i) == reference.proof(i)
+            assert verify_proof(leaf, tree.proof(i), tree.root)
 
     @pytest.mark.parametrize("count", [2, 5, 16, 17, 40])
     def test_sibling_leaves_share_the_steps_above_them(self, count):
-        proofs = MerkleTree([bytes([i]) for i in range(count)]).proofs()
+        tree = MerkleTree([bytes([i]) for i in range(count)])
         for left in range(0, count - 1, 2):
-            upper_left = proofs[left].path[1:]
-            upper_right = proofs[left + 1].path[1:]
-            assert all(a is b for a, b in zip(upper_left, upper_right, strict=True))
+            assert tree.proof(left).path[1:] == tree.proof(left + 1).path[1:]
+
+    @pytest.mark.parametrize("count", [3, 5, 7, 9, 17, 33])
+    def test_odd_width_promotion(self, count):
+        # The last leaf of an odd-width level has no sibling there: its
+        # proof skips that level rather than pairing it with itself.
+        leaves = [bytes([i]) for i in range(count)]
+        tree, reference = MerkleTree(leaves), ReferenceMerkleTree(leaves)
+        last = tree.proof(count - 1)
+        assert last == reference.proof(count - 1)
+        assert len(last.path) < len(reference.levels) - 1
+
+    def test_trees_compare_by_value(self):
+        leaves = [b"a", b"b", b"c"]
+        assert MerkleTree(leaves) == MerkleTree(list(leaves))
+        assert hash(MerkleTree(leaves)) == hash(MerkleTree(list(leaves)))
+        assert MerkleTree(leaves) != MerkleTree([b"a", b"b", b"d"])
 
 
 class TestArchivalObjects:
@@ -300,5 +330,65 @@ class TestArchivalObjects:
             assert fragment.payload == payloads[i]
             assert fragment.proof == tree.proof(i)
             assert fragment.merkle_root == tree.root
-            assert fragment.archival_guid == archival.archival_guid
+            assert fragment.guid_bytes == archival.archival_guid.to_bytes()
+            assert fragment.size_bytes() == (
+                len(payloads[i]) + 8 + 33 * len(tree.proof(i).path) + len(tree.root) + 28
+            )
             assert fragment.verify()
+
+    @given(st.integers(min_value=1, max_value=8), st.binary(max_size=600))
+    @settings(max_examples=40, deadline=None)
+    def test_one_tree_per_archive_and_value_equal_re_encodes(self, k, data):
+        code = ReedSolomonCode(k=k, n=2 * k)
+        archival = encode_archival(data, code)
+        first = archival.fragments[0]
+        assert all(f.tree is first.tree for f in archival.fragments)
+        assert all(f.guid_bytes is first.guid_bytes for f in archival.fragments)
+        again = encode_archival(data, code)
+        assert again.fragments[0].tree is not first.tree
+        assert again == archival
+        assert [hash(f) for f in again.fragments] == [hash(f) for f in archival.fragments]
+
+    @given(st.integers(min_value=0, max_value=15), st.binary(min_size=1, max_size=600))
+    @settings(max_examples=40, deadline=None)
+    def test_a_corrupted_fragment_is_rejected(self, index, data):
+        code = ReedSolomonCode(k=4, n=16)
+        archival = encode_archival(data, code)
+        corrupted = _corrupt(archival.fragments[index])
+        assert corrupted.tree is archival.fragments[index].tree
+        assert corrupted != archival.fragments[index]
+        assert not corrupted.verify()
+        root = archival.fragments[0].merkle_root
+        assert not verify_fragment(corrupted, root)
+        offered = [corrupted] + [f for f in archival.fragments if f.index != index]
+        assert reconstruct_archival(offered, code, root) == data
+
+
+class TestFragmentStore:
+    def test_two_archives_on_one_server(self):
+        code = ReedSolomonCode(k=2, n=4)
+        first = encode_archival(b"first archive", code)
+        second = encode_archival(b"second archive", code)
+        kernel = Kernel()
+        graph = nx.complete_graph(3)
+        nx.set_edge_attributes(graph, 30.0, "latency_ms")
+        network = Network(kernel, graph)
+        stores = {node: FragmentStore() for node in range(3)}
+        # Server 0 holds fragments of both archives, one of them twice
+        # (a repair re-encode lands beside the original).
+        for fragment in first.fragments[:2] + second.fragments[:1]:
+            stores[0].put(fragment)
+        stores[0].put(encode_archival(b"first archive", code).fragments[0])
+        stores[1].put(second.fragments[1])
+        first_key = first.archival_guid.to_bytes()
+        second_key = second.archival_guid.to_bytes()
+        assert stores[0].get(first_key) == [*first.fragments[:2], first.fragments[0]]
+        assert stores[0].get(second_key) == [second.fragments[0]]
+        assert stores[2].get(first_key) == []
+        assert len(stores[0].fragments) == 2
+        assert all(isinstance(held, tuple) for held in stores[0].fragments.values())
+        fetcher = FragmentFetcher(kernel, network, stores, random.Random(0))
+        assert fetcher.holders_of(first_key) == [0]
+        assert fetcher.holders_of(second_key) == [0, 1]
+        network.set_down(0)
+        assert fetcher.holders_of(second_key) == [1]

@@ -383,3 +383,41 @@ class TestRepairSweeper:
         kernel, network, stores = self.make_world()
         with pytest.raises(ValueError):
             RepairSweeper(network, stores, ArchiveIndex(), min_live_fraction=0.0)
+
+
+class TestRetainedBytes:
+    """What an archive leaves behind in fragment stores, beyond its
+    payloads: one shared Merkle tree and key, a small object per
+    fragment and its store slot.  Per-fragment proof objects, step
+    tuples, separate hash objects and per-put keys cost about 9.5 KiB
+    per 8-of-16 archive of a 4 KiB state; the shared record about
+    3.4 KiB on CPython 3.11.  The bound leaves room for other 3.10-3.12
+    object layouts."""
+
+    BOUND_BYTES_PER_ARCHIVE = 5 * 1024
+
+    def test_archives_share_their_bookkeeping(self):
+        import gc
+        import sys
+        import tracemalloc
+
+        code = ReedSolomonCode(k=8, n=16)
+        rng = random.Random(48)
+        versions = [rng.randbytes(4096) for _ in range(64)]
+        stores = [FragmentStore() for _ in range(code.n)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            payload_bytes = 0
+            for data in versions:
+                for fragment in encode_archival(data, code).fragments:
+                    stores[fragment.index].put(fragment)
+                    payload_bytes += sys.getsizeof(fragment.payload)
+            del fragment
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_archive = (retained - payload_bytes) / len(versions)
+        assert 0 < per_archive < self.BOUND_BYTES_PER_ARCHIVE

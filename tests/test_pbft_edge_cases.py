@@ -12,7 +12,11 @@ from repro.consistency.pbft import (
     NOOP_DIGEST,
     SMALL_MESSAGE_BYTES,
     CommitCertificate,
+    CommitMsg,
     PBFTReplica,
+    PreparedReport,
+    PrepareMsg,
+    PrePrepare,
     slot_digest_for,
 )
 from repro.crypto import make_principal
@@ -231,6 +235,74 @@ class TestDeferredPrePrepare:
         ring.submit(clients[0], update)  # client retry reaches replica 3
         kernel.run(until=60_000.0)
         assert sorted(executed) == [0, 1, 2, 3]
+
+
+class TestEarlyVotes:
+    """Prepares and commits that reach a backup before the pre-prepare
+    (reordering): buffered per digest, counted once the digest is fixed."""
+
+    def test_votes_before_the_pre_prepare_count_once_it_lands(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        update = up(author, b"early votes")
+        digest = update_digest(update)
+        # The leader's messages never reach replica 3; everyone else's do.
+        network.add_asymmetric_partition({0}, {3})
+        executed = []
+        ring.on_execute(lambda rep, seq, u: executed.append(rep.index))
+        ring.submit(clients[0], update)
+        kernel.run(until=1_000.0)
+        backup = ring.replicas[3]
+        instance = backup.instances[(0, 0)]
+        assert instance.digest is None
+        assert instance.early_prepares == {digest: 0b0110}
+        assert instance.early_commits == {digest: 0b0110}
+        assert sorted(executed) == [0, 1, 2]
+        # Buffers exist only where a vote really came early.
+        assert ring.replicas[0].instances[(0, 0)].early_prepares is None
+        assert ring.replicas[1].instances[(0, 0)].early_commits is None
+
+        network.heal_partitions()
+        network.send(0, 3, PrePrepare(0, 0, digest), SMALL_MESSAGE_BYTES)
+        kernel.run(until=1_500.0)
+        assert instance.committed
+        assert instance.prepares == 0b1111
+        assert instance.commits & 0b1110 == 0b1110
+        assert not instance.early_prepares and not instance.early_commits
+        assert sorted(executed) == [0, 1, 2, 3]
+        assert backup._prepared_reports() == (PreparedReport(seq=0, digest=digest),)
+
+        # The leader goes silent; view 1 must keep the executed slot.
+        ring.set_fault(0, FaultMode.SILENT)
+        second = up(author, b"after the crash", ts=2.0)
+        ring.submit(clients[1], second)
+        kernel.run(until=60_000.0)
+        assert [r.view for r in ring.replicas[1:]] == [1, 1, 1]
+        assert PreparedReport(seq=0, digest=digest) in backup.view_change_votes[1][3]
+        assert [u.update_id for u in ring.committed_order] == [
+            update.update_id,
+            second.update_id,
+        ]
+        for replica in ring.replicas[1:]:
+            assert replica.executed_by_seq[0] == digest
+            assert replica.executed_by_seq[1] == update_digest(second)
+
+    def test_early_votes_for_another_digest_or_from_outside_never_count(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        backup = ring.replicas[3]
+        forged = b"f" * 32
+        backup._on_prepare(PrepareMsg(0, 0, forged, 1))
+        backup._on_commit(CommitMsg(0, 0, forged, 2))
+        # Senders outside the ring hold no vote at all.
+        for sender in (-1, ring.n):
+            backup._on_prepare(PrepareMsg(0, 0, forged, sender))
+            backup._on_commit(CommitMsg(0, 0, forged, sender))
+        update = up(author, b"honest")
+        ring.submit(clients[0], update)
+        kernel.run(until=2_000.0)
+        instance = backup.instances[(0, 0)]
+        assert instance.digest == update_digest(update) and instance.committed
+        assert instance.early_prepares == {forged: 0b0010}
+        assert instance.early_commits == {forged: 0b0100}
 
 
 class TestProgressTimer:

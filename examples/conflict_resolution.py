@@ -10,7 +10,8 @@ users editing shared state concurrently:
 2. **resolution (Bayou-style)**: multi-branch updates with a fallback --
    both contributions land, no aborts;
 3. **branching (Lotus-Notes-style)**: an unresolvable conflict forks a
-   branch in the version stream instead of losing work;
+   branch in the version stream instead of losing work; replaying it
+   onto main still fails its guard, so the owner reconciles by hand;
 4. **structural merge (Coda-style)**: log-structured shared directories
    make concurrent namespace edits conflict-free by construction.
 
@@ -85,7 +86,7 @@ def main() -> None:
           "writer's fallback preserved their edit)")
 
     print("\n== 3. Branching: unresolvable conflicts fork the stream ==")
-    from repro.data import AppendBlock, CompareVersion
+    from repro.data import AndPredicate, AppendBlock, CompareSize, CompareVersion
 
     log = BranchingVersionLog()
     obj_guid = GUID.hash_of(b"branchy-demo")
@@ -99,7 +100,10 @@ def main() -> None:
         )
 
     log.apply(raw_update(b"v1;", TruePredicate(), 1.0))
-    offline = raw_update(b"offline-work;", CompareVersion(1), 2.0)
+    # Guarded on the version *and* size the offline writer last saw.
+    offline = raw_update(
+        b"offline-work;", AndPredicate((CompareVersion(1), CompareSize(3))), 2.0
+    )
     # Main moves on while the offline edit is in flight.
     log.apply(raw_update(b"mainline;", TruePredicate(), 3.0))
     outcome = log.apply(offline)
@@ -107,6 +111,14 @@ def main() -> None:
     branch, branch_outcome = log.divert(offline, built_against_version=1)
     print(f"   diverted to {branch!r}: committed={branch_outcome.committed}")
     print(f"   branches outstanding: {log.branch_names()}")
+    replayed = log.merge_by_replay(branch)
+    print(f"   replayed onto main: committed={[o.committed for o in replayed]} "
+          "(its guard still fails there)")
+    reconciled = log.resolve(
+        branch, raw_update(b"offline-work(reconciled);", TruePredicate(), 4.0)
+    )
+    print(f"   reconciled by hand: committed={reconciled.committed}; main at "
+          f"version {log.head.version}; branches outstanding: {log.branch_names()}")
 
     print("\n== 4. Structural merge: shared directories never conflict ==")
     team = SharedDirectory.create(alice, "team-space")
@@ -115,6 +127,10 @@ def main() -> None:
     assert team.bind("alice-report", GUID.hash_of(b"r1"))
     assert bob_team.bind("bob-dataset", GUID.hash_of(b"d1"))
     print(f"   merged directory: {team.list()}")
+    report = bob_team.lookup("alice-report")
+    print(f"   bob resolves alice-report -> {report.hex()[:12]}...")
+    assert team.unbind("bob-dataset") and "bob-dataset" not in bob_team
+    print(f"   after alice unbinds bob-dataset: {bob_team.list()}")
     print(f"   log length {team.log_length()}; after compaction: ", end="")
     team.compact()
     print(team.log_length())

@@ -24,7 +24,6 @@ deployment control (faults, archival, introspection).
 
 from repro.api import (
     ApiEvent,
-    LocalBackend,
     OceanStoreHandle,
     Session,
     SessionGuarantee,
@@ -40,7 +39,6 @@ __all__ = [
     "DeploymentConfig",
     "FileSystemFacade",
     "GUID",
-    "LocalBackend",
     "OceanStoreHandle",
     "OceanStoreSystem",
     "Session",

@@ -37,18 +37,6 @@ class Privilege(Flag):
     WRITE = auto()
     ADMIN = auto()  # may replace the ACL itself
 
-    @classmethod
-    def parse(cls, text: str) -> "Privilege":
-        result = cls(0)
-        for part in text.split("|"):
-            part = part.strip().upper()
-            if not part:
-                continue
-            try:
-                result |= cls[part]
-            except KeyError:
-                raise ValueError(f"unknown privilege {part!r}") from None
-        return result
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,7 @@
 """The OceanStore client API (Section 4.6): sessions with Bayou-style
 guarantees, updates, callbacks, and legacy facades."""
 
-from repro.api.backend import Backend, LocalBackend, SubmitResult, UnknownObject
+from repro.api.backend import Backend, SubmitResult, UnknownObject
 from repro.api.callbacks import ApiEvent, CallbackRegistry, Notification
 from repro.api.oceanstore import ObjectHandle, OceanStoreHandle
 from repro.api.shared_directory import SharedDirectory
@@ -17,7 +17,6 @@ __all__ = [
     "Backend",
     "CallbackRegistry",
     "GuaranteeViolation",
-    "LocalBackend",
     "Notification",
     "ObjectHandle",
     "OceanStoreHandle",

@@ -31,7 +31,6 @@ from repro.archival.reliability import (
     erasure_availability,
     monte_carlo_availability,
     nines,
-    paper_examples,
     replication_availability,
     storage_overhead,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "erasure_availability",
     "monte_carlo_availability",
     "nines",
-    "paper_examples",
     "reconstruct_archival",
     "replication_availability",
     "storage_overhead",

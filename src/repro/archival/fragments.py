@@ -68,9 +68,6 @@ class ArchivalFragment:
             return False
         return verify_proof(self.payload, self.proof, root)
 
-    def size_bytes(self) -> int:
-        return len(self.payload) + self.proof.size_bytes() + len(self.merkle_root) + 28
-
 
 @dataclass(frozen=True, slots=True)
 class ArchivalObject:

@@ -64,15 +64,6 @@ class ReedSolomonCode:
         #: identity rows for the data fragments, then the parity rows
         self._generator = np.vstack([np.eye(k, dtype=np.uint8), parity])
 
-    @property
-    def rate(self) -> float:
-        """Code rate k/n (a rate-1/2 code doubles storage)."""
-        return self.k / self.n
-
-    def fragments_needed(self) -> int:
-        """Any k fragments reconstruct the data (the RS guarantee)."""
-        return self.k
-
     # -- encode -----------------------------------------------------------------
 
     def encode(self, data_fragments: list[bytes]) -> list[CodedFragment]:

@@ -120,13 +120,3 @@ def storage_overhead(fragments: int, rate: float) -> float:
     if not 0 < rate < 1:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
     return 1.0 / rate
-
-
-def paper_examples() -> dict[str, float]:
-    """The worked numbers from Section 4.5, for the benchmark harness."""
-    n, m = 1_000_000, 100_000
-    return {
-        "replication_2": replication_availability(n, m, replicas=2),
-        "erasure_16_rate_half": erasure_availability(n, m, fragments=16, rate=0.5),
-        "erasure_32_rate_half": erasure_availability(n, m, fragments=32, rate=0.5),
-    }

@@ -64,14 +64,6 @@ class TornadoCode:
             neighbors = tuple(sorted(rng.sample(range(k), degree)))
             self._checks.append(_ParityCheck(parity_index, neighbors))
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
-    def fragments_needed(self) -> int:
-        """Lower bound; peeling typically needs slightly more than k."""
-        return self.k
-
     # -- encode ------------------------------------------------------------------
 
     def encode(self, data_fragments: list[bytes]) -> list[CodedFragment]:

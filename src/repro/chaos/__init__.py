@@ -31,7 +31,6 @@ from repro.chaos.scenarios import (
     ChaosContext,
     ChaosReport,
     FaultSchedule,
-    run_all,
     run_scenario,
     scenario_descriptions,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "check_ring_liveness",
     "check_ring_quorum",
     "check_version_log",
-    "run_all",
     "run_scenario",
     "scenario_descriptions",
 ]

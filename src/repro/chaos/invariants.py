@@ -72,10 +72,6 @@ class InvariantReport:
     checked: tuple[str, ...]
     violations: tuple[InvariantViolation, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def violated_names(self) -> set[str]:
         return {v.invariant for v in self.violations}
 

@@ -1003,17 +1003,11 @@ def run_scenario(
     )
 
 
-def run_all(seed: int = 0, chaos: ChaosConfig | None = None) -> list[ChaosReport]:
-    """Every registered scenario under one master seed."""
-    return [run_scenario(name, seed, chaos) for name in sorted(SCENARIOS)]
-
-
 __all__ = [
     "ChaosContext",
     "ChaosReport",
     "FaultSchedule",
     "SCENARIOS",
-    "run_all",
     "run_scenario",
     "scenario_descriptions",
 ]

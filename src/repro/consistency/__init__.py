@@ -14,7 +14,6 @@ from repro.consistency.costmodel import (
     PROTOCOL_PHASES,
     CostConstants,
     CostModelFit,
-    crossover_update_size,
     fit_cost_model,
     latency_estimate_ms,
     minimum_cost_bytes,
@@ -86,7 +85,6 @@ __all__ = [
     "TentativeGossip",
     "TrafficMeasurement",
     "TreeError",
-    "crossover_update_size",
     "fit_cost_model",
     "strategy_for",
     "latency_estimate_ms",

@@ -70,27 +70,6 @@ def normalized_cost(
     )
 
 
-def crossover_update_size(
-    target_normalized_cost: float,
-    n: int,
-    constants: CostConstants = CostConstants(),
-) -> float:
-    """Update size at which the normalized cost reaches a target.
-
-    Solving  (c1*n^2 + (u+c2)*n + c3) / (u*n) = t  for u:
-
-        u = (c1*n^2 + c2*n + c3) / (n*(t - 1))
-
-    Used to check the paper's reading of Figure 6: for n=13 the
-    normalized cost "approaches 2 at update sizes of only around 4k
-    bytes" and approaches 1 near 100 kB.
-    """
-    if target_normalized_cost <= 1.0:
-        raise ValueError("normalized cost is always > 1; target must exceed 1")
-    numerator = constants.c1 * n * n + constants.c2 * n + constants.c3
-    return numerator / (n * (target_normalized_cost - 1.0))
-
-
 @dataclass(frozen=True, slots=True)
 class CostModelFit:
     """Least-squares fit of measured traffic to the paper's equation.

@@ -323,9 +323,6 @@ class _Instance:
     digest: bytes | None = None
     #: ordered member bodies (None for a noop slot)
     updates: tuple[Update, ...] | None = None
-    #: member update digests, () for noop slots; used to answer "is this
-    #: request already riding some slot?" without rehashing bodies
-    members: tuple[bytes, ...] = ()
     prepares: int = 0
     commits: int = 0
     committed: bool = False
@@ -417,30 +414,27 @@ class PBFTReplica:
         return instance
 
     def _assign_slot(
-        self,
-        instance: _Instance,
-        digest: bytes,
-        updates: tuple[Update, ...] | None,
-        members: tuple[bytes, ...],
+        self, instance: _Instance, digest: bytes, updates: tuple[Update, ...] | None
     ) -> None:
         """Fix an instance's slot, counting the votes held for its digest
         and keeping :attr:`_carried` counting each digest the instance
-        answers to (its own and its members')."""
+        answers to (its own and its members').  Callers learn a batch's
+        composition first, so :meth:`_members_of` names the same members
+        here as when the slot is released."""
         carried = self._carried
         if instance.digest is not None:
-            for key in {instance.digest, *instance.members}:
+            for key in {instance.digest, *self._members_of(instance.digest)}:
                 if carried[key] == 1:
                     del carried[key]
                 else:
                     carried[key] -= 1
         instance.digest = digest
         instance.updates = updates
-        instance.members = members
         if instance.early_prepares:
             instance.prepares |= instance.early_prepares.pop(digest, 0)
         if instance.early_commits:
             instance.commits |= instance.early_commits.pop(digest, 0)
-        for key in {digest, *members}:
+        for key in {digest, *self._members_of(digest)}:
             carried[key] = carried.get(key, 0) + 1
 
     def _broadcast(self, payload: object, size: int) -> None:
@@ -673,7 +667,7 @@ class PBFTReplica:
         slot = slot_digest(digests)
         self._learn_members(slot, digests)
         instance = self._instance(self.view, seq)
-        self._assign_slot(instance, slot, updates, digests)
+        self._assign_slot(instance, slot, updates)
         instance.prepares |= 1 << self.index
         for member_digest, update in zip(digests, updates):
             self.known_by_digest[member_digest] = update
@@ -705,7 +699,7 @@ class PBFTReplica:
     def _propose_noop_at(self, seq: int) -> None:
         """Fill a sequence gap with a null request (view-change padding)."""
         instance = self._instance(self.view, seq)
-        self._assign_slot(instance, NOOP_DIGEST, None, ())
+        self._assign_slot(instance, NOOP_DIGEST, None)
         instance.prepares |= 1 << self.index
         self._broadcast(
             PrePrepare(self.view, seq, NOOP_DIGEST), size=SMALL_MESSAGE_BYTES
@@ -716,7 +710,6 @@ class PBFTReplica:
         if msg.view != self.view:
             return
         updates: tuple[Update, ...] | None = None
-        members: tuple[bytes, ...] = ()
         if msg.digest != NOOP_DIGEST:
             members = msg.members
             if slot_digest(members) != msg.digest:
@@ -738,7 +731,7 @@ class PBFTReplica:
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is not None and instance.digest != msg.digest:
             return  # conflicting pre-prepare for the slot
-        self._assign_slot(instance, msg.digest, updates, members)
+        self._assign_slot(instance, msg.digest, updates)
         for update in updates or ():
             # The client's own copy may never arrive (lossy links): this
             # pre-prepare can be the replica's only sight of the request.

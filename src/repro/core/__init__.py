@@ -25,7 +25,6 @@ from repro.core.workloads import (
     EmailWorkload,
     correlated_trace,
     diurnal_trace,
-    zipf_trace,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "diurnal_trace",
     "make_client",
     "serialize_state",
-    "zipf_trace",
 ]

@@ -43,11 +43,6 @@ class OceanStoreServer:
         """This server's identity, minted the first time anything asks."""
         return self.identities[self.network_id]
 
-    @property
-    def guid(self) -> GUID:
-        """Server GUID: the secure hash of its public key (Section 4.1)."""
-        return self.principal.guid
-
     def get_or_create_object(self, guid: GUID) -> PersistentObject:
         obj = self.objects.get(guid)
         if obj is None:

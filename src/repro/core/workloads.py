@@ -4,7 +4,6 @@ Section 3's motivating applications (groupware/email, digital libraries,
 nomadic data) are qualitative; these generators produce traces that
 exercise the same code paths, and the benchmark harness sweeps them:
 
-* :func:`zipf_trace` -- skewed object popularity (library reads);
 * :func:`correlated_trace` -- embedded k-order access patterns plus
   noise, for the prefetching experiment (Section 5's claim);
 * :func:`diurnal_trace` -- work-site/home-site migration cycles
@@ -20,19 +19,6 @@ import random
 from dataclasses import dataclass
 
 from repro.util.ids import GUID
-
-
-def zipf_trace(
-    object_count: int, length: int, rng: random.Random, exponent: float = 1.1
-) -> list[GUID]:
-    """Accesses with Zipfian popularity over ``object_count`` objects."""
-    if object_count < 1 or length < 0:
-        raise ValueError("object_count >= 1 and length >= 0 required")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    weights = [1.0 / ((i + 1) ** exponent) for i in range(object_count)]
-    objects = [GUID.hash_of(f"zipf-{i}".encode()) for i in range(object_count)]
-    return rng.choices(objects, weights=weights, k=length)
 
 
 def correlated_trace(

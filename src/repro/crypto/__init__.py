@@ -10,7 +10,7 @@ hashes (:mod:`~repro.crypto.hashes`), a position-dependent block cipher
 """
 
 from repro.crypto.blockcipher import BLOCK_SIZE, PositionDependentCipher
-from repro.crypto.hashes import derive_key, hmac_sha256, sha1, sha256
+from repro.crypto.hashes import derive_key, hmac_sha256, sha256
 from repro.crypto.keys import KeyPool, KeyRing, ObjectKey, Principal, make_principal
 from repro.crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from repro.crypto.rsa import PrivateKey, PublicKey, generate_keypair
@@ -40,7 +40,6 @@ __all__ = [
     "hmac_sha256",
     "make_principal",
     "server_search",
-    "sha1",
     "sha256",
     "verify_proof",
 ]

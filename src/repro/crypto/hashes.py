@@ -13,11 +13,6 @@ import hashlib
 import hmac
 
 
-def sha1(data: bytes) -> bytes:
-    """20-byte SHA-1 digest (the paper's secure hash)."""
-    return hashlib.sha1(data).digest()
-
-
 def sha256(data: bytes) -> bytes:
     """32-byte SHA-256 digest."""
     return hashlib.sha256(data).digest()

@@ -39,10 +39,6 @@ class MerkleProof:
     leaf_index: int
     path: tuple[tuple[bytes, bool], ...]
 
-    def size_bytes(self) -> int:
-        """Wire size of the proof (for fragment overhead accounting)."""
-        return 8 + sum(len(h) + 1 for h, _ in self.path)
-
 
 class MerkleTree:
     """Merkle tree over a fixed list of leaf payloads.

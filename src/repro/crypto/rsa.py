@@ -80,20 +80,6 @@ class PublicKey:
         e_bytes = self.e.to_bytes((self.e.bit_length() + 7) // 8, "big")
         return len(n_bytes).to_bytes(4, "big") + n_bytes + e_bytes
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PublicKey":
-        """Inverse of :meth:`to_bytes` (wire decoding of signer keys)."""
-        if len(data) < 6:
-            raise ValueError("truncated public key")
-        n_len = int.from_bytes(data[:4], "big")
-        if len(data) < 4 + n_len + 1:
-            raise ValueError("truncated public key modulus")
-        n = int.from_bytes(data[4 : 4 + n_len], "big")
-        e = int.from_bytes(data[4 + n_len :], "big")
-        if n <= 0 or e <= 0:
-            raise ValueError("degenerate public key")
-        return cls(n=n, e=e)
-
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Check a full-domain-hash RSA signature.  Never raises on bad input.
 

@@ -32,12 +32,8 @@ from repro.data.update import (
     Update,
     UpdateBranch,
     UpdateOutcome,
-    action_from_dict,
     apply_update,
-    deserialize_update,
     make_update,
-    predicate_from_dict,
-    serialize_update,
 )
 from repro.data.version_log import (
     LoggedUpdate,
@@ -81,11 +77,7 @@ __all__ = [
     "VersionLog",
     "VersionNotFound",
     "VersionRecord",
-    "action_from_dict",
     "apply_update",
     "chunk_plaintext",
-    "deserialize_update",
     "make_update",
-    "predicate_from_dict",
-    "serialize_update",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.update import DataObjectState, Update, UpdateOutcome
-from repro.data.version_log import VersionLog, VersionRecord
+from repro.data.version_log import VersionLog
 from repro.util.ids import GUID
 
 
@@ -55,12 +55,6 @@ class PersistentObject:
             )
         return self.log.apply(update)
 
-    def archival_form(self, version: int) -> VersionRecord:
-        """A permanent, read-only version (raises if retired/unknown)."""
-        return self.log.version(version)
-
     def record_archival(self, reference: ArchivalReference) -> None:
         self.archived[reference.version] = reference
 
-    def is_archived(self, version: int) -> bool:
-        return version in self.archived

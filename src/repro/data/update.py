@@ -180,27 +180,6 @@ Predicate = (
 )
 
 
-def predicate_from_dict(data: dict) -> Predicate:
-    kind = data["kind"]
-    if kind == "compare-version":
-        return CompareVersion(version=data["version"])
-    if kind == "compare-size":
-        return CompareSize(size=data["size"])
-    if kind == "compare-block":
-        return CompareBlock(index=data["index"], ciphertext_hash=data["hash"])
-    if kind == "search":
-        return SearchPredicate(
-            encrypted_word=data["encrypted_word"], word_key=data["word_key"]
-        )
-    if kind == "true":
-        return TruePredicate()
-    if kind == "and":
-        return AndPredicate(
-            parts=tuple(predicate_from_dict(p) for p in data["parts"])
-        )
-    raise ValueError(f"unknown predicate kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Actions
 # ---------------------------------------------------------------------------
@@ -287,31 +266,6 @@ class AppendSearchCells:
 
 
 Action = ReplaceBlock | InsertBlock | DeleteBlock | AppendBlock | AppendSearchCells
-
-
-def action_from_dict(data: dict) -> Action:
-    kind = data["kind"]
-    if kind == "replace":
-        return ReplaceBlock(
-            slot=data["slot"],
-            ciphertext=data["ciphertext"],
-            block_id=data.get("block_id"),
-        )
-    if kind == "insert":
-        return InsertBlock(
-            slot=data["slot"],
-            ciphertext=data["ciphertext"],
-            block_id=data.get("block_id"),
-        )
-    if kind == "delete":
-        return DeleteBlock(slot=data["slot"])
-    if kind == "append":
-        return AppendBlock(
-            ciphertext=data["ciphertext"], block_id=data.get("block_id")
-        )
-    if kind == "append-search":
-        return AppendSearchCells(cells=tuple(data["cells"]))
-    raise ValueError(f"unknown action kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,48 +370,6 @@ def make_update(
 # ---------------------------------------------------------------------------
 # Application semantics
 # ---------------------------------------------------------------------------
-
-
-def serialize_update(update: Update) -> bytes:
-    """Full wire encoding of a signed update (self-contained)."""
-    return serialization.encode(
-        {
-            "payload": update.payload_dict(),
-            "update_id": update.update_id,
-            "signature": update.signature,
-        }
-    )
-
-
-def deserialize_update(data: bytes) -> Update:
-    """Decode a wire update; raises ``ValueError`` on malformed input.
-
-    The signature is *not* checked here (that is the receiver's
-    explicit step via :meth:`Update.verify_signature`), but structural
-    integrity is: the embedded update id must match the body.
-    """
-    from repro.crypto.rsa import PublicKey
-
-    decoded = serialization.decode(data)
-    payload = decoded["payload"]
-    branches = tuple(
-        UpdateBranch(
-            predicate=predicate_from_dict(dict(branch["predicate"])),
-            actions=tuple(action_from_dict(dict(a)) for a in branch["actions"]),
-        )
-        for branch in payload["branches"]
-    )
-    update = Update(
-        object_guid=GUID.from_bytes(payload["object"]),
-        branches=branches,
-        timestamp=payload["timestamp"] / 1000,
-        client_key=PublicKey.from_bytes(payload["client"]),
-        update_id=decoded["update_id"],
-        signature=decoded["signature"],
-    )
-    if sha256(update.signed_bytes()) != update.update_id:
-        raise ValueError("update id does not match body (tampered wire data)")
-    return update
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,12 +12,7 @@ from repro.naming.directory import (
     NotADirectory,
     split_path,
 )
-from repro.naming.guid import (
-    fragment_guid,
-    object_guid,
-    server_guid,
-    verify_object_guid,
-)
+from repro.naming.guid import object_guid, verify_object_guid
 from repro.naming.logdir import (
     DirectoryRecord,
     DirectoryRecordError,
@@ -52,10 +47,8 @@ __all__ = [
     "RetentionPolicy",
     "VersionPolicy",
     "VersionedName",
-    "fragment_guid",
     "object_guid",
     "parse_versioned_name",
-    "server_guid",
     "split_path",
     "verify_object_guid",
 ]

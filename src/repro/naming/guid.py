@@ -31,11 +31,3 @@ def verify_object_guid(guid: GUID, owner_key: PublicKey, name: str) -> bool:
     return object_guid(owner_key, name) == guid
 
 
-def server_guid(server_key: PublicKey) -> GUID:
-    """A server's GUID is the secure hash of its public key (Section 4.1)."""
-    return GUID.hash_of(server_key.to_bytes())
-
-
-def fragment_guid(fragment_data: bytes) -> GUID:
-    """An archival fragment's GUID is the hash of the data it holds."""
-    return GUID.hash_of(fragment_data)

@@ -31,11 +31,6 @@ class VersionedName:
         suffix = "latest" if self.version is None else str(self.version)
         return f"{self.guid.hex()}@{suffix}"
 
-    @property
-    def is_permanent(self) -> bool:
-        """Permanent hyper-links pin a version; 'latest' links do not."""
-        return self.version is not None
-
 
 def parse_versioned_name(text: str) -> VersionedName:
     """Parse ``<hex>[@<version>|@latest]``; bare hex means latest."""

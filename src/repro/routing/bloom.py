@@ -92,14 +92,6 @@ class BloomFilter:
         mask = guid_mask(guid, self.width, self.hashes)
         return self.bits & mask == mask
 
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        self._check_compatible(other)
-        return BloomFilter(self.width, self.hashes, self.bits | other.bits)
-
-    def _check_compatible(self, other: "BloomFilter") -> None:
-        if self.width != other.width or self.hashes != other.hashes:
-            raise ValueError("incompatible Bloom filter parameters")
-
     @property
     def popcount(self) -> int:
         return bin(self.bits).count("1")

@@ -40,8 +40,6 @@ class _GroupState:
     members: set[NodeId] = field(default_factory=set)
     #: reverse tree: node -> children (next hops away from the root)
     children: dict[NodeId, set[NodeId]] = field(default_factory=dict)
-    #: member join paths, for leave()
-    join_paths: dict[NodeId, tuple[NodeId, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,27 +98,7 @@ class MulticastService:
         for closer, farther in zip(path[1:], path[:-1]):
             state.children.setdefault(closer, set()).add(farther)
         state.members.add(member)
-        state.join_paths[member] = path
         state.root = path[-1]
-
-    def leave(self, group_guid: GUID, member: NodeId) -> None:
-        state = self._group(group_guid)
-        if member not in state.members:
-            raise MulticastError(f"{member} is not a member of {group_guid}")
-        state.members.discard(member)
-        path = state.join_paths.pop(member)
-        # Remove reverse edges no longer supporting any member's path.
-        still_needed: set[tuple[NodeId, NodeId]] = set()
-        for other_path in state.join_paths.values():
-            for closer, farther in zip(other_path[1:], other_path[:-1]):
-                still_needed.add((closer, farther))
-        for closer, farther in zip(path[1:], path[:-1]):
-            if (closer, farther) not in still_needed:
-                children = state.children.get(closer)
-                if children is not None:
-                    children.discard(farther)
-                    if not children:
-                        del state.children[closer]
 
     def members(self, group_guid: GUID) -> set[NodeId]:
         return set(self._group(group_guid).members)

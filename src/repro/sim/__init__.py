@@ -21,12 +21,11 @@ from repro.sim.network import (
     Traffic,
     build_transit_stub_topology,
 )
-from repro.sim.stats import Counter, Distribution, EmptyDistributionError
+from repro.sim.stats import Distribution, EmptyDistributionError
 
 __all__ = [
     "ChurnParams",
     "Corrupted",
-    "Counter",
     "Distribution",
     "EmptyDistributionError",
     "EventHandle",

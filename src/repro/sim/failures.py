@@ -80,12 +80,6 @@ class FailureInjector:
             self.crash(node)
         return victims
 
-    def crash_at(self, time_ms: float, node: NodeId) -> None:
-        self.kernel.call_at(time_ms, lambda: self.crash(node))
-
-    def revive_at(self, time_ms: float, node: NodeId) -> None:
-        self.kernel.call_at(time_ms, lambda: self.revive(node))
-
     # -- churn ----------------------------------------------------------------
 
     def start_churn(self, nodes: Sequence[NodeId], params: ChurnParams) -> None:

@@ -108,10 +108,6 @@ class NetworkFaultInjector:
         self.rules.append(rule)
         return rule
 
-    def remove_rule(self, rule: LinkFaultRule) -> None:
-        if rule in self.rules:
-            self.rules.remove(rule)
-
     def clear(self) -> None:
         self.rules.clear()
 

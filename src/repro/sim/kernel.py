@@ -67,11 +67,10 @@ class EventHandle:
     nothing.
     """
 
-    __slots__ = ("_kernel", "_time", "_cancelled")
+    __slots__ = ("_kernel", "_cancelled")
 
-    def __init__(self, kernel: "Kernel", time: float) -> None:
+    def __init__(self, kernel: "Kernel") -> None:
         self._kernel: Kernel | None = kernel
-        self._time = time
         self._cancelled = False
 
     def cancel(self) -> None:
@@ -86,10 +85,6 @@ class EventHandle:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    @property
-    def time(self) -> float:
-        return self._time
 
 
 class SimulationError(RuntimeError):
@@ -164,7 +159,7 @@ class Kernel:
             if time < self._now:
                 raise SimulationError(f"cannot schedule at {time} < now {self._now}")
             raise SimulationError(f"cannot schedule at non-finite time {time}")
-        handle = EventHandle(self, time)
+        handle = EventHandle(self)
         self._push(time, callback, label, handle)
         return handle
 

@@ -53,12 +53,6 @@ class Message:
         self.payload = payload
         self.size_bytes = size_bytes
 
-    def __repr__(self) -> str:
-        return (
-            f"Message(src={self.src}, dst={self.dst}, "
-            f"payload={self.payload!r}, size_bytes={self.size_bytes})"
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Corrupted:

@@ -1,21 +1,17 @@
-"""Measurement helpers: counters, distributions, and time series.
+"""The sample distribution behind the SLO recorder's latency histograms.
 
-Benchmarks need summary statistics (means, percentiles) over measured
-latencies, hop counts, and byte totals.  ``numpy`` is available but the
-sample sizes here are modest, so a small pure-Python accumulator keeps the
-dependency surface of the simulation core thin.  The telemetry subsystem
-(:mod:`repro.telemetry`) builds its histograms on :class:`Distribution`,
-so quantile code lives in exactly one place.
+The sample sizes here are modest, so a small pure-Python accumulator
+keeps the dependency surface of the simulation core thin.  The telemetry
+subsystem (:mod:`repro.telemetry.slo`) builds its histograms on
+:class:`Distribution`, so quantile code lives in exactly one place.
 
 Edge-case contract (explicit, and uniform across every statistic):
 
 * **empty** distributions raise :class:`EmptyDistributionError` (a
-  ``ValueError``) from ``mean``/``stdev``/``min``/``max``/
-  ``percentile``/``median``/``summary`` -- never a silent ``0.0`` that
-  could be mistaken for a measurement;
+  ``ValueError``) from ``mean``/``min``/``max``/``percentile`` -- never a
+  silent ``0.0`` that could be mistaken for a measurement;
 * **single-sample** distributions are well-defined: ``mean``/``min``/
-  ``max`` and every percentile equal the sample, and ``stdev`` is
-  ``0.0`` (no spread observed, not an error).
+  ``max`` and every percentile equal the sample.
 """
 
 from __future__ import annotations
@@ -37,9 +33,6 @@ class Distribution:
     def add(self, value: float) -> None:
         self.samples.append(float(value))
 
-    def extend(self, values: list[float]) -> None:
-        self.samples.extend(float(v) for v in values)
-
     def _require_samples(self) -> None:
         if not self.samples:
             raise EmptyDistributionError("empty distribution")
@@ -52,16 +45,6 @@ class Distribution:
     def mean(self) -> float:
         self._require_samples()
         return sum(self.samples) / len(self.samples)
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation; ``0.0`` for a single sample."""
-        self._require_samples()
-        if len(self.samples) == 1:
-            return 0.0
-        mu = self.mean
-        var = sum((x - mu) ** 2 for x in self.samples) / (len(self.samples) - 1)
-        return math.sqrt(var)
 
     @property
     def min(self) -> float:
@@ -89,50 +72,9 @@ class Distribution:
         frac = rank - low
         return ordered[low] * (1 - frac) + ordered[high] * frac
 
-    @property
-    def median(self) -> float:
-        return self.percentile(50)
-
-    #: quantiles every summary reports unless the caller chooses its own
-    DEFAULT_QUANTILES: tuple[float, ...] = (50.0, 90.0, 95.0, 99.0)
-
     @staticmethod
     def quantile_key(q: float) -> str:
         """``p95`` for 95.0, ``p99.9`` for 99.9 -- stable summary keys."""
         if float(q).is_integer():
             return f"p{int(q)}"
         return f"p{q:g}"
-
-    def summary(
-        self, quantiles: tuple[float, ...] | None = None
-    ) -> dict[str, float]:
-        self._require_samples()
-        out = {
-            "count": float(self.count),
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.min,
-        }
-        for q in quantiles if quantiles is not None else self.DEFAULT_QUANTILES:
-            out[self.quantile_key(q)] = self.percentile(q)
-        out["max"] = self.max
-        return out
-
-
-class Counter:
-    """Named integer counters with a compact report form."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def increment(self, name: str, by: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + by
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()

@@ -145,9 +145,6 @@ class SLORecorder:
         self.observe(op, latency, **merged)
         return latency
 
-    def discard(self, token: object) -> None:
-        self._pending.pop(token, None)
-
     @property
     def inflight(self) -> int:
         """Async operations begun but never ended (lost updates show up
@@ -168,10 +165,7 @@ class SLORecorder:
         series = self._dists.get(op)
         if not series:
             return None
-        merged = Distribution()
-        for dist in series.values():
-            merged.extend(dist.samples)
-        return merged
+        return Distribution([x for dist in series.values() for x in dist.samples])
 
     def ops(self) -> list[str]:
         return sorted(self._dists)

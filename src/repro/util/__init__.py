@@ -2,7 +2,7 @@
 
 from repro.util.ids import DIGIT_BITS, GUID, GUID_BITS, GUID_DIGITS, secure_hash
 from repro.util.rng import SeedSequence
-from repro.util.serialization import decode, encode, encoded_size
+from repro.util.serialization import decode, encode
 
 
 class ConfigError(ValueError):
@@ -18,6 +18,5 @@ __all__ = [
     "SeedSequence",
     "decode",
     "encode",
-    "encoded_size",
     "secure_hash",
 ]

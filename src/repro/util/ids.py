@@ -111,20 +111,6 @@ class GUID:
         """All routing digits, least significant first."""
         return tuple(self.digit(i) for i in range(GUID_DIGITS))
 
-    def shared_suffix_len(self, other: "GUID") -> int:
-        """Number of matching digits, starting from the least significant.
-
-        This is the routing metric of the Plaxton scheme: a node is closer
-        to an object's root if its node-ID shares a longer suffix with the
-        object's GUID.
-        """
-        count = 0
-        for level in range(GUID_DIGITS):
-            if self.digit(level) != other.digit(level):
-                break
-            count += 1
-        return count
-
     def with_salt(self, salt: int) -> "GUID":
         """Hash this GUID with a small salt value.
 

@@ -148,8 +148,3 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
             result[key] = val
         return result, offset
     raise ValueError(f"unknown canonical tag {tag!r}")
-
-
-def encoded_size(value: Any) -> int:
-    """Size in bytes of the canonical encoding (used by the cost model)."""
-    return len(encode(value))

@@ -33,20 +33,6 @@ def stranger():
     return make_principal("stranger", random.Random(22), bits=256)
 
 
-class TestPrivilege:
-    def test_parse_single(self):
-        assert Privilege.parse("write") == Privilege.WRITE
-
-    def test_parse_combined(self):
-        combined = Privilege.parse("READ|WRITE")
-        assert combined & Privilege.READ
-        assert combined & Privilege.WRITE
-
-    def test_parse_unknown(self):
-        with pytest.raises(ValueError):
-            Privilege.parse("fly")
-
-
 class TestACL:
     def test_grant_allows(self, writer):
         acl = ACL()

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from reference_backend import LocalBackend
 from repro.api import (
     ApiEvent,
     CallbackRegistry,
     GuaranteeViolation,
-    LocalBackend,
     Notification,
     OceanStoreHandle,
     Session,

@@ -159,9 +159,6 @@ class TestReedSolomon:
         with pytest.raises(CodingError):
             code.encode([b"abc", b"ab"])
 
-    def test_rate(self):
-        assert ReedSolomonCode(k=16, n=32).rate == 0.5
-
     @given(
         st.binary(min_size=16, max_size=64).filter(lambda b: len(b) % 4 == 0),
         st.integers(min_value=0, max_value=10_000),

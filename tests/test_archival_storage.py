@@ -20,7 +20,6 @@ from repro.archival import (
     erasure_availability,
     monte_carlo_availability,
     nines,
-    paper_examples,
     reconstruct_archival,
     replication_availability,
     storage_overhead,
@@ -106,9 +105,9 @@ class TestReliabilityMath:
 
     def test_paper_factor_4000_example(self):
         # 32 fragments: "the reliability increases by another factor of 4000".
-        examples = paper_examples()
-        fail16 = 1 - examples["erasure_16_rate_half"]
-        fail32 = 1 - examples["erasure_32_rate_half"]
+        n, m = 1_000_000, 100_000
+        fail16 = 1 - erasure_availability(n, m, fragments=16, rate=0.5)
+        fail32 = 1 - erasure_availability(n, m, fragments=32, rate=0.5)
         improvement = fail16 / fail32
         assert 1000 < improvement < 20_000
 

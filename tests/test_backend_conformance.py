@@ -10,9 +10,9 @@ import random
 
 import pytest
 
+from reference_backend import LocalBackend
 from repro.api import (
     ApiEvent,
-    LocalBackend,
     OceanStoreHandle,
     SessionGuarantee,
     UnknownObject,

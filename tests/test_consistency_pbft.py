@@ -9,7 +9,6 @@ from repro.consistency import (
     CostConstants,
     FaultMode,
     InnerRing,
-    crossover_update_size,
     fit_cost_model,
     latency_estimate_ms,
     minimum_cost_bytes,
@@ -72,8 +71,6 @@ class TestCostModel:
         assert normalized_cost(100_000, 13) < 1.15
         at_4k = normalized_cost(4_000, 13)
         assert 1.3 < at_4k < 2.2
-        size_for_2 = crossover_update_size(2.0, 13)
-        assert 1_000 < size_for_2 < 10_000
 
     def test_larger_tier_costs_more(self):
         assert normalized_cost(4096, 13) > normalized_cost(4096, 7)
@@ -86,8 +83,6 @@ class TestCostModel:
             update_cost_bytes(0, 7)
         with pytest.raises(ValueError):
             update_cost_bytes(100, 1)
-        with pytest.raises(ValueError):
-            crossover_update_size(1.0, 7)
 
     def test_latency_estimate(self):
         assert latency_estimate_ms(100.0) == 600.0

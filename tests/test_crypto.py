@@ -210,11 +210,6 @@ class TestMerkle:
         with pytest.raises(IndexError):
             tree.proof(2)
 
-    def test_proof_size_accounting(self):
-        tree = MerkleTree([b"a", b"b", b"c", b"d"])
-        proof = tree.proof(0)
-        assert proof.size_bytes() == 8 + 2 * 33
-
     @given(st.lists(st.binary(max_size=32), min_size=1, max_size=20))
     @settings(max_examples=30)
     def test_verify_property(self, leaves):

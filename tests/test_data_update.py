@@ -23,7 +23,6 @@ from repro.data import (
     apply_update,
     chunk_plaintext,
     make_update,
-    predicate_from_dict,
 )
 from repro.naming import RetentionPolicy, VersionPolicy, object_guid
 from repro.util import GUID
@@ -171,26 +170,6 @@ class TestUpdateSemantics:
             timestamp=1.0,
         )
         assert update.size_bytes() > 100
-
-
-class TestPredicateSerialization:
-    def test_round_trip_all_kinds(self, alice, codec):
-        state = DataObjectState()
-        state.data.append(b"cipher")
-        predicates = [
-            CompareVersion(3),
-            CompareSize(10),
-            codec.compare_block_predicate(state.data, 0),
-            codec.search_predicate("hello"),
-            TruePredicate(),
-        ]
-        for p in predicates:
-            restored = predicate_from_dict(p.to_dict())
-            assert restored == p
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            predicate_from_dict({"kind": "quantum"})
 
 
 class TestClientCodec:
@@ -452,6 +431,5 @@ class TestPersistentObject:
         obj.apply_update(update)
         ref = ArchivalReference(version=1, archival_guid=GUID.hash_of(b"frag"), fragment_count=32)
         obj.record_archival(ref)
-        assert obj.is_archived(1)
-        assert not obj.is_archived(2)
-        assert obj.archival_form(1).state.data.logical_ciphertext() == [b"x"]
+        assert set(obj.archived) == {1}
+        assert obj.log.version(1).state.data.logical_ciphertext() == [b"x"]

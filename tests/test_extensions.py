@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.api import LocalBackend, OceanStoreHandle
+from reference_backend import LocalBackend
+from repro.api import OceanStoreHandle
 from repro.api.facades import FileSystemFacade, WebGateway
 from repro.crypto import KeyRing, make_principal
 from repro.data import (

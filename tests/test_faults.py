@@ -105,11 +105,8 @@ def test_decide_accumulates_across_matching_rules():
     assert injector.stats_corrupted == 1
 
 
-def test_remove_rule_and_clear():
+def test_clear():
     injector = NetworkFaultInjector(rng=random.Random(0))
-    rule = injector.add_rule(LinkFaultRule(drop=1.0))
-    injector.remove_rule(rule)
-    assert injector.decide(0, 1, 0.0) is NO_FAULT
     injector.add_rule(LinkFaultRule(drop=1.0))
     injector.clear()
     assert injector.decide(0, 1, 0.0) is NO_FAULT

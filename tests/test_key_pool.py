@@ -13,7 +13,7 @@ touched against the eager reference.  The mint-count guards build real
 deployments and count ``generate_keypair`` calls: set-up mints only the
 ring members' keys, and a handoff mints no further than the prefix up to
 its highest elected spare.  A change that touches every
-``server.principal`` or ``server.guid`` quietly restores the eager cost,
+``server.principal`` quietly restores the eager cost,
 and these guards catch it.
 """
 
@@ -102,7 +102,7 @@ class TestKeyPoolDifferential:
         for node in reversed(nodes):
             server = system.servers[node]
             assert _same_key(server.principal, reference[node])
-            assert server.guid == reference[node].guid
+            assert server.principal.guid == reference[node].guid
 
 
 class TestMintCount:

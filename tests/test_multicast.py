@@ -46,16 +46,6 @@ class TestMembership:
         service.join(group(), 5)
         assert len(service.members(group())) == 1
 
-    def test_leave(self, world):
-        _, _, mesh = world
-        service = MulticastService(mesh)
-        service.join(group(), 5)
-        service.join(group(), 9)
-        service.leave(group(), 5)
-        assert service.members(group()) == {9}
-        with pytest.raises(MulticastError):
-            service.leave(group(), 5)
-
     def test_admission_cap(self, world):
         _, _, mesh = world
         service = MulticastService(mesh, max_members=2)

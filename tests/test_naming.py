@@ -16,10 +16,8 @@ from repro.naming import (
     RetentionPolicy,
     VersionPolicy,
     VersionedName,
-    fragment_guid,
     object_guid,
     parse_versioned_name,
-    server_guid,
     split_path,
     verify_object_guid,
 )
@@ -52,13 +50,6 @@ class TestSelfCertifyingGUIDs:
     def test_hijack_impossible(self, alice, bob):
         # Bob cannot claim Alice's name: his (key, name) hashes elsewhere.
         assert object_guid(alice.public_key, "n") != object_guid(bob.public_key, "n")
-
-    def test_server_guid_matches_principal(self, alice):
-        assert server_guid(alice.public_key) == alice.guid
-
-    def test_fragment_guid_content_addressed(self):
-        assert fragment_guid(b"abc") == fragment_guid(b"abc")
-        assert fragment_guid(b"abc") != fragment_guid(b"abd")
 
 
 class TestDirectory:
@@ -222,14 +213,10 @@ class TestVersionedNames:
         name = VersionedName(guid=GUID(12345), version=None)
         parsed = parse_versioned_name(name.format())
         assert parsed.version is None
-        assert not parsed.is_permanent
 
     def test_bare_hex_is_latest(self):
         hex_str = GUID(99).hex()
         assert parse_versioned_name(hex_str).version is None
-
-    def test_permanent_flag(self):
-        assert VersionedName(GUID(1), 3).is_permanent
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

@@ -137,8 +137,9 @@ def fingerprint(ring, executed):
 def scan_in_flight(replica, digest):
     """``_already_in_flight`` as a full scan over every instance."""
     return any(
-        instance.digest == digest or digest in instance.members
+        instance.digest == digest or digest in replica._members_of(instance.digest)
         for instance in replica.instances.values()
+        if instance.digest is not None
     )
 
 
@@ -162,8 +163,13 @@ def check_slot_indexes(ring):
         pairs = set()
         for (_, seq), instance in replica.instances.items():
             if instance.digest is not None:
+                # A slot's recorded composition names its bodies' digests.
+                if instance.updates is not None:
+                    assert replica._members_of(instance.digest) == tuple(
+                        update_digest(u) for u in instance.updates
+                    )
                 digests.add(instance.digest)
-                digests.update(instance.members)
+                digests.update(replica._members_of(instance.digest))
                 pairs.add((seq, instance.digest))
                 pairs.add((seq + 1, instance.digest))
                 pairs.add((seq, NOOP_DIGEST))
@@ -273,17 +279,19 @@ class TestSlotIndexWork:
         a, b, c = (bytes([i]) * 32 for i in range(3))
         first = replica._instance(0, 0)
         second = replica._instance(1, 0)
-        replica._assign_slot(first, b"slot-ab", None, (a, b))
-        replica._assign_slot(second, b"slot-bc", None, (b, c))
-        replica._assign_slot(first, b"slot-ab", None, (a, b))
-        replica._assign_slot(first, NOOP_DIGEST, None, ())
+        replica._learn_members(b"slot-ab", (a, b))
+        replica._learn_members(b"slot-bc", (b, c))
+        replica._assign_slot(first, b"slot-ab", None)
+        replica._assign_slot(second, b"slot-bc", None)
+        replica._assign_slot(first, b"slot-ab", None)
+        replica._assign_slot(first, NOOP_DIGEST, None)
         for digest in (a, b, c, b"slot-ab", b"slot-bc", NOOP_DIGEST):
             assert replica._already_in_flight(digest) == scan_in_flight(
                 replica, digest
             )
         assert not replica._already_in_flight(a)
         assert replica._already_in_flight(b)
-        replica._assign_slot(second, NOOP_DIGEST, None, ())
+        replica._assign_slot(second, NOOP_DIGEST, None)
         assert set(replica._carried) == {NOOP_DIGEST}
         assert replica._carried[NOOP_DIGEST] == 2
 

@@ -99,18 +99,6 @@ class TestBloomFilter:
         # Theoretical fpr with m=4096, n=100, k=4 is ~9e-5; allow slack.
         assert false_positives < 20
 
-    def test_union(self):
-        a, b = BloomFilter(width=256), BloomFilter(width=256)
-        ga, gb = GUID.hash_of(b"a"), GUID.hash_of(b"b")
-        a.add(ga)
-        b.add(gb)
-        merged = a.union(b)
-        assert ga in merged and gb in merged
-
-    def test_union_incompatible(self):
-        with pytest.raises(ValueError):
-            BloomFilter(width=256).union(BloomFilter(width=512))
-
     def test_fill_ratio(self):
         f = BloomFilter(width=100, hashes=2)
         assert f.fill_ratio() == 0.0

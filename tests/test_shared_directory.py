@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.api import LocalBackend, OceanStoreHandle, SharedDirectory
+from reference_backend import LocalBackend
+from repro.api import OceanStoreHandle, SharedDirectory
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 from repro.crypto import KeyRing, make_principal
 from repro.sim import TopologyParams

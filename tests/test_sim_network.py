@@ -189,17 +189,6 @@ class TestFailureInjector:
         assert len(victims) == 25
         assert all(net.is_down(v) for v in victims)
 
-    def test_scheduled_crash(self):
-        kernel = Kernel()
-        net = make_line_network(kernel)
-        injector = FailureInjector(kernel, net, random.Random(0))
-        injector.crash_at(50.0, 1)
-        injector.revive_at(100.0, 1)
-        kernel.run(until=60.0)
-        assert net.is_down(1)
-        kernel.run(until=110.0)
-        assert not net.is_down(1)
-
     def test_churn_cycles_node(self):
         kernel = Kernel()
         net = make_line_network(kernel)

@@ -75,7 +75,7 @@ class TestRecorder:
         rec = SLORecorder()
         rec.begin("update", "lost")
         assert rec.inflight == 1
-        rec.discard("lost")
+        rec.end("lost")
         assert rec.inflight == 0
 
     def test_summary_uses_requested_quantiles(self):

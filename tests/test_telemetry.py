@@ -336,9 +336,8 @@ class TestRemovedSurface:
 class TestDistributionEdgeCases:
     def test_empty_distribution_raises_specific_error(self):
         dist = Distribution()
-        for method in (lambda: dist.mean, lambda: dist.stdev,
-                       lambda: dist.min, lambda: dist.max,
-                       lambda: dist.percentile(50), lambda: dist.summary()):
+        for method in (lambda: dist.mean, lambda: dist.min, lambda: dist.max,
+                       lambda: dist.percentile(50)):
             with pytest.raises(EmptyDistributionError):
                 method()
 
@@ -350,13 +349,10 @@ class TestDistributionEdgeCases:
     def test_single_sample_contract(self):
         dist = Distribution()
         dist.add(7.0)
-        assert dist.mean == 7.0
-        assert dist.stdev == 0.0
+        assert dist.mean == dist.min == dist.max == 7.0
+        assert dist.count == 1
         assert dist.percentile(0) == 7.0
         assert dist.percentile(100) == 7.0
-        summary = dist.summary()
-        assert summary["count"] == 1.0
-        assert summary["p50"] == 7.0
 
 
 def _messages_by_phase(report: dict, subsystem: str) -> dict[str, int]:

@@ -62,31 +62,6 @@ class TestDigits:
     def test_digits_tuple_length(self):
         assert len(GUID(0xFF).digits()) == GUID_DIGITS
 
-    def test_shared_suffix_paper_example(self):
-        # Figure 3 routes 0325 -> 4598 one digit at a time; before routing
-        # the two IDs share no suffix digits.
-        assert GUID(0x0325).shared_suffix_len(GUID(0x4598)) == 0
-        # 9098 and 0098 share suffix "098" (3 digits).
-        assert GUID(0x9098).shared_suffix_len(GUID(0x0098)) == 3
-
-    def test_shared_suffix_full(self):
-        g = GUID(0xDEADBEEF)
-        assert g.shared_suffix_len(g) == GUID_DIGITS
-
-    @given(guid_values, guid_values)
-    def test_shared_suffix_symmetric(self, a, b):
-        ga, gb = GUID(a), GUID(b)
-        assert ga.shared_suffix_len(gb) == gb.shared_suffix_len(ga)
-
-    @given(guid_values, guid_values)
-    def test_shared_suffix_consistent_with_digits(self, a, b):
-        ga, gb = GUID(a), GUID(b)
-        k = ga.shared_suffix_len(gb)
-        for i in range(k):
-            assert ga.digit(i) == gb.digit(i)
-        if k < GUID_DIGITS:
-            assert ga.digit(k) != gb.digit(k)
-
     @given(guid_values)
     def test_digits_reconstruct_value(self, value):
         g = GUID(value)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import decode, encode, encoded_size
+from repro.util import decode, encode
 
 # Recursive strategy over the supported canonical value space.
 canonical_values = st.recursive(
@@ -72,9 +72,3 @@ class TestErrors:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             decode(b"Z")
-
-
-class TestEncodedSize:
-    def test_matches_encoding_length(self):
-        value = {"key": (1, 2, b"data")}
-        assert encoded_size(value) == len(encode(value))

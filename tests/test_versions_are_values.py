@@ -16,7 +16,7 @@ import pytest
 
 import repro.consistency.secondary as secondary_mod
 import repro.data.version_log as version_log_mod
-from repro.api import LocalBackend
+from reference_backend import LocalBackend
 from repro.core import DeploymentConfig, OceanStoreSystem, make_client
 from repro.crypto import make_principal
 from repro.data import (

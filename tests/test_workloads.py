@@ -9,32 +9,7 @@ from repro.core.workloads import (
     EmailWorkload,
     correlated_trace,
     diurnal_trace,
-    zipf_trace,
 )
-
-
-class TestZipfTrace:
-    def test_length(self):
-        trace = zipf_trace(10, 500, random.Random(0))
-        assert len(trace) == 500
-
-    def test_skew(self):
-        trace = zipf_trace(50, 5000, random.Random(1), exponent=1.2)
-        counts = Counter(trace)
-        top = counts.most_common(5)
-        bottom = counts.most_common()[-5:]
-        assert sum(c for _, c in top) > 5 * sum(c for _, c in bottom)
-
-    def test_deterministic(self):
-        assert zipf_trace(5, 50, random.Random(7)) == zipf_trace(5, 50, random.Random(7))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            zipf_trace(0, 10, random.Random(0))
-        with pytest.raises(ValueError):
-            zipf_trace(5, -1, random.Random(0))
-        with pytest.raises(ValueError):
-            zipf_trace(5, 10, random.Random(0), exponent=0)
 
 
 class TestCorrelatedTrace:

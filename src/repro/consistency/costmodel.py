@@ -154,7 +154,10 @@ def fit_cost_model(
 
 
 #: The paper's six protocol phases (Section 4.4.5): client->primary,
-#: pre-prepare, prepare, commit, reply/sign, dissemination push.
+#: pre-prepare, prepare, commit, reply/sign, dissemination push.  The
+#: primary tier here certifies after the first four: each replica's
+#: signature rides on its commit, and no signed reply goes back to the
+#: client yet.
 PROTOCOL_PHASES = 6
 
 

@@ -10,8 +10,8 @@ that silently inflates the quadratic term shows up as a coefficient
 shift rather than a vibe.
 
 With ``updates > 1`` and ``batch_size > 1`` the same harness measures
-*batched* agreement: u updates share one pre-prepare/prepare/commit/
-sign-share round, so the per-update quadratic term amortizes to roughly
+*batched* agreement: u updates share one pre-prepare/prepare/commit
+round, so the per-update quadratic term amortizes to roughly
 c1/u -- the Castro-Liskov batching win ``repro costmodel --fit
 --updates-per-round`` verifies empirically.
 """

@@ -13,15 +13,15 @@ analytic model.  Faulty replicas can be *silent* (crashed) or
 *equivocating* (wrong digests, which honest replicas reject).
 
 To allow "later, offline verification by a party who did not participate
-in the protocol" the replicas each sign the serialization result; 2m+1
-matching signature shares form a :class:`CommitCertificate` (the paper's
-planned proactive-threshold-signature role, modelled with an aggregate of
-individual signatures).
+in the protocol" each replica signs its COMMIT vote over (view, seq,
+digest); the 2m+1 signed COMMITs of one view that commit a slot are its
+:class:`CommitCertificate` (the paper's planned proactive-threshold-
+signature role, modelled with an aggregate of individual signatures).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -110,16 +110,11 @@ class PrepareMsg:
 
 @dataclass(frozen=True, slots=True)
 class CommitMsg:
+    """A commit vote, signed: ``signature`` is the sender's signature over
+    :meth:`CommitCertificate.signed_payload` for (view, seq, digest), so
+    the votes that commit a slot are also its certificate."""
+
     view: int
-    seq: int
-    digest: bytes
-    sender: int
-
-
-@dataclass(frozen=True, slots=True)
-class SignShare:
-    """A replica's signature over the serialization result for one slot."""
-
     seq: int
     digest: bytes
     sender: int
@@ -182,25 +177,31 @@ class BodyFetchResponse:
 class CommitCertificate:
     """Proof that the primary tier serialized ``updates`` at slot ``seq``.
 
-    Verifiable offline: check 2m+1 distinct valid signatures over
-    (seq, digest) against the ring's known replica keys.  The slot's
-    whole ordered membership rides along; ``digest`` recomputes from the
-    member digests, so a helper cannot splice bodies into a certificate.
+    The signed COMMITs of one view that committed the slot.  Verifiable
+    offline: check 2m+1 distinct valid signatures over (view, seq,
+    digest) against the ring's known replica keys.  The view is part of
+    the signed bytes, so votes from two views never combine into one
+    certificate.  The slot's whole ordered membership rides along;
+    ``digest`` recomputes from the member digests, so a helper cannot
+    splice bodies into a certificate.
     """
 
+    view: int
     seq: int
     digest: bytes
     updates: tuple[Update, ...]
     signatures: tuple[tuple[int, bytes], ...]
 
     @staticmethod
-    def signed_payload(seq: int, digest: bytes) -> bytes:
-        return serialization.encode({"type": "pbft-result", "seq": seq, "digest": digest})
+    def signed_payload(view: int, seq: int, digest: bytes) -> bytes:
+        return serialization.encode(
+            {"type": "pbft-commit", "view": view, "seq": seq, "digest": digest}
+        )
 
     def verify(self, ring: "InnerRing") -> bool:
         if len({idx for idx, _ in self.signatures}) < ring.quorum:
             return False
-        payload = self.signed_payload(self.seq, self.digest)
+        payload = self.signed_payload(self.view, self.seq, self.digest)
         for idx, sig in self.signatures:
             if not 0 <= idx < ring.n:
                 return False
@@ -223,44 +224,21 @@ class CatchUpRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class ExecutedClaim:
-    """An executed slot whose certificate never finished assembling.
-
-    Carries whatever sign shares the responder holds -- possibly fewer
-    than the 2m+1 a :class:`CommitCertificate` needs, because under
-    message loss the laggards themselves may be among the missing
-    signers (a laggard cannot sign until it executes, and cannot catch
-    up on certificates until enough replicas sign: a deadlock).  The
-    requester verifies each share individually and adopts the slot once
-    m+1 *distinct* replicas have validly signed (seq, digest): at least
-    one signer is honest, and honest replicas sign only after a commit
-    quorum, so no conflicting digest can gather m+1 honest-backed
-    signatures at the same slot.  A claim carries the slot's whole
-    ordered membership, validated against the digest like certificates.
-    """
-
-    seq: int
-    digest: bytes
-    updates: tuple[Update, ...]
-    signatures: tuple[tuple[int, bytes], ...]
-
-
-@dataclass(frozen=True, slots=True)
 class CatchUpResponse:
     """Committed slots above the requester's execution horizon.
 
-    Updates travel as :class:`CommitCertificate` (threshold-signed, so
-    a Byzantine helper cannot forge them) when one exists, or as an
-    :class:`ExecutedClaim` adopted at m+1 verified signers otherwise;
-    no-op gap fillers carry no signatures at all, so the requester only
-    trusts a no-op claim confirmed by m+1 distinct helpers (at least
-    one honest).
+    Every slot a replica executed other than a no-op travels as its
+    :class:`CommitCertificate` (a replica executes one only after
+    committing on 2m+1 signed COMMITs or adopting a certificate, so it
+    always holds one, and a Byzantine helper cannot forge it).  No-op
+    gap fillers carry no signatures at all, so the requester only trusts
+    a no-op claim confirmed by m+1 distinct helpers (at least one
+    honest).
     """
 
     certificates: tuple[CommitCertificate, ...]
     noop_seqs: tuple[int, ...]
     sender: int
-    claims: tuple[ExecutedClaim, ...] = ()
 
 
 def update_digest(update: Update) -> bytes:
@@ -296,7 +274,6 @@ _PHASE_BY_TYPE: dict[type, str] = {
     PrePrepare: "pre_prepare",
     PrepareMsg: "prepare",
     CommitMsg: "commit",
-    SignShare: "sign_share",
     ViewChangeMsg: "view_change",
     NewViewMsg: "new_view",
     BodyFetchRequest: "body_fetch",
@@ -313,21 +290,26 @@ _PHASE_BY_TYPE: dict[type, str] = {
 class _Instance:
     """Per-(view, seq) agreement state.
 
-    Votes are bitmasks over replica indices.  ``early_prepares`` and
-    ``early_commits`` buffer votes that arrive before the pre-prepare
-    fixes the slot's digest (message reordering across partitions), as
-    digest -> bitmask; they exist only once such a vote arrives, and
-    merge in when the digest is known.
+    Prepares are a bitmask over replica indices; commits map each sender
+    to its verified COMMIT signature, so the quorum that commits the
+    slot is its certificate.  ``early_prepares`` and ``early_commits``
+    buffer votes that arrive before the pre-prepare fixes the slot's
+    digest (message reordering across partitions), keyed by digest; they
+    exist only once such a vote arrives, and merge in when the digest is
+    known.
     """
 
     digest: bytes | None = None
     #: ordered member bodies (None for a noop slot)
     updates: tuple[Update, ...] | None = None
     prepares: int = 0
-    commits: int = 0
+    commits: dict[int, bytes] = field(default_factory=dict)
     committed: bool = False
+    #: the bytes every COMMIT for this slot signs, built on first use
+    #: and released once the slot commits
+    payload: bytes | None = None
     early_prepares: dict[bytes, int] | None = None
-    early_commits: dict[bytes, int] | None = None
+    early_commits: dict[bytes, dict[int, bytes]] | None = None
 
 
 class PBFTReplica:
@@ -352,8 +334,6 @@ class PBFTReplica:
         self.view = 0
         self.next_seq = 0
         self.instances: dict[tuple[int, int], _Instance] = {}
-        #: seq -> views holding an instance for it, in creation order
-        self._views_by_seq: dict[int, list[int]] = {}
         #: request or slot digest -> instances whose digest or members
         #: carry it (see :meth:`_assign_slot`)
         self._carried: dict[bytes, int] = {}
@@ -361,7 +341,9 @@ class PBFTReplica:
         #: seq -> digest actually executed there (agreement-safety audit)
         self.executed_by_seq: dict[int, bytes] = {}
         self.last_executed_seq = -1
-        self.execution_queue: dict[int, tuple[bytes, tuple[Update, ...] | None]] = {}
+        #: committed or adopted slots above ``last_executed_seq``: each
+        #: non-no-op slot's certificate, None for a no-op
+        self.execution_queue: dict[int, CommitCertificate | None] = {}
         #: update digest -> body, for every request this replica has seen
         self.known_by_digest: dict[bytes, Update] = {}
         #: slot digest -> ordered member digests, for every slot of more
@@ -375,16 +357,11 @@ class PBFTReplica:
         self._batch_queue: list[Update] = []
         self._queued_digests: set[bytes] = set()
         self._batch_timer: object | None = None
-        self.sign_shares: dict[int, dict[int, bytes]] = {}
-        #: seq -> (digest, the payload a share for it signs), built once
-        #: per slot rather than once per share (see :meth:`_share_payload`)
-        self._share_payloads: dict[int, tuple[bytes, bytes]] = {}
-        self.certified_seqs: set[int] = set()
-        #: seq -> assembled certificate, served to lagging peers
+        #: seq -> certificate of every executed slot but no-ops, served
+        #: to lagging peers
         self.certificates: dict[int, CommitCertificate] = {}
         #: seq -> helpers claiming the slot executed as a no-op
         self._noop_claims: dict[int, set[int]] = {}
-        self._claim_signers: dict[tuple[int, bytes], set[int]] = {}
         #: view -> {sender -> that sender's prepared-slot reports}
         self.view_change_votes: dict[int, dict[int, tuple[PreparedReport, ...]]] = {}
         #: update ids and deferred slot numbers waited on, oldest first
@@ -410,7 +387,6 @@ class PBFTReplica:
         instance = self.instances.get((view, seq))
         if instance is None:
             instance = self.instances[(view, seq)] = _Instance()
-            self._views_by_seq.setdefault(seq, []).append(view)
         return instance
 
     def _assign_slot(
@@ -430,10 +406,11 @@ class PBFTReplica:
                     carried[key] -= 1
         instance.digest = digest
         instance.updates = updates
+        instance.payload = None
         if instance.early_prepares:
             instance.prepares |= instance.early_prepares.pop(digest, 0)
         if instance.early_commits:
-            instance.commits |= instance.early_commits.pop(digest, 0)
+            instance.commits.update(instance.early_commits.pop(digest, {}))
         for key in {digest, *self._members_of(digest)}:
             carried[key] = carried.get(key, 0) + 1
 
@@ -492,7 +469,10 @@ class PBFTReplica:
         # tracers wrap its values in place.
         if self.fault_mode is not FaultMode.SILENT:
             payload = message.payload
-            _PBFT_DISPATCH[type(payload)](self, payload)
+            kind = type(payload)
+            if kind in _VOTES and self.ring.index_of.get(message.src) != payload.sender:
+                return  # a vote counts only from the replica that sent it
+            _PBFT_DISPATCH[kind](self, payload)
 
     # -- normal case ----------------------------------------------------------------
 
@@ -763,59 +743,95 @@ class PBFTReplica:
         instance = self._instance(view, seq)
         if instance.digest is None or instance.committed:
             return
-        mine = 1 << self.index
-        if instance.prepares.bit_count() >= self.ring.quorum and not instance.commits & mine:
-            instance.commits |= mine
+        if (
+            instance.prepares.bit_count() >= self.ring.quorum
+            and self.index not in instance.commits
+        ):
+            # The COMMIT carries this replica's signature: the quorum of
+            # signed COMMITs that commits the slot also certifies it.
+            signature = self.principal.sign(self._commit_payload(view, seq, instance))
+            instance.commits[self.index] = signature
             tel = self.ring.telemetry
             if tel.enabled:
                 tel.record("pbft", "prepared", view=view, seq=seq, replica=self.index)
             self._broadcast(
-                CommitMsg(view, seq, instance.digest, self.index),
+                CommitMsg(view, seq, instance.digest, self.index, signature),
                 size=SMALL_MESSAGE_BYTES,
             )
             self._maybe_committed(view, seq)
+
+    def _commit_payload(self, view: int, seq: int, instance: _Instance) -> bytes:
+        """:meth:`CommitCertificate.signed_payload` for the instance's
+        digest, built once per instance: every COMMIT signs the same bytes."""
+        payload = instance.payload
+        if payload is None:
+            payload = instance.payload = CommitCertificate.signed_payload(
+                view, seq, instance.digest
+            )
+        return payload
 
     def _on_commit(self, msg: CommitMsg) -> None:
         if msg.view != self.view or not 0 <= msg.sender < self.ring.n:
             return
         instance = self._instance(msg.view, msg.seq)
+        if instance.committed:
+            return  # its certificate is already sealed
+        key = self.ring.replicas[msg.sender].principal.public_key
         if instance.digest is None:
-            early = instance.early_commits = instance.early_commits or {}
-            early[msg.digest] = early.get(msg.digest, 0) | 1 << msg.sender
+            # Pre-prepare not here yet (reordering); hold the vote, with
+            # its signature, once the signature checks out.
+            payload = CommitCertificate.signed_payload(msg.view, msg.seq, msg.digest)
+            if key.verify(payload, msg.signature):
+                early = instance.early_commits = instance.early_commits or {}
+                early.setdefault(msg.digest, {})[msg.sender] = msg.signature
             return
         if msg.digest != instance.digest:
             return
-        instance.commits |= 1 << msg.sender
+        if not key.verify(self._commit_payload(msg.view, msg.seq, instance), msg.signature):
+            return
+        instance.commits[msg.sender] = msg.signature
         self._maybe_committed(msg.view, msg.seq)
 
     def _maybe_committed(self, view: int, seq: int) -> None:
         instance = self._instance(view, seq)
         if instance.committed or instance.digest is None:
             return
-        if instance.commits.bit_count() < self.ring.quorum:
+        if len(instance.commits) < self.ring.quorum:
             return
         if instance.prepares.bit_count() < self.ring.quorum:
             return
         instance.committed = True
+        instance.payload = None
         tel = self.ring.telemetry
         if tel.enabled:
             tel.record("pbft", "committed", view=view, seq=seq, replica=self.index)
-        if instance.digest != NOOP_DIGEST:
-            assert instance.updates is not None
-        self.execution_queue[seq] = (instance.digest, instance.updates)
+        if seq > self.last_executed_seq:
+            if instance.digest == NOOP_DIGEST:
+                self.execution_queue[seq] = None
+            else:
+                assert instance.updates is not None
+                self.execution_queue[seq] = CommitCertificate(
+                    view=view,
+                    seq=seq,
+                    digest=instance.digest,
+                    updates=instance.updates,
+                    signatures=tuple(sorted(instance.commits.items())),
+                )
         self._execute_ready()
 
     def _execute_ready(self) -> None:
         while self.last_executed_seq + 1 in self.execution_queue:
             seq = self.last_executed_seq + 1
-            digest, updates = self.execution_queue.pop(seq)
+            certificate = self.execution_queue.pop(seq)
             self.last_executed_seq = seq
-            self.executed_by_seq[seq] = digest
             self._done_waiting(seq)
-            if updates is None:
+            if certificate is None:
+                self.executed_by_seq[seq] = NOOP_DIGEST
                 continue  # no-op gap filler from a view change
+            self.executed_by_seq[seq] = certificate.digest
+            self.certificates[seq] = certificate
             executed_any = False
-            for update in updates:
+            for update in certificate.updates:
                 if update.update_id in self.executed_updates:
                     continue  # client retry already executed elsewhere
                 self.executed_updates.add(update.update_id)
@@ -827,71 +843,18 @@ class PBFTReplica:
                 executed_any = True
             if not executed_any:
                 continue  # every member was a dup; nothing to attest
-            # One signature attests the whole batch: the (seq, digest)
-            # payload commits to the ordered membership, so the batched
-            # sign-share phase stays one n^2 round per *slot*.
-            share = SignShare(
-                seq=seq,
-                digest=digest,
-                sender=self.index,
-                signature=self.principal.sign(self._share_payload(seq, digest)),
-            )
-            self.sign_shares.setdefault(seq, {})[self.index] = share.signature
-            self._broadcast(share, size=SMALL_MESSAGE_BYTES)
-            self._maybe_certified(seq, digest, updates)
-        # Execution reopened the pipeline window; drain waiting requests.
-        if self._batch_queue:
-            self._maybe_flush_batch()
-
-    def _on_sign_share(self, msg: SignShare) -> None:
-        payload = self._share_payload(msg.seq, msg.digest)
-        sender = self.ring.replicas[msg.sender] if 0 <= msg.sender < self.ring.n else None
-        if sender is None or not sender.principal.public_key.verify(payload, msg.signature):
-            return
-        self.sign_shares.setdefault(msg.seq, {})[msg.sender] = msg.signature
-        inst = self._committed_instance(msg.seq, msg.digest)
-        if inst is not None:
-            assert inst.updates is not None
-            self._maybe_certified(msg.seq, msg.digest, inst.updates)
-
-    def _share_payload(self, seq: int, digest: bytes) -> bytes:
-        """:meth:`CommitCertificate.signed_payload` for ``(seq, digest)``,
-        kept per slot: every share of a slot signs the same bytes."""
-        cached = self._share_payloads.get(seq)
-        if cached is None or cached[0] != digest:
-            cached = (digest, CommitCertificate.signed_payload(seq, digest))
-            self._share_payloads[seq] = cached
-        return cached[1]
-
-    def _committed_instance(self, seq: int, digest: bytes) -> _Instance | None:
-        """The first-created committed instance of ``seq`` with ``digest``."""
-        for view in self._views_by_seq.get(seq, ()):
-            inst = self.instances[(view, seq)]
-            if inst.committed and inst.digest == digest:
-                return inst
-        return None
-
-    def _maybe_certified(
-        self, seq: int, digest: bytes, updates: tuple[Update, ...]
-    ) -> None:
-        if seq in self.certified_seqs:
-            return
-        shares = self.sign_shares.get(seq, {})
-        if len(shares) >= self.ring.quorum:
-            self.certified_seqs.add(seq)
-            certificate = CommitCertificate(
-                seq=seq,
-                digest=digest,
-                updates=updates,
-                signatures=tuple(sorted(shares.items())),
-            )
-            self.certificates[seq] = certificate
+            # The commit quorum's signatures already certify the slot:
+            # one certificate attests the whole batch, with no round
+            # after execution.
             tel = self.ring.telemetry
             if tel.enabled:
                 tel.count("pbft_certificates_total")
                 tel.record("pbft", "certified", seq=seq, replica=self.index)
             with tel.span("pbft.certify", seq=seq, replica=self.index):
                 self.ring._replica_certified(self, certificate)
+        # Execution reopened the pipeline window; drain waiting requests.
+        if self._batch_queue:
+            self._maybe_flush_batch()
 
     # -- view change -------------------------------------------------------------------
 
@@ -1138,56 +1101,16 @@ class PBFTReplica:
             for seq, digest in sorted(self.executed_by_seq.items())
             if seq > msg.last_executed_seq and digest == NOOP_DIGEST
         )
-        # Slots this replica executed but never certified mean the
-        # post-execution sign shares were lost in transit (shares are
-        # fire-and-forget, and the laggards themselves may be missing
-        # signers).  Two remedies: re-broadcast our own share so every
-        # committed replica can finish assembling a certificate, and
-        # attach the shares we *do* hold as an ExecutedClaim the
-        # requester can adopt at m+1 verified signers.
-        claims = []
-        for seq, digest in sorted(self.executed_by_seq.items()):
-            if seq <= msg.last_executed_seq or seq in self.certificates:
-                continue
-            if digest == NOOP_DIGEST:
-                continue
-            signature = self.sign_shares.get(seq, {}).get(self.index)
-            if signature is None:
-                continue
-            self._broadcast(
-                SignShare(
-                    seq=seq,
-                    digest=digest,
-                    sender=self.index,
-                    signature=signature,
-                ),
-                size=SMALL_MESSAGE_BYTES,
-            )
-            updates = self._updates_for_digest(digest)
-            if updates is not None:
-                claims.append(
-                    ExecutedClaim(
-                        seq=seq,
-                        digest=digest,
-                        updates=updates,
-                        signatures=tuple(
-                            sorted(self.sign_shares.get(seq, {}).items())
-                        ),
-                    )
-                )
-        if not certificates and not noop_seqs and not claims:
+        if not certificates and not noop_seqs:
             return
         size = SMALL_MESSAGE_BYTES + sum(
             sum(u.size_bytes() for u in cert.updates) + SMALL_MESSAGE_BYTES
             for cert in certificates
-        ) + sum(
-            sum(u.size_bytes() for u in claim.updates) + SMALL_MESSAGE_BYTES
-            for claim in claims
         )
         self.ring.network.send(
             self.network_id,
             self.ring.replicas[msg.sender].network_id,
-            CatchUpResponse(certificates, noop_seqs, self.index, tuple(claims)),
+            CatchUpResponse(certificates, noop_seqs, self.index),
             size_bytes=size,
             phase="catch_up",
             subsystem="pbft",
@@ -1205,38 +1128,8 @@ class PBFTReplica:
             if not cert.verify(self.ring):
                 continue
             self._register_slot_bodies(cert.digest, cert.updates)
-            self.certificates.setdefault(cert.seq, cert)
-            self.sign_shares.setdefault(cert.seq, {}).update(dict(cert.signatures))
-            self.execution_queue[cert.seq] = (cert.digest, cert.updates)
+            self.execution_queue[cert.seq] = cert
             progressed = True
-        for claim in msg.claims:
-            if claim.seq <= self.last_executed_seq:
-                continue
-            if claim.seq in self.execution_queue:
-                continue
-            if claim.digest == NOOP_DIGEST:
-                continue
-            if not claim.updates or slot_digest_for(claim.updates) != claim.digest:
-                continue  # claimed bodies do not match the signed digest
-            payload = self._share_payload(claim.seq, claim.digest)
-            signers = self._claim_signers.setdefault(
-                (claim.seq, claim.digest), set()
-            )
-            for idx, sig in claim.signatures:
-                if not 0 <= idx < self.ring.n or idx in signers:
-                    continue
-                if self.ring.replicas[idx].principal.public_key.verify(
-                    payload, sig
-                ):
-                    signers.add(idx)
-                    self.sign_shares.setdefault(claim.seq, {})[idx] = sig
-            # m+1 distinct verified signers guarantee an honest executor,
-            # and honest replicas sign only post-commit-quorum, so no
-            # rival digest can ever reach the same bar at this slot.
-            if len(signers) > self.ring.m:
-                self._register_slot_bodies(claim.digest, claim.updates)
-                self.execution_queue[claim.seq] = (claim.digest, claim.updates)
-                progressed = True
         for seq in msg.noop_seqs:
             if seq <= self.last_executed_seq or seq in self.execution_queue:
                 continue
@@ -1245,7 +1138,7 @@ class PBFTReplica:
             # m+1 distinct claimants guarantee at least one honest
             # witness; fewer could be a coordinated Byzantine lie.
             if len(claims) > self.ring.m:
-                self.execution_queue[seq] = (NOOP_DIGEST, None)
+                self.execution_queue[seq] = None
                 progressed = True
         if progressed:
             self._execute_ready()
@@ -1260,7 +1153,6 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
     PrePrepare: PBFTReplica._on_pre_prepare,
     PrepareMsg: PBFTReplica._on_prepare,
     CommitMsg: PBFTReplica._on_commit,
-    SignShare: PBFTReplica._on_sign_share,
     ViewChangeMsg: PBFTReplica._on_view_change,
     NewViewMsg: PBFTReplica._on_new_view,
     BodyFetchRequest: PBFTReplica._on_body_fetch,
@@ -1268,6 +1160,12 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
     CatchUpRequest: PBFTReplica._on_catch_up_request,
     CatchUpResponse: PBFTReplica._on_catch_up_response,
 }
+
+
+#: payload types whose ``sender`` names a ring index and counts as that
+#: replica's vote (a no-op claim in a catch-up response is one too);
+#: :meth:`PBFTReplica.handle` drops one not sent from that replica's node
+_VOTES = frozenset({PrepareMsg, CommitMsg, ViewChangeMsg, CatchUpResponse})
 
 
 # -- the ring ------------------------------------------------------------------
@@ -1346,6 +1244,8 @@ class InnerRing:
             PBFTReplica(i, node, principal, self)
             for i, (node, principal) in enumerate(zip(replica_nodes, principals))
         ]
+        #: node -> replica index, to check the sender a vote names
+        self.index_of = {r.network_id: r.index for r in self.replicas}
         for replica in self.replicas:
             # Subscribe, never register: a ring installed mid-run
             # (membership handoff) must not clobber handlers other

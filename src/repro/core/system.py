@@ -704,6 +704,16 @@ class OceanStoreSystem:
         outcome = obj.apply_update(update)
         # Honest replicas compute identical outcomes; record the first.
         self._outcomes.setdefault(update.update_id, outcome)
+        # The shard's contact archives each version as it executes it:
+        # a commit certifies at the first replica to execute it, which
+        # need not be the contact whose copy ``archive_object`` encodes.
+        if (
+            outcome.committed
+            and self.config.archive_every_commit
+            and replica.network_id == self.rings.primary_for(update.object_guid)
+            and replica.ring is self.rings.ring_for(update.object_guid)
+        ):
+            self.archive_object(update.object_guid)
 
     def build_ring(
         self, shard_id: int, epoch: int, members: list[NodeId]
@@ -796,8 +806,6 @@ class OceanStoreSystem:
                     version=outcome.new_version,
                 )
             )
-            if self.config.archive_every_commit:
-                self.archive_object(guid)
 
     def _state_at(
         self, object_guid: GUID, node: NodeId, allow_tentative: bool

@@ -19,11 +19,18 @@ and verify; forgeries fail), just short.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.crypto.hashes import sha256
 
 _MILLER_RABIN_ROUNDS = 24
+
+#: verdicts one key's verify memo holds, oldest evicted first.  A
+#: signature is re-verified within the agreement round that carries it
+#: (every replica checks every COMMIT and client request), long before
+#: this many newer (message, signature) pairs reach the same key.
+_VERIFY_MEMO_ENTRIES = 1024
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -69,10 +76,10 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 class PublicKey:
     n: int
     e: int
-    #: (message, signature) -> verdict; bounded by what was signed with
-    #: (or forged against) this key
-    _verified: dict[tuple[bytes, bytes], bool] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    #: (message, signature) -> verdict, the newest
+    #: ``_VERIFY_MEMO_ENTRIES`` in insertion order
+    _verified: OrderedDict[tuple[bytes, bytes], bool] = field(
+        default_factory=OrderedDict, init=False, compare=False, repr=False
     )
 
     def to_bytes(self) -> bytes:
@@ -85,11 +92,13 @@ class PublicKey:
 
         Results are memoized on the key: verification is a pure function
         of ``(n, e, message, signature)``, and PBFT re-verifies the same
-        share or client signature at every replica that receives it --
-        one modular exponentiation instead of n.
+        COMMIT or client signature at every replica that receives it --
+        one modular exponentiation instead of n.  The memo is a bounded
+        FIFO, so a long run retains a fixed number of verdicts per key.
         """
         key = (message, signature)
-        cached = self._verified.get(key)
+        memo = self._verified
+        cached = memo.get(key)
         if cached is not None:
             return cached
         sig_int = int.from_bytes(signature, "big")
@@ -97,7 +106,9 @@ class PublicKey:
             result = False
         else:
             result = pow(sig_int, self.e, self.n) == _fdh(message, self.n)
-        self._verified[key] = result
+        memo[key] = result
+        if len(memo) > _VERIFY_MEMO_ENTRIES:
+            memo.popitem(last=False)
         return result
 
 

@@ -103,8 +103,8 @@ class TestCLI:
         report = json.loads(capsys.readouterr().out)
         # Fig. 6 refit from measured traffic: batching eight updates per
         # round divides the quadratic coefficient by eight.
-        assert report["fit"]["c1"] == pytest.approx(300.0)
-        assert report["batched_fit"]["c1"] == pytest.approx(37.5)
+        assert report["fit"]["c1"] == pytest.approx(200.0)
+        assert report["batched_fit"]["c1"] == pytest.approx(25.0)
         assert report["c1_amortization"] == pytest.approx(1 / 8)
         assert report["fit"]["quadratic_ok"] is True
         assert report["batched_fit"]["quadratic_ok"] is True

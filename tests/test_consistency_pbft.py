@@ -1,6 +1,7 @@
 """Tests for the Byzantine-agreement primary tier and the cost model."""
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -330,59 +331,71 @@ class TestLaggardCatchUp:
         assert laggard.last_executed_seq == 0
         assert update.update_id in laggard.executed_updates
 
-    def test_single_signer_claim_rejected(self, author):
-        from repro.consistency.pbft import CatchUpResponse, ExecutedClaim
+    def _offer(self, laggard, certificate):
+        from repro.consistency.pbft import CatchUpResponse
 
+        laggard._on_catch_up_response(CatchUpResponse((certificate,), (), 0))
+
+    def test_valid_certificate_adopted(self, author):
         kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
             author
         )
-        digest = donor.executed_by_seq[0]
-        share = (0, donor.sign_shares[0][0])
-        claim = ExecutedClaim(0, digest, (update,), (share,))
-        laggard._on_catch_up_response(CatchUpResponse((), (), 0, (claim,)))
-        # one verified signer is not > m: a lone Byzantine could be lying
-        assert laggard.last_executed_seq == -1
-
-    def test_claims_accumulate_across_responses(self, author):
-        from repro.consistency.pbft import CatchUpResponse, ExecutedClaim
-
-        kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
-            author
-        )
-        digest = donor.executed_by_seq[0]
-        for signer in (0, 1):
-            share = (signer, donor.sign_shares[0][signer])
-            claim = ExecutedClaim(0, digest, (update,), (share,))
-            laggard._on_catch_up_response(
-                CatchUpResponse((), (), signer, (claim,))
-            )
-        # m+1 distinct verified signers across *separate* responses
+        certificate = donor.certificates[0]
+        assert certificate.verify(ring)
+        self._offer(laggard, certificate)
         assert laggard.last_executed_seq == 0
         assert update.update_id in laggard.executed_updates
+        # The adopted certificate is served on to later laggards.
+        assert laggard.certificates[0] is certificate
 
-    def test_claim_with_wrong_body_rejected(self, author):
-        from repro.consistency.pbft import CatchUpResponse, ExecutedClaim
-
+    def test_certificate_below_quorum_rejected(self, author):
         kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
             author
         )
-        digest = donor.executed_by_seq[0]
-        forged_body = make_simple_update(author, payload=b"forged", ts=9.0)
-        shares = tuple(sorted(donor.sign_shares[0].items()))
-        claim = ExecutedClaim(0, digest, (forged_body,), shares)
-        laggard._on_catch_up_response(CatchUpResponse((), (), 0, (claim,)))
+        certificate = donor.certificates[0]
+        short = replace(certificate, signatures=certificate.signatures[: ring.m + 1])
+        self._offer(laggard, short)
+        # m+1 valid signers are not 2m+1: a certificate needs a commit quorum
         assert laggard.last_executed_seq == -1
 
-    def test_claim_with_forged_signatures_rejected(self, author):
-        from repro.consistency.pbft import CatchUpResponse, ExecutedClaim
+    def test_certificate_with_wrong_body_rejected(self, author):
+        kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
+            author
+        )
+        forged_body = make_simple_update(author, payload=b"forged", ts=9.0)
+        self._offer(laggard, replace(donor.certificates[0], updates=(forged_body,)))
+        assert laggard.last_executed_seq == -1
+
+    def test_certificate_with_forged_signatures_rejected(self, author):
+        kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
+            author
+        )
+        forged = tuple((idx, b"not-a-signature") for idx in (0, 1, 2))
+        self._offer(laggard, replace(donor.certificates[0], signatures=forged))
+        assert laggard.last_executed_seq == -1
+
+    def test_certificate_from_two_views_rejected(self, author):
+        from repro.consistency.pbft import CommitCertificate
 
         kernel, network, ring, update, donor, laggard = self._partitioned_laggard(
             author
         )
-        digest = donor.executed_by_seq[0]
-        shares = tuple((idx, b"not-a-signature") for idx in (0, 1, 2))
-        claim = ExecutedClaim(0, digest, (update,), shares)
-        laggard._on_catch_up_response(CatchUpResponse((), (), 0, (claim,)))
+        certificate = donor.certificates[0]
+        assert certificate.view == 0
+        # Two genuine view-0 commit signatures and one genuine signature
+        # over the same slot in view 1: three valid shares, two views.
+        view_0 = certificate.signatures[:2]
+        signer = next(i for i in range(ring.n) if i not in dict(view_0))
+        view_1 = (
+            signer,
+            ring.replicas[signer].principal.sign(
+                CommitCertificate.signed_payload(1, 0, certificate.digest)
+            ),
+        )
+        for view in (0, 1):
+            mixed = replace(certificate, view=view, signatures=(*view_0, view_1))
+            assert not mixed.verify(ring)
+            self._offer(laggard, mixed)
         assert laggard.last_executed_seq == -1
 
     def test_pre_prepare_alone_arms_progress_timer(self, author):

@@ -258,7 +258,8 @@ class TestPhaseAccounting:
         assert pbft["pre_prepare"]["messages"] == n - 1
         assert pbft["prepare"]["messages"] == (n - 1) * (n - 1)
         assert pbft["commit"]["messages"] == n * (n - 1)
-        assert pbft["sign_share"]["messages"] == n * (n - 1)
+        # Signed commits certify the slot: no sign-share round.
+        assert "sign_share" not in pbft
 
     def test_full_system_tags_every_subsystem_send(self):
         system = OceanStoreSystem(

@@ -9,8 +9,8 @@ pipelined rings, then asserts the *outcomes* are indistinguishable:
 - each replica's version-log state after applying what it executed
   (compared as serialized bytes),
 - the per-update bodies that batch slots unpack into -- the same
-  canonical digests an :class:`~repro.consistency.pbft.ExecutedClaim`
-  would carry for those slots.
+  canonical digests a :class:`~repro.consistency.pbft.CommitCertificate`
+  carries for those slots.
 
 Batching may only change *when* updates share an agreement round, never
 *what* gets committed or in what order.
@@ -29,7 +29,7 @@ import pytest
 from repro.consistency import BatchingConfig, FaultMode, InnerRing
 from repro.consistency.costmodel import fit_cost_model
 from repro.consistency.measure import measure_sweep
-from repro.consistency.pbft import NOOP_DIGEST, update_digest
+from repro.consistency.pbft import NOOP_DIGEST, slot_digest_for, update_digest
 from repro.core import ChaosConfig, DeploymentConfig, OceanStoreSystem, make_client
 from repro.core.system import serialize_state
 from repro.crypto import make_principal
@@ -42,6 +42,7 @@ from repro.data import (
 )
 from repro.naming import object_guid
 from repro.sim import Kernel, Network, TopologyParams
+from repro.sim.faults import LinkFaultRule, NetworkFaultInjector
 
 BATCH_SIZES = (2, 4, 8)
 
@@ -120,8 +121,8 @@ def fingerprint(ring, executed):
             log.apply(u)
         log_states[i] = serialize_state(log.head)
     # The ordered update bodies each replica's slots unpack into: the
-    # same canonical per-update digests an ExecutedClaim for those slots
-    # would attest.  Batch membership must never substitute or reorder
+    # same canonical per-update digests a certificate for those slots
+    # attests.  Batch membership must never substitute or reorder
     # bodies relative to the unbatched slots.
     claim_bodies = {}
     for i, replica in enumerate(ring.replicas):
@@ -143,25 +144,11 @@ def scan_in_flight(replica, digest):
     )
 
 
-def scan_committed_instance(replica, seq, digest):
-    """The sign-share lookup as a full scan over every instance."""
-    key = next(
-        (
-            (v, s)
-            for (v, s), inst in replica.instances.items()
-            if s == seq and inst.committed and inst.digest == digest
-        ),
-        None,
-    )
-    return None if key is None else replica.instances[key]
-
-
 def check_slot_indexes(ring):
-    """Both slot indexes answer exactly what the full scans answer."""
+    """The in-flight index answers exactly what the full scan answers."""
     for replica in ring.replicas:
         digests = {NOOP_DIGEST, b"\x00" * 32, *replica.known_by_digest}
-        pairs = set()
-        for (_, seq), instance in replica.instances.items():
+        for instance in replica.instances.values():
             if instance.digest is not None:
                 # A slot's recorded composition names its bodies' digests.
                 if instance.updates is not None:
@@ -170,17 +157,10 @@ def check_slot_indexes(ring):
                     )
                 digests.add(instance.digest)
                 digests.update(replica._members_of(instance.digest))
-                pairs.add((seq, instance.digest))
-                pairs.add((seq + 1, instance.digest))
-                pairs.add((seq, NOOP_DIGEST))
         for digest in digests:
             assert replica._already_in_flight(digest) == scan_in_flight(
                 replica, digest
             )
-        for seq, digest in pairs:
-            assert replica._committed_instance(
-                seq, digest
-            ) is scan_committed_instance(replica, seq, digest)
 
 
 class CountingDict(dict):
@@ -270,6 +250,101 @@ def four_replica_ring():
     return kernel, InnerRing(kernel, network, list(range(4)), principals, m=1)
 
 
+BYZANTINE_MODES = (
+    FaultMode.SILENT,
+    FaultMode.EQUIVOCATE,
+    FaultMode.CORRUPT,
+    FaultMode.DELAY,
+)
+
+
+@st.composite
+def fault_plans(draw):
+    """A ring size, up to m Byzantine replicas, a lossy window, and
+    maybe a view-0 leader crash."""
+    m = draw(st.sampled_from((1, 2)))
+    n = 3 * m + 1
+    byzantine = draw(
+        st.dictionaries(
+            st.integers(0, n - 1), st.sampled_from(BYZANTINE_MODES), max_size=m
+        )
+    )
+    loss_start = draw(st.floats(0.0, 2_000.0))
+    loss = LinkFaultRule(
+        start_ms=loss_start,
+        end_ms=loss_start + draw(st.floats(0.0, 3_000.0)),
+        drop=draw(st.floats(0.0, 0.5)),
+    )
+    crash_at = draw(st.none() | st.floats(0.0, 1_500.0))
+    return m, byzantine, loss, crash_at
+
+
+class TestCertificateSafety:
+    """Signed commits certify slots: whatever the faults, a certificate
+    verifies, one digest certifies each seq, and correct replicas (a
+    crashed leader included) execute the same slot at every seq they
+    share."""
+
+    @given(
+        plan=fault_plans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+        batch_size=st.sampled_from((1, 4)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_certificates_verify_and_agree(self, plan, seed, batch_size):
+        m, byzantine, loss, crash_at = plan
+        n = 3 * m + 1
+        kernel = Kernel()
+        graph = nx.complete_graph(n + 1)
+        nx.set_edge_attributes(graph, 40.0, "latency_ms")
+        network = Network(kernel, graph)
+        network.fault_injector = NetworkFaultInjector(random.Random(seed), [loss])
+        rng = random.Random(seed)
+        principals = [make_principal(f"replica-{i}", rng, bits=256) for i in range(n)]
+        ring = InnerRing(
+            kernel,
+            network,
+            list(range(n)),
+            principals,
+            m=m,
+            batching=BatchingConfig(size=batch_size, delay_ms=50.0),
+        )
+        for index, mode in byzantine.items():
+            ring.set_fault(index, mode)
+        if crash_at is not None:
+            kernel.call_at(crash_at, lambda: ring.set_fault(0, FaultMode.SILENT))
+        delivered = []
+        ring.on_certificate(delivered.append)
+        author = make_principal("author", random.Random(seed + 1), bits=256)
+        guid = object_guid(author.public_key, "certificate-safety")
+        for i in range(4):
+            update = make_update(
+                author,
+                guid,
+                [UpdateBranch(TruePredicate(), (AppendBlock(b"c%d" % i),))],
+                float(i + 1),
+            )
+            kernel.call_at(300.0 * i, lambda u=update: ring.submit(n, u))
+        kernel.run(until=20_000.0)
+
+        certified = {}
+        held = [c for r in ring.replicas for c in r.certificates.values()]
+        for certificate in held + delivered:
+            assert certificate.verify(ring)
+            assert slot_digest_for(certificate.updates) == certificate.digest
+            certified.setdefault(certificate.seq, set()).add(certificate.digest)
+        assert all(len(digests) == 1 for digests in certified.values())
+        correct = [r for r in ring.replicas if r.index not in byzantine]
+        for replica in correct:
+            for seq, digest in replica.executed_by_seq.items():
+                assert {r.executed_by_seq.get(seq, digest) for r in correct} == {
+                    digest
+                }
+                # A correct replica executes a slot only holding its proof.
+                if digest != NOOP_DIGEST:
+                    assert replica.certificates[seq].digest == digest
+
+
 class TestSlotIndexWork:
     def test_reassigned_slot_releases_its_digests(self):
         """A slot given a new digest stops answering for the old one and
@@ -297,7 +372,8 @@ class TestSlotIndexWork:
 
     def test_normal_case_never_iterates_instances(self):
         """300 slots of agreement, and no pass over the instance table:
-        in-flight checks and sign-share lookups are index reads."""
+        in-flight checks are index reads, and certificates form from the
+        committing instance's own votes."""
         kernel, ring = four_replica_ring()
         for replica in ring.replicas:
             replica.instances = CountingDict()
@@ -421,13 +497,13 @@ class TestAmortization:
         )
         assert fit_1.quadratic_ok and fit_b.quadratic_ok
         assert fit_b.c1 <= fit_1.c1 / 4
-        # Exact, not banded.  Pre-prepare (n-1), prepare (n-1)^2, commit
-        # and sign-share (n(n-1) each) are 3n^2 - 3n phase messages of
+        # Exact, not banded.  Pre-prepare (n-1), prepare (n-1)^2 and
+        # the signed commit (n(n-1)) are 2n^2 - 2n phase messages of
         # 100 B, and each of the n request copies adds 100 B to the
-        # update's own bytes: b = 300n^2 + (u - 200)n.  A fourth round, a
-        # dropped one, or a resized phase message moves c1 off 300.
-        assert fit_1.c1 == pytest.approx(300.0)
-        assert fit_1.c2 == pytest.approx(-200.0)
+        # update's own bytes: b = 200n^2 + (u - 100)n.  A third round, a
+        # dropped one, or a resized phase message moves c1 off 200.
+        assert fit_1.c1 == pytest.approx(200.0)
+        assert fit_1.c2 == pytest.approx(-100.0)
         assert fit_1.c3 == pytest.approx(0.0, abs=1e-6)
         # One shared round for all eight updates: exactly c1/u each.
-        assert fit_b.c1 == pytest.approx(300.0 / updates)
+        assert fit_b.c1 == pytest.approx(200.0 / updates)

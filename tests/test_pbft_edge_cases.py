@@ -11,12 +11,14 @@ from repro.consistency import BatchingConfig, FaultMode, InnerRing, update_diges
 from repro.consistency.pbft import (
     NOOP_DIGEST,
     SMALL_MESSAGE_BYTES,
+    CatchUpResponse,
     CommitCertificate,
     CommitMsg,
     PBFTReplica,
     PreparedReport,
     PrepareMsg,
     PrePrepare,
+    ViewChangeMsg,
     slot_digest_for,
 )
 from repro.crypto import make_principal
@@ -205,10 +207,12 @@ class TestCertificates:
         assert cert.digest == update_digest(update)
 
     def test_signed_payload_stable(self):
-        a = CommitCertificate.signed_payload(3, b"d" * 32)
-        b = CommitCertificate.signed_payload(3, b"d" * 32)
+        a = CommitCertificate.signed_payload(0, 3, b"d" * 32)
+        b = CommitCertificate.signed_payload(0, 3, b"d" * 32)
         assert a == b
-        assert CommitCertificate.signed_payload(4, b"d" * 32) != a
+        assert CommitCertificate.signed_payload(0, 4, b"d" * 32) != a
+        # The view is signed too: commits from two views never combine.
+        assert CommitCertificate.signed_payload(1, 3, b"d" * 32) != a
 
 
 class TestDeferredPrePrepare:
@@ -255,7 +259,9 @@ class TestEarlyVotes:
         instance = backup.instances[(0, 0)]
         assert instance.digest is None
         assert instance.early_prepares == {digest: 0b0110}
-        assert instance.early_commits == {digest: 0b0110}
+        assert {d: set(v) for d, v in instance.early_commits.items()} == {
+            digest: {1, 2}
+        }
         assert sorted(executed) == [0, 1, 2]
         # Buffers exist only where a vote really came early.
         assert ring.replicas[0].instances[(0, 0)].early_prepares is None
@@ -266,9 +272,11 @@ class TestEarlyVotes:
         kernel.run(until=1_500.0)
         assert instance.committed
         assert instance.prepares == 0b1111
-        assert instance.commits & 0b1110 == 0b1110
+        assert {1, 2, 3} <= set(instance.commits)
         assert not instance.early_prepares and not instance.early_commits
         assert sorted(executed) == [0, 1, 2, 3]
+        # The buffered commits kept their signatures: they certify the slot.
+        assert backup.certificates[0].verify(ring)
         assert backup._prepared_reports() == (PreparedReport(seq=0, digest=digest),)
 
         # The leader goes silent; view 1 must keep the executed slot.
@@ -290,19 +298,100 @@ class TestEarlyVotes:
         kernel, network, ring, clients = make_ring(m=1)
         backup = ring.replicas[3]
         forged = b"f" * 32
+        signature = ring.replicas[2].principal.sign(
+            CommitCertificate.signed_payload(0, 0, forged)
+        )
         backup._on_prepare(PrepareMsg(0, 0, forged, 1))
-        backup._on_commit(CommitMsg(0, 0, forged, 2))
+        backup._on_commit(CommitMsg(0, 0, forged, 2, signature))
+        # A commit whose signature is not its sender's holds no vote.
+        backup._on_commit(CommitMsg(0, 0, forged, 1, signature))
         # Senders outside the ring hold no vote at all.
         for sender in (-1, ring.n):
             backup._on_prepare(PrepareMsg(0, 0, forged, sender))
-            backup._on_commit(CommitMsg(0, 0, forged, sender))
+            backup._on_commit(CommitMsg(0, 0, forged, sender, signature))
         update = up(author, b"honest")
         ring.submit(clients[0], update)
         kernel.run(until=2_000.0)
         instance = backup.instances[(0, 0)]
         assert instance.digest == update_digest(update) and instance.committed
         assert instance.early_prepares == {forged: 0b0010}
-        assert instance.early_commits == {forged: 0b0100}
+        assert instance.early_commits == {forged: {2: signature}}
+
+
+class TestForgedSenders:
+    """A vote counts only from the replica whose node sent it."""
+
+    def test_byzantine_leader_cannot_split_a_slot_with_forged_votes(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        # The view-0 leader is Byzantine: its replica runs no protocol,
+        # and an adversary on its node speaks instead.
+        ring.set_fault(0, FaultMode.SILENT)
+        first, second = up(author, b"first"), up(author, b"second", ts=2.0)
+        ring.submit(clients[0], first)
+        ring.submit(clients[1], second)
+        proposal = {1: update_digest(first), 2: update_digest(second)}
+        index_of = {r.network_id: r.index for r in ring.replicas}
+
+        def reflect(message):
+            # Each victim's own vote comes back as replica 3's, and its
+            # commit also as the leader's: enough, with the victim's own,
+            # for a quorum of "three" replicas behind each proposal.
+            victim = index_of[message.src]
+            if victim not in proposal:
+                return
+            vote = message.payload
+            forged = [replace(vote, sender=3)]
+            if isinstance(vote, CommitMsg):
+                forged.append(replace(vote, sender=0))
+            for payload in forged:
+                network.send(0, message.src, payload, SMALL_MESSAGE_BYTES)
+
+        network.subscribe(0, reflect, (PrepareMsg, CommitMsg))
+
+        def equivocate():
+            for victim, digest in proposal.items():
+                network.send(0, victim, PrePrepare(0, 0, digest), SMALL_MESSAGE_BYTES)
+
+        kernel.call_at(200.0, equivocate)
+        kernel.run(until=PBFTReplica.VIEW_TIMEOUT_MS - 1.0)
+        honest = ring.replicas[1:]
+        assert {r.index: r.executed_by_seq.get(0) for r in honest} == {
+            1: None,
+            2: None,
+            3: None,
+        }
+        # Replica 3 never voted and the leader never committed: any such
+        # vote in a victim's instance would be forged.
+        for replica in ring.replicas[1:3]:
+            for instance in replica.instances.values():
+                assert not instance.prepares & 1 << 3
+                assert not {0, 3} & set(instance.commits)
+
+        # The stalled slot moves to view 1, where both updates commit once.
+        kernel.run(until=60_000.0)
+        assert sorted(u.update_id for u in ring.committed_order) == sorted(
+            (first.update_id, second.update_id)
+        )
+        for seq in (0, 1):
+            assert len({r.executed_by_seq[seq] for r in honest}) == 1
+
+
+    def test_view_change_and_no_op_claims_count_only_from_their_sender(self):
+        kernel, network, ring, clients = make_ring(m=1)
+        replica = ring.replicas[3]
+        # Replica 0's node votes for view 1 as itself and as replica 2,
+        # and claims seq 0 executed as a no-op as itself and as 1 and 2.
+        for sender in (0, 2):
+            network.send(0, 3, ViewChangeMsg(1, sender), SMALL_MESSAGE_BYTES)
+        for sender in (0, 1, 2):
+            network.send(
+                0, 3, CatchUpResponse((), (0,), sender), SMALL_MESSAGE_BYTES
+            )
+        kernel.run(until=1_000.0)
+        assert set(replica.view_change_votes[1]) == {0}
+        # One helper is not m+1: the no-op waits for a second witness.
+        assert replica._noop_claims == {0: {0}}
+        assert replica.last_executed_seq == -1
 
 
 class TestProgressTimer:

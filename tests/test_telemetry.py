@@ -427,15 +427,16 @@ class TestInstrumentedDeployment:
         pbft = sent["pbft"]
         n = system.ring.n
         # Section 4.4.5 six-phase structure: request (client -> n
-        # replicas), pre-prepare (leader -> n-1), prepare and commit
-        # (all-to-all), sign-share after execution, then the
-        # dissemination push counted separately.  The network's phase
+        # replicas), pre-prepare (leader -> n-1), prepare and signed
+        # commit (all-to-all), then the dissemination push counted
+        # separately.  The commit signatures certify the slot, so no
+        # sign-share round follows execution.  The network's phase
         # ledger is the one count of these messages.
         assert pbft["request"] == n
         assert pbft["pre_prepare"] == n - 1
         assert pbft["prepare"] == (n - 1) ** 2
         assert pbft["commit"] == n * (n - 1)
-        assert pbft["sign_share"] == n * (n - 1)
+        assert "sign_share" not in pbft
         dissemination = sent["dissemination"]
         assert dissemination.get("push", 0) + dissemination.get("invalidation", 0) > 0
 

@@ -95,18 +95,19 @@ class AccessChecker:
         self,
         object_guid: GUID,
         signer_key: PublicKey,
-        message: bytes,
-        signature: bytes,
+        signature_valid: bool,
     ) -> CheckResult:
         """Full write check: signature validity, then ACL membership.
 
+        ``signature_valid`` is the caller's verdict on the write's
+        signature under ``signer_key`` (an update keeps it, DESIGN §31).
         The owner key is always authorized (ownership is baked into the
         self-certifying GUID; a forged "owner" key would not match it).
         """
         policy = self._policies.get(object_guid)
         if policy is None:
             return CheckResult(WriteDecision.NO_ACL)
-        if not signer_key.verify(message, signature):
+        if not signature_valid:
             return CheckResult(WriteDecision.BAD_SIGNATURE)
         if signer_key == policy.owner_key:
             return CheckResult(WriteDecision.ALLOWED)

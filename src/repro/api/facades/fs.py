@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.api.oceanstore import ObjectHandle, OceanStoreHandle
 from repro.api.session import Session
-from repro.naming.directory import Directory, NameNotFound, split_path
+from repro.naming import Directory, DirectoryResolver, NameNotFound, NotADirectory, split_path
 from repro.util import serialization
 from repro.util.ids import GUID
 
@@ -44,6 +44,7 @@ class FileSystemFacade:
         self.store = store
         self.session = session
         self._root = store.create_object(self.ROOT_NAME)
+        self._resolver = DirectoryResolver(lambda g: self._read_directory(store.open_object(g)))
         if not self.store.read(self._root, session):
             self._write_directory(self._root, Directory())
 
@@ -63,18 +64,15 @@ class FileSystemFacade:
     # -- path resolution ------------------------------------------------------------
 
     def _resolve_dir(self, components: list[str]) -> ObjectHandle:
-        """Walk directory components from the root."""
-        current = self._root
-        for component in components:
-            directory = self._read_directory(current)
-            try:
-                entry = directory.lookup(component)
-            except NameNotFound:
-                raise FileNotFound("/".join(components)) from None
-            if not entry.is_directory:
-                raise NotADirectoryError_(component)
-            current = self.store.open_object(entry.target)
-        return current
+        """The directory at ``components`` below the root (Section 4.1)."""
+        path = "/".join(components)
+        try:
+            guid = self._resolver.resolve(self._root.guid, path, directory=True)
+        except NameNotFound:
+            raise FileNotFound(path) from None
+        except NotADirectory as exc:
+            raise NotADirectoryError_(*exc.args) from None
+        return self.store.open_object(guid)
 
     def _split_parent(self, path: str) -> tuple[list[str], str]:
         components = split_path(path)

@@ -242,7 +242,7 @@ class CatchUpResponse:
 
 
 def update_digest(update: Update) -> bytes:
-    return sha256(update.signed_bytes())
+    return update.digest()
 
 
 def slot_digest(members: tuple[bytes, ...]) -> bytes:

@@ -690,13 +690,9 @@ class OceanStoreSystem:
         """
         if not self.access.has_policy(update.object_guid):
             return True
-        result = self.access.check_write(
-            update.object_guid,
-            update.client_key,
-            update.signed_bytes(),
-            update.signature,
-        )
-        return result.allowed
+        return self.access.check_write(
+            update.object_guid, update.client_key, update.verify_signature()
+        ).allowed
 
     def _on_execute(self, replica, seq: int, update: Update) -> None:
         server = self.servers[replica.network_id]

@@ -28,8 +28,8 @@ _MILLER_RABIN_ROUNDS = 24
 
 #: verdicts one key's verify memo holds, oldest evicted first.  A
 #: signature is re-verified within the agreement round that carries it
-#: (every replica checks every COMMIT and client request), long before
-#: this many newer (message, signature) pairs reach the same key.
+#: (every replica checks every COMMIT), long before this many newer
+#: (hash, signature) pairs reach the same key.
 _VERIFY_MEMO_ENTRIES = 1024
 
 _SMALL_PRIMES = [
@@ -76,9 +76,9 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 class PublicKey:
     n: int
     e: int
-    #: (message, signature) -> verdict, the newest
-    #: ``_VERIFY_MEMO_ENTRIES`` in insertion order
-    _verified: OrderedDict[tuple[bytes, bytes], bool] = field(
+    #: (``_fdh(message)``, signature) -> verdict, the newest
+    #: ``_VERIFY_MEMO_ENTRIES`` in insertion order; it holds no message
+    _verified: OrderedDict[tuple[int, bytes], bool] = field(
         default_factory=OrderedDict, init=False, compare=False, repr=False
     )
 
@@ -91,21 +91,18 @@ class PublicKey:
         """Check a full-domain-hash RSA signature.  Never raises on bad input.
 
         Results are memoized on the key: verification is a pure function
-        of ``(n, e, message, signature)``, and PBFT re-verifies the same
-        COMMIT or client signature at every replica that receives it --
-        one modular exponentiation instead of n.  The memo is a bounded
-        FIFO, so a long run retains a fixed number of verdicts per key.
+        of ``(n, e, _fdh(message), signature)``, and PBFT re-verifies the
+        same COMMIT signature at every replica that receives it -- one
+        modular exponentiation instead of n.  The memo is a bounded FIFO,
+        so a long run retains a fixed number of verdicts per key.
         """
-        key = (message, signature)
+        key = (_fdh(message, self.n), signature)
         memo = self._verified
         cached = memo.get(key)
         if cached is not None:
             return cached
         sig_int = int.from_bytes(signature, "big")
-        if not 0 < sig_int < self.n:
-            result = False
-        else:
-            result = pow(sig_int, self.e, self.n) == _fdh(message, self.n)
+        result = 0 < sig_int < self.n and pow(sig_int, self.e, self.n) == key[0]
         memo[key] = result
         if len(memo) > _VERIFY_MEMO_ENTRIES:
             memo.popitem(last=False)

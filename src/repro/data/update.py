@@ -22,7 +22,7 @@ the object's ACL before applying (Section 4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.crypto.hashes import sha256
@@ -296,18 +296,18 @@ class Update:
     client_key: PublicKey
     update_id: bytes
     signature: bytes
-    #: per-instance memo of :meth:`signed_bytes` -- the update is frozen,
-    #: so the encoding is computed at most once per object no matter how
-    #: many replicas re-verify, re-hash, or re-measure it
-    _signed_cache: bytes | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: what the signed encoding proves, kept for life: its sha256, wire
+    #: size and signature verdict.  The encoding itself is held only until
+    #: :meth:`verify_signature` consumes it (DESIGN §31).  No memo is an
+    #: init field, so a ``replace``d update inherits none.
+    _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
+    _verdict: bool | None = field(default=None, init=False, repr=False, compare=False)
     #: one-entry memo of :func:`apply_update`: ``(input state, (outcome,
     #: next state))`` -- replicas applying this update to the very same
     #: input state share one result (DESIGN §21)
-    _applied: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _applied: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def payload_dict(self) -> dict:
         return {
@@ -324,18 +324,39 @@ class Update:
         }
 
     def signed_bytes(self) -> bytes:
-        cached = self._signed_cache
-        if cached is None:
-            cached = serialization.encode(self.payload_dict())
-            object.__setattr__(self, "_signed_cache", cached)
-        return cached
+        body = self._body
+        if body is None:
+            body = serialization.encode(self.payload_dict())
+            self._seed(body, sha256(body))
+        return body
+
+    def _seed(self, body: bytes, digest: bytes) -> None:
+        """Remember what ``body``, this update's encoding, proves; hold
+        the encoding itself only while the signature is unchecked."""
+        object.__setattr__(self, "_digest", digest)
+        object.__setattr__(self, "_size", len(body) + len(self.signature))
+        if self._verdict is None:
+            object.__setattr__(self, "_body", body)
+
+    def digest(self) -> bytes:
+        """SHA-256 of the signed encoding (never the claimed ``update_id``)."""
+        if self._digest is None:
+            self.signed_bytes()
+        return self._digest
 
     def verify_signature(self) -> bool:
-        return self.client_key.verify(self.signed_bytes(), self.signature)
+        verdict = self._verdict
+        if verdict is None:
+            verdict = self.client_key.verify(self.signed_bytes(), self.signature)
+            object.__setattr__(self, "_verdict", verdict)
+            object.__setattr__(self, "_body", None)
+        return verdict
 
     def size_bytes(self) -> int:
         """Wire size of the update (for the Figure 6 cost model)."""
-        return len(self.signed_bytes()) + len(self.signature)
+        if self._size is None:
+            self.signed_bytes()
+        return self._size
 
 
 def make_update(
@@ -346,24 +367,12 @@ def make_update(
 ) -> Update:
     """Build and sign an update."""
     unsigned = Update(
-        object_guid=object_guid,
-        branches=tuple(branches),
-        timestamp=timestamp,
-        client_key=author.public_key,
-        update_id=b"",
-        signature=b"",
+        object_guid, tuple(branches), timestamp, author.public_key, update_id=b"", signature=b""
     )
     body = unsigned.signed_bytes()
-    update = Update(
-        object_guid=object_guid,
-        branches=unsigned.branches,
-        timestamp=timestamp,
-        client_key=author.public_key,
-        update_id=sha256(body),
-        signature=author.sign(body),
-    )
+    update = replace(unsigned, update_id=unsigned.digest(), signature=author.sign(body))
     # payload_dict leaves out update_id and signature: the bytes are equal.
-    object.__setattr__(update, "_signed_cache", body)
+    update._seed(body, update.update_id)
     return update
 
 

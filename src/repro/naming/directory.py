@@ -109,15 +109,14 @@ class DirectoryResolver:
     def __init__(self, loader: Callable[[GUID], Directory]) -> None:
         self._loader = loader
 
-    def resolve(self, root: GUID, path: str) -> GUID:
-        """Resolve ``path`` relative to ``root``; returns the target GUID."""
+    def resolve(self, root: GUID, path: str, directory: bool = False) -> GUID:
+        """Resolve ``path`` relative to ``root``; returns the target GUID.
+        With ``directory``, the last component must be a directory too."""
         components = split_path(path)
         current = root
         for i, component in enumerate(components):
-            directory = self._loader(current)
-            entry = directory.lookup(component)
-            is_last = i == len(components) - 1
-            if not is_last and not entry.is_directory:
+            entry = self._loader(current).lookup(component)
+            if (directory or i < len(components) - 1) and not entry.is_directory:
                 raise NotADirectory("/".join(components[: i + 1]))
             current = entry.target
         return current

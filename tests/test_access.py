@@ -94,11 +94,17 @@ class TestAccessChecker:
     def make_signed(self, principal, payload=b"an update"):
         return payload, principal.sign(payload)
 
+    def check(self, checker, guid, signer, msg, sig):
+        """``check_write`` given the verdict on ``sig`` under ``signer``'s key."""
+        return checker.check_write(
+            guid, signer.public_key, signer.public_key.verify(msg, sig)
+        )
+
     def test_no_policy(self, owner):
         checker = AccessChecker()
         guid = object_guid(owner.public_key, "doc")
         msg, sig = self.make_signed(owner)
-        result = checker.check_write(guid, owner.public_key, msg, sig)
+        result = self.check(checker, guid, owner, msg, sig)
         assert result.decision is WriteDecision.NO_ACL
         assert not result.allowed
 
@@ -107,14 +113,14 @@ class TestAccessChecker:
         guid = object_guid(owner.public_key, "doc")
         checker.install_default(guid, owner.public_key, DEFAULT_OWNER_ONLY)
         msg, sig = self.make_signed(owner)
-        assert checker.check_write(guid, owner.public_key, msg, sig).allowed
+        assert self.check(checker, guid, owner, msg, sig).allowed
 
     def test_owner_only_denies_others(self, owner, stranger):
         checker = AccessChecker()
         guid = object_guid(owner.public_key, "doc")
         checker.install_default(guid, owner.public_key, DEFAULT_OWNER_ONLY)
         msg, sig = self.make_signed(stranger)
-        result = checker.check_write(guid, stranger.public_key, msg, sig)
+        result = self.check(checker, guid, stranger, msg, sig)
         assert result.decision is WriteDecision.NOT_AUTHORIZED
 
     def test_public_write_allows_strangers(self, owner, stranger):
@@ -122,14 +128,14 @@ class TestAccessChecker:
         guid = object_guid(owner.public_key, "doc")
         checker.install_default(guid, owner.public_key, DEFAULT_PUBLIC_WRITE)
         msg, sig = self.make_signed(stranger)
-        assert checker.check_write(guid, stranger.public_key, msg, sig).allowed
+        assert self.check(checker, guid, stranger, msg, sig).allowed
 
     def test_bad_signature_rejected(self, owner, stranger):
         checker = AccessChecker()
         guid = object_guid(owner.public_key, "doc")
         checker.install_default(guid, owner.public_key, DEFAULT_PUBLIC_WRITE)
         msg, _ = self.make_signed(stranger)
-        result = checker.check_write(guid, stranger.public_key, msg, b"\x01" * 32)
+        result = self.check(checker, guid, stranger, msg, b"\x01" * 32)
         assert result.decision is WriteDecision.BAD_SIGNATURE
 
     def test_acl_grants_write(self, owner, writer, stranger):
@@ -140,9 +146,9 @@ class TestAccessChecker:
         cert = ACLCertificate.issue(owner, guid, acl)
         assert checker.install_acl(guid, acl, cert)
         msg, sig = self.make_signed(writer)
-        assert checker.check_write(guid, writer.public_key, msg, sig).allowed
+        assert self.check(checker, guid, writer, msg, sig).allowed
         msg, sig = self.make_signed(stranger)
-        assert not checker.check_write(guid, stranger.public_key, msg, sig).allowed
+        assert not self.check(checker, guid, stranger, msg, sig).allowed
 
     def test_install_acl_requires_valid_cert(self, owner, writer, stranger):
         checker = AccessChecker()

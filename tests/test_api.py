@@ -23,6 +23,7 @@ from repro.api.facades import (
     TransactionState,
     TransactionalFacade,
 )
+from repro.api.facades.fs import NotADirectoryError_
 from repro.crypto import KeyRing, make_principal
 from repro.data import DataObjectState
 from repro.util import GUID
@@ -251,6 +252,22 @@ class TestFileSystemFacade:
         fs.mkdir("d")
         with pytest.raises(FileSystemError):
             fs.read_file("d")
+
+    def test_paths_through_a_file_or_a_missing_directory(self, handle_env):
+        """The last directory component must be a directory too: a file
+        there is ``NotADirectoryError_``, a missing name ``FileNotFound``."""
+        store, _ = handle_env
+        fs = FileSystemFacade(store)
+        fs.mkdir("home")
+        fs.write_file("home/notes", b"x")
+        with pytest.raises(NotADirectoryError_, match="home/notes"):
+            fs.write_file("home/notes/inner", b"y")
+        with pytest.raises(NotADirectoryError_):
+            fs.listdir("home/notes")
+        with pytest.raises(FileNotFound, match="home/missing"):
+            fs.read_file("home/missing/file")
+        assert not fs.exists("home/notes/inner")
+        assert fs.listdir("/") == ["home"]
 
     def test_guid_of(self, handle_env):
         store, _ = handle_env

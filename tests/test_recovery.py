@@ -20,6 +20,7 @@ from repro.core import (
     RetryPolicy,
     make_client,
 )
+from repro.introspect import DecisionKind
 from repro.recovery import FailureDetector, RoutingRepairer
 from repro.routing import PlaxtonMesh, SaltedRouter
 from repro.sim import Kernel, Network, TopologyParams
@@ -523,6 +524,43 @@ class TestDetectorDrivenHealing:
 # ---------------------------------------------------------------------------
 # The degradation ladder, rung by rung
 # ---------------------------------------------------------------------------
+
+
+class TestEliminatedReplica:
+    def test_refresh_sweep_no_longer_republishes_an_eliminated_replica(self):
+        """With recovery on, a replica that introspection eliminates for
+        disuse leaves the repairer's publications: the next pointer-refresh
+        sweep republishes its siblings but deposits no pointer for it."""
+        system = _recovery_system(
+            seed=7, secondaries_per_object=3, replica_window_ms=1_000.0
+        )
+        client = make_client(system, "idle", seed=12)
+        handle = client.create_object("idle")
+        assert client.write(handle, b"x").committed
+        repairer = system.recovery.repairer
+        decided = {
+            d.replica_node
+            for d in system.run_replica_management()
+            if d.kind is DecisionKind.ELIMINATE
+        }
+        kept = set(system.tiers[handle.guid].replicas)
+        eliminated = decided - kept  # the last replica is never removed
+        assert eliminated and kept
+        republished = []
+        republish = repairer.republish
+
+        def recording(replica_node, object_guid):
+            republished.append((replica_node, object_guid))
+            republish(replica_node, object_guid)
+
+        repairer.republish = recording
+        system.settle(6_000.0)  # one refresh sweep
+        swept = {node for node, guid in republished if guid == handle.guid}
+        assert kept <= swept
+        assert not swept & eliminated
+        for salted in system.router.salted_guids(handle.guid):
+            for node in system.mesh.nodes.values():
+                assert not node.pointers.get(salted, set()) & eliminated
 
 
 def _rung_counts(system):

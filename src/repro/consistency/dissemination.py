@@ -31,7 +31,7 @@ class TreeError(RuntimeError):
 
 @dataclass
 class DisseminationTree:
-    """Latency-aware multicast tree rooted at the primary tier's contact."""
+    """Latency-aware multicast tree rooted at the owning ring's leader."""
 
     network: Network
     root: NodeId
@@ -119,12 +119,12 @@ class DisseminationTree:
         return reparented
 
     def repoint_root(self, new_root: NodeId) -> None:
-        """Relabel the root: the tree now hangs off a new primary contact.
+        """Relabel the root: the tree now hangs off a new primary-tier node.
 
-        Used by ring-membership handoff when the shard's old contact is
-        gone.  The new contact must not already be a tree member (ring
-        nodes are never secondaries), so this is a pure relabel -- every
-        subtree keeps its shape.
+        Used when the owning ring changes view or membership.  The new
+        root must not already be a tree member (its tier retires such a
+        secondary first), so this is a pure relabel -- every subtree
+        keeps its shape.
         """
         if new_root == self.root:
             return

@@ -973,6 +973,8 @@ class PBFTReplica:
         tel = self.ring.telemetry
         if tel.enabled:
             tel.record("pbft", "new_view", view=new_view, leader=self.index)
+        for cb in self.ring._new_view_callbacks:
+            cb(self.network_id)
         self._broadcast(NewViewMsg(new_view), size=SMALL_MESSAGE_BYTES)
 
         # 1. Preserve every prepared slot reported by the quorum, at its
@@ -1256,6 +1258,7 @@ class InnerRing:
         self.authorizer: Callable[[Update], bool] | None = None
         self._execute_callbacks: list[Callable[[PBFTReplica, int, Update], None]] = []
         self._certificate_callbacks: list[Callable[[CommitCertificate], None]] = []
+        self._new_view_callbacks: list[Callable[[NodeId], None]] = []
         self._certified_seqs: set[int] = set()
         self.committed_order: list[Update] = []
         self._order_recorded: set[bytes] = set()
@@ -1313,6 +1316,10 @@ class InnerRing:
     def on_certificate(self, callback: Callable[[CommitCertificate], None]) -> None:
         """Fires once per slot, when the first certificate assembles."""
         self._certificate_callbacks.append(callback)
+
+    def on_new_view(self, callback: Callable[[NodeId], None]) -> None:
+        """Fires with the new leader's node when it installs its view."""
+        self._new_view_callbacks.append(callback)
 
     def _replica_executed(self, replica: PBFTReplica, seq: int, update: Update) -> None:
         if update.update_id not in self._order_recorded:

@@ -316,11 +316,11 @@ class _GuidMailbox:
 class SecondaryTier:
     """All secondary replicas of one object, plus their dissemination tree.
 
-    The tree's root is the primary-tier contact node; committed updates
-    enter via :meth:`push_committed` (wired to the inner ring's
-    certificate callback by :mod:`repro.core`).  Tiers that share
-    ``mailboxes`` share each node's subscription; without it a tier
-    keeps its own.
+    The tree's root is the owning ring's leader, moved by :meth:`root_at`
+    on each view change; committed updates enter via :meth:`push_committed`
+    (both wired to the inner ring's callbacks by :mod:`repro.core`).
+    Tiers that share ``mailboxes`` share each node's subscription;
+    without it a tier keeps its own.
     """
 
     def __init__(
@@ -390,19 +390,19 @@ class SecondaryTier:
                     subsystem="dissemination",
                 )
 
-    def repoint_root(self, new_root: NodeId) -> None:
-        """Move the tree root to a new primary-tier contact.
-
-        Ring-membership handoff calls this when the shard's old contact
-        node left the membership (or died): the pushed-update log and the
-        whole tree shape survive, only the root mailbox moves.
-        """
+    def root_at(self, node: NodeId) -> None:
+        """Re-root the tree at the ring's new leader (view change) or new
+        member (membership handoff), retiring ``node``'s secondary role
+        first.  The pushed log and the tree's shape survive; children pull
+        from the new root the seqs the old one never announced."""
         old_root = self.tree.root
-        if new_root == old_root:
+        if node == old_root:
             return
+        if node in self.tree.members:
+            self.remove_replica(node)
         self.mailboxes.roots.remove(old_root, self.object_guid)
-        self.tree.repoint_root(new_root)
-        self.mailboxes.roots.add(new_root, self.object_guid, self)
+        self.tree.repoint_root(node)
+        self.mailboxes.roots.add(node, self.object_guid, self)
 
     def add_replica(self, network_id: NodeId) -> SecondaryReplica:
         replica = SecondaryReplica(network_id, self)

@@ -630,25 +630,25 @@ class OceanStoreSystem:
                 for node, rounds in sorted(detector.suspicion.items())
                 if rounds > 0
             }
-        shards = []
-        for shard in self.rings.shards:
+        shards = self.rings.commit_stats()
+        for shard, row in zip(self.rings.shards, shards):
             dead = sorted(
                 n
                 for n in shard.members
                 if self.network.is_down(n) or n in suspected
             )
-            shards.append(
-                {
-                    "shard": shard.shard_id,
-                    "epoch": shard.epoch,
-                    "range": shard.range.describe(),
-                    "members": list(shard.members),
-                    "committed": len(shard.ring.committed_order),
-                    "transitioning": shard.transitioning,
-                    "degraded": bool(dead),
-                    "degraded_members": dead,
-                    "retired_epochs": [e for e, _ in shard.retired],
-                }
+            row.update(
+                transitioning=shard.transitioning,
+                degraded=bool(dead),
+                degraded_members=dead,
+                view=max(r.view for r in shard.ring.replicas),
+                tree_roots=sorted(
+                    {
+                        tier.tree.root
+                        for guid, tier in self.tiers.items()
+                        if self.rings.shard_of(guid) is shard
+                    }
+                ),
             )
         handoffs: dict[str, object] = {
             "enabled": self.handoff is not None,
@@ -739,7 +739,15 @@ class OceanStoreSystem:
         ring.on_certificate(
             lambda certificate: self._on_certificate(shard_id, epoch, certificate)
         )
+        ring.on_new_view(lambda leader: self._follow_view(ring, leader))
         return ring
+
+    def _follow_view(self, ring: InnerRing, leader: NodeId) -> None:
+        """The dissemination tree follows the view: every tier ``ring``
+        still owns is re-rooted at its new leader."""
+        for guid, tier in self.tiers.items():
+            if self.rings.ring_for(guid) is ring:
+                tier.root_at(leader)
 
     def _on_certificate(
         self, shard_id: int, epoch: int, certificate: CommitCertificate
@@ -984,7 +992,8 @@ class OceanStoreSystem:
     # ------------------------------------------------------------------
 
     def run_replica_management(self) -> list:
-        """Evaluate load and act on create/eliminate decisions.
+        """Evaluate load, act on create/eliminate decisions, and return
+        the ones carried out.
 
         Creations run (and their catch-up anti-entropy settles) before
         eliminations, so a fresh replica never loses its sync partner to
@@ -993,6 +1002,7 @@ class OceanStoreSystem:
         decisions = self.replica_manager.evaluate(self.kernel.now)
         creates = [d for d in decisions if d.kind is DecisionKind.CREATE]
         eliminates = [d for d in decisions if d.kind is DecisionKind.ELIMINATE]
+        done = []
         for decision in creates:
             tier = self.tiers.get(decision.object_guid)
             if tier is None:
@@ -1021,6 +1031,7 @@ class OceanStoreSystem:
             self.confidence.complete_action(
                 action, self.network.latency_ms(target, target)
             )
+            done.append(decision)
         # Let freshly created replicas finish their catch-up exchanges
         # before their partners can be eliminated or reads arrive.
         self.settle(10_000.0)
@@ -1040,8 +1051,9 @@ class OceanStoreSystem:
                 self.recovery.forget_publication(
                     decision.replica_node, decision.object_guid, scrub=False
                 )
+            done.append(decision)
         self.probabilistic.converge()
-        return decisions
+        return done
 
     def run_epidemic_rounds(self, rounds: int = 2) -> None:
         for _ in range(rounds):

@@ -339,25 +339,21 @@ class HandoffManager:
 
     def _handle(self, message: Message) -> None:
         payload = message.payload
+        pending = self._active.get(payload.shard_id)
+        if (
+            pending is None
+            or pending.epoch != payload.epoch
+            or message.dst not in pending.replacements
+        ):
+            return
         if isinstance(payload, StateHandoffChunk):
-            pending = self._active.get(payload.shard_id)
-            if pending is None or pending.epoch != payload.epoch:
-                return
-            if message.dst not in pending.replacements:
-                return
             server = self.system.servers[message.dst]
             server.objects[payload.object_guid] = payload.state
             pending.received[message.dst] = (
                 pending.received.get(message.dst, 0) + 1
             )
-        elif isinstance(payload, HandoffComplete):
-            pending = self._active.get(payload.shard_id)
-            if pending is None or pending.epoch != payload.epoch:
-                return
-            if message.dst not in pending.replacements:
-                return
-            if pending.received.get(message.dst, 0) >= payload.chunk_count:
-                pending.done.add(message.dst)
+        elif pending.received.get(message.dst, 0) >= payload.chunk_count:
+            pending.done.add(message.dst)
             if pending.done == set(pending.replacements):
                 self._finalize(payload.shard_id)
 
@@ -423,27 +419,11 @@ class HandoffManager:
             ):
                 # Prefer a live new member that is not already one of
                 # this tier's secondaries (an elected spare may have
-                # been serving the tree; repoint_root refuses a relabel
-                # onto an existing member).
-                members = set(tier.tree.members)
-                target = next(
-                    (
-                        m
-                        for m in new_members
-                        if m not in members and not system.network.is_down(m)
-                    ),
-                    None,
-                )
-                if target is None:
-                    # Every live member already serves the tree: promote
-                    # one by retiring its secondary role first.
-                    target = next(
-                        m
-                        for m in new_members
-                        if not system.network.is_down(m)
-                    )
-                    tier.remove_replica(target)
-                tier.repoint_root(target)
+                # been serving the tree); failing that, root_at retires
+                # a live member's secondary role.
+                live = [m for m in new_members if not system.network.is_down(m)]
+                spares = [m for m in live if m not in tier.replicas]
+                tier.root_at((spares or live)[0])
         if pending.owned:
             system.probabilistic.converge()
 

@@ -315,24 +315,54 @@ class TestSecondaryTier:
         kernel.run(until=10_000.0)
         assert tier.consistent_fraction() == 1.0
 
+    def test_root_at_a_secondary_retires_its_secondary_role(self, author):
+        """Re-rooting at one of the tier's own secondaries (a handoff
+        electing a node that served the tree) drops that replica first;
+        the rest of the tree hangs off the new root and still gets every
+        commit."""
+        kernel, network, tier, client = self.make_tier(author)
+        new_root = sorted(tier.replicas)[0]
+        tier.root_at(new_root)
+        assert tier.tree.root == new_root
+        assert new_root not in tier.replicas
+        assert new_root not in tier.mailboxes.replicas.hosted
+        assert 0 not in tier.mailboxes.roots.hosted
+        assert tier.mailboxes.roots.hosted[new_root][tier.object_guid] is tier
+        assert sorted(tier.tree.members) == sorted([new_root, *tier.replicas])
+        tier.push_committed(0, make_up(author, b"x", 1.0))
+        kernel.run(until=10_000.0)
+        assert {r.committed_through for r in tier.replicas.values()} == {0}
+
+
+def quickstart_system():
+    """examples/quickstart.py's deployment, with no recovery manager."""
+    from repro import DeploymentConfig, OceanStoreSystem
+    from repro.sim import TopologyParams
+
+    system = OceanStoreSystem(
+        DeploymentConfig(
+            seed=2026,
+            topology=TopologyParams(
+                transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
+            ),
+            secondaries_per_object=4,
+        )
+    )
+    assert system.recovery is None
+    return system
+
+
+def ring_view(system):
+    return max(r.view for r in system.ring.replicas)
+
 
 class TestMissedNotice:
     def test_secondary_that_missed_a_notice_catches_up_on_the_next(self):
         """A secondary down for one commit pulls the seq it missed when
         the next notice arrives, instead of buffering behind the gap."""
-        from repro import DeploymentConfig, OceanStoreSystem, make_client
-        from repro.sim import TopologyParams
+        from repro import make_client
 
-        system = OceanStoreSystem(
-            DeploymentConfig(  # examples/quickstart.py's deployment
-                seed=2026,
-                topology=TopologyParams(
-                    transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
-                ),
-                secondaries_per_object=4,
-            )
-        )
-        assert system.recovery is None
+        system = quickstart_system()
         alice = make_client(system, "alice", seed=1)
         obj = alice.create_object("meeting-notes")
         alice.write(obj, b"v0")
@@ -357,42 +387,126 @@ class TestMissedNotice:
 
 
 class TestLeaderRootedTree:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the dissemination tree stays rooted at the crashed view-0 "
-        "leader: ROADMAP item 3's second slice, repoint the root on view "
-        "change, has not landed",
-    )
-    def test_secondaries_hear_of_commits_after_the_root_leader_crashes(self):
-        """Commits the ring makes after its view-0 leader (the tree's root)
-        crashes still reach every secondary."""
-        from repro import DeploymentConfig, OceanStoreSystem, make_client
-        from repro.sim import TopologyParams
+    """The dissemination tree follows the view: a view change re-roots
+    the tiers its ring owns at the new leader."""
 
-        system = OceanStoreSystem(
-            DeploymentConfig(  # examples/quickstart.py's deployment
-                seed=2026,
-                topology=TopologyParams(
-                    transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
-                ),
-                secondaries_per_object=4,
-            )
-        )
-        assert system.recovery is None
+    def crash_leader_and_commit(self, system, writes=3):
+        from repro import make_client
+
         alice = make_client(system, "alice", seed=1)
         obj = alice.create_object("meeting-notes")
         alice.write(obj, b"v0")
         system.settle()
-        tier = system.tiers[obj.guid]
         leader = system.ring_nodes[system.ring.leader_index(0)]
-        assert tier.tree.root == leader
+        assert system.tiers[obj.guid].tree.root == leader
         system.injector.crash(leader)
-        for i in range(1, 4):
+        for i in range(1, writes + 1):
             assert alice.write(obj, b"v%d" % i).committed
         system.settle(120_000.0)
+        return alice, obj, leader
+
+    def test_secondaries_hear_of_commits_after_the_root_leader_crashes(self):
+        """Commits the ring makes after its view-0 leader (the tree's root)
+        crashes still reach every secondary."""
+        system = quickstart_system()
+        _, obj, leader = self.crash_leader_and_commit(system)
+        tier = system.tiers[obj.guid]
         survivors = [n for n in system.ring_nodes if n != leader]
         assert {
             system.servers[n].objects[obj.guid].active.version for n in survivors
         } == {4}
         assert len(tier.replicas) == 4
         assert {r.committed_through for r in tier.replicas.values()} == {3}
+        assert tier.tree.root == system.ring_nodes[
+            system.ring.leader_index(ring_view(system))
+        ]
+
+    def test_a_write_built_on_a_secondary_read_commits(self):
+        """A committed read at each secondary's node returns the ring's
+        newest version, so an overwrite built on it does not abort."""
+        from repro.api.callbacks import ApiEvent
+
+        system = quickstart_system()
+        alice, obj, _ = self.crash_leader_and_commit(system)
+        tier = system.tiers[obj.guid]
+        for node in sorted(tier.replicas):
+            read = system.read_state(obj.guid, False, 0, client_node=node)
+            assert read.version == 4
+        aborted = []
+        system.callbacks().register(ApiEvent.UPDATE_ABORTED, aborted.append)
+        alice.home_node = min(tier.replicas)  # read at a secondary's node
+        result = alice.write(obj, b"v4")
+        assert result.committed and result.new_version == 5
+        assert aborted == []
+
+    def test_a_view_change_moves_the_root_off_a_live_old_leader(self):
+        """A silent leader stays up, but the view moves on and so does
+        the root: the old node holds no root mailbox, and every secondary
+        applies each seq exactly once."""
+        from repro import make_client
+        from repro.consistency import FaultMode
+
+        system = quickstart_system()
+        alice = make_client(system, "alice", seed=1)
+        obj = alice.create_object("meeting-notes")
+        tier = system.tiers[obj.guid]
+        applied = []
+        notify = tier.notify_children
+
+        def recording(node, seq, update_id):
+            applied.append((node, seq))
+            notify(node, seq, update_id)
+
+        tier.notify_children = recording
+        alice.write(obj, b"v0")
+        system.settle()
+        old_root = tier.tree.root
+        system.ring.set_fault(system.ring.leader_index(0), FaultMode.SILENT)
+        for i in range(1, 4):
+            assert alice.write(obj, b"v%d" % i).committed
+        system.settle(120_000.0)
+        view = ring_view(system)
+        assert view >= 1
+        assert tier.tree.root == system.ring_nodes[system.ring.leader_index(view)]
+        assert tier.tree.root != old_root
+        assert obj.guid not in tier.mailboxes.roots.hosted.get(old_root, {})
+        assert tier.mailboxes.roots.hosted[tier.tree.root][obj.guid] is tier
+        assert {r.committed_through for r in tier.replicas.values()} == {3}
+        for node in tier.replicas:
+            assert [seq for n, seq in applied if n == node] == [0, 1, 2, 3]
+
+    def test_a_retired_ring_moves_no_root(self):
+        """Once membership handoff retires a ring, a view change in it
+        leaves the tiers it no longer owns where they are."""
+        from test_rings import _guid_in_shard, _handoff_system, _submit
+
+        system = _handoff_system(seed=3)
+        guid = _guid_in_shard(system, 1)
+        system.create_object(guid)
+        _submit(system, guid, b"pre-handoff", 1.0)
+        system.settle(20_000.0)
+        shard = system.rings.shards[1]
+        old_ring = shard.ring
+        system.injector.crash(shard.members[-1])
+        system.settle(60_000.0)
+        assert shard.ring is not old_ring
+        root = system.tiers[guid].tree.root
+        view = next(
+            v
+            for v in range(1, 2 * old_ring.n)
+            if old_ring.replicas[old_ring.leader_index(v)].network_id != root
+        )
+        leader = old_ring.replicas[old_ring.leader_index(view)]
+        leader.view_change_votes[view] = {i: () for i in range(old_ring.quorum)}
+        leader._maybe_enter_view(view)
+        assert leader.view == view
+        assert system.tiers[guid].tree.root == root
+
+    def test_health_reports_the_view_and_who_feeds_the_trees(self):
+        system = quickstart_system()
+        self.crash_leader_and_commit(system)
+        (shard,) = system.health_snapshot()["shards"]
+        assert shard["view"] == ring_view(system) >= 1
+        assert shard["tree_roots"] == [
+            system.ring_nodes[system.ring.leader_index(shard["view"])]
+        ]

@@ -538,14 +538,16 @@ class TestEliminatedReplica:
         handle = client.create_object("idle")
         assert client.write(handle, b"x").committed
         repairer = system.recovery.repairer
-        decided = {
+        eliminated = {
             d.replica_node
             for d in system.run_replica_management()
             if d.kind is DecisionKind.ELIMINATE
         }
         kept = set(system.tiers[handle.guid].replicas)
-        eliminated = decided - kept  # the last replica is never removed
+        # Only eliminations carried out come back: the last replica is
+        # never removed, so it is never reported.
         assert eliminated and kept
+        assert not eliminated & kept
         republished = []
         republish = repairer.republish
 

@@ -50,9 +50,9 @@ def _with_digest(payload: object, digest: bytes) -> object:
 
 
 def _carries_digest(payload: object) -> bool:
-    from repro.consistency.pbft import CommitMsg, PrepareMsg, PrePrepare
+    from repro.consistency.pbft import CheckpointMsg, CommitMsg, PrepareMsg, PrePrepare
 
-    return isinstance(payload, (PrePrepare, PrepareMsg, CommitMsg))
+    return isinstance(payload, (PrePrepare, PrepareMsg, CommitMsg, CheckpointMsg))
 
 
 class ByzantineStrategy:

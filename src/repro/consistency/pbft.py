@@ -6,11 +6,17 @@ choose the final commit order for updates" -- with n = 3m + 1 replicas
 tolerating m faults (footnote 8), in the style of Castro-Liskov PBFT [10].
 
 This is a working implementation of PBFT's normal case (pre-prepare /
-prepare / commit with in-order execution) plus a view change sufficient
-to survive leader failure, running over the simulated network with
-accurate byte accounting -- the measured counterpart of the Figure 6
-analytic model.  Faulty replicas can be *silent* (crashed) or
+prepare / commit with in-order execution), its checkpoints and a view
+change sufficient to survive leader failure, running over the simulated
+network with accurate byte accounting -- the measured counterpart of the
+Figure 6 analytic model.  Faulty replicas can be *silent* (crashed) or
 *equivocating* (wrong digests, which honest replicas reject).
+
+Every ``CHECKPOINT_INTERVAL`` executed slots each replica signs a digest
+of its executed prefix; 2m+1 matching ones make a stable checkpoint, a
+low watermark below which agreement state is dropped and which bounds
+what a view change carries and re-agrees (Castro-Liskov sections 4.3
+and 4.4).
 
 To allow "later, offline verification by a party who did not participate
 in the protocol" each replica signs its COMMIT vote over (view, seq,
@@ -135,10 +141,33 @@ class PreparedReport:
 
 
 @dataclass(frozen=True, slots=True)
+class CheckpointMsg:
+    """A replica's signed claim that its executed prefix through ``seq``
+    hashes to ``digest`` (Castro-Liskov's CHECKPOINT).  2m+1 matching
+    ones from distinct replicas make the checkpoint stable, and are its
+    proof."""
+
+    seq: int
+    digest: bytes
+    sender: int
+    signature: bytes
+
+    @staticmethod
+    def signed_payload(seq: int, digest: bytes) -> bytes:
+        return serialization.encode(
+            {"type": "pbft-checkpoint", "seq": seq, "digest": digest}
+        )
+
+
+@dataclass(frozen=True, slots=True)
 class ViewChangeMsg:
+    """A vote for ``new_view``: the sender's stable checkpoint proof
+    and every slot it prepared above that checkpoint."""
+
     new_view: int
     sender: int
     prepared: tuple[PreparedReport, ...] = ()
+    checkpoint: tuple[CheckpointMsg, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +245,8 @@ class CatchUpRequest:
 
     A single laggard cannot force a view change (the other replicas are
     satisfied and will not vote), so after a timeout it asks for state
-    transfer instead -- the role PBFT's checkpoint protocol plays.
+    transfer instead.  Peers replay the certificates they hold, which
+    also brings a replica below the stable checkpoint back up.
     """
 
     sender: int
@@ -274,6 +304,7 @@ _PHASE_BY_TYPE: dict[type, str] = {
     PrePrepare: "pre_prepare",
     PrepareMsg: "prepare",
     CommitMsg: "commit",
+    CheckpointMsg: "checkpoint",
     ViewChangeMsg: "view_change",
     NewViewMsg: "new_view",
     BodyFetchRequest: "body_fetch",
@@ -316,6 +347,8 @@ class PBFTReplica:
     """One primary-tier replica."""
 
     VIEW_TIMEOUT_MS = 3_000.0
+    #: executed slots between two checkpoints (Castro-Liskov's K)
+    CHECKPOINT_INTERVAL = 64
 
     def __init__(
         self,
@@ -364,6 +397,17 @@ class PBFTReplica:
         self._noop_claims: dict[int, set[int]] = {}
         #: view -> {sender -> that sender's prepared-slot reports}
         self.view_change_votes: dict[int, dict[int, tuple[PreparedReport, ...]]] = {}
+        #: view -> {sender -> the checkpoint proof its vote carried}
+        self.view_change_proofs: dict[int, dict[int, tuple[CheckpointMsg, ...]]] = {}
+        #: the stable checkpoint's proof, and its seq: the low watermark
+        #: at and below which agreement state is dropped
+        self.stable_checkpoint: tuple[CheckpointMsg, ...] = ()
+        self.low_watermark = -1
+        #: checkpoint seq above the low watermark -> sender -> its
+        #: verified CHECKPOINT
+        self._checkpoint_votes: dict[int, dict[int, CheckpointMsg]] = {}
+        #: digest of the executed prefix at the last checkpoint taken
+        self._prefix_digest = b""
         #: update ids and deferred slot numbers waited on, oldest first
         self._waiting: dict[bytes | int, None] = {}
         self._progress_timer = Timer(
@@ -397,13 +441,8 @@ class PBFTReplica:
         answers to (its own and its members').  Callers learn a batch's
         composition first, so :meth:`_members_of` names the same members
         here as when the slot is released."""
-        carried = self._carried
         if instance.digest is not None:
-            for key in {instance.digest, *self._members_of(instance.digest)}:
-                if carried[key] == 1:
-                    del carried[key]
-                else:
-                    carried[key] -= 1
+            self._release_slot(instance.digest)
         instance.digest = digest
         instance.updates = updates
         instance.payload = None
@@ -411,8 +450,18 @@ class PBFTReplica:
             instance.prepares |= instance.early_prepares.pop(digest, 0)
         if instance.early_commits:
             instance.commits.update(instance.early_commits.pop(digest, {}))
+        carried = self._carried
         for key in {digest, *self._members_of(digest)}:
             carried[key] = carried.get(key, 0) + 1
+
+    def _release_slot(self, digest: bytes) -> None:
+        """An instance let go of ``digest``: uncount it in :attr:`_carried`."""
+        carried = self._carried
+        for key in {digest, *self._members_of(digest)}:
+            if carried[key] == 1:
+                del carried[key]
+            else:
+                carried[key] -= 1
 
     def _broadcast(self, payload: object, size: int) -> None:
         if self.fault_mode is FaultMode.SILENT:
@@ -687,7 +736,7 @@ class PBFTReplica:
         self._maybe_prepared(self.view, seq)
 
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
-        if msg.view != self.view:
+        if msg.view != self.view or msg.seq <= self.low_watermark:
             return
         updates: tuple[Update, ...] | None = None
         if msg.digest != NOOP_DIGEST:
@@ -726,7 +775,11 @@ class PBFTReplica:
         self._maybe_committed(msg.view, msg.seq)
 
     def _on_prepare(self, msg: PrepareMsg) -> None:
-        if msg.view != self.view or not 0 <= msg.sender < self.ring.n:
+        if (
+            msg.view != self.view
+            or msg.seq <= self.low_watermark
+            or not 0 <= msg.sender < self.ring.n
+        ):
             return
         instance = self._instance(msg.view, msg.seq)
         if instance.digest is None:
@@ -740,8 +793,10 @@ class PBFTReplica:
         self._maybe_prepared(msg.view, msg.seq)
 
     def _maybe_prepared(self, view: int, seq: int) -> None:
-        instance = self._instance(view, seq)
-        if instance.digest is None or instance.committed:
+        # A checkpoint that became stable meanwhile may have collected
+        # the instance; it must not come back empty.
+        instance = self.instances.get((view, seq))
+        if instance is None or instance.digest is None or instance.committed:
             return
         if (
             instance.prepares.bit_count() >= self.ring.quorum
@@ -771,7 +826,11 @@ class PBFTReplica:
         return payload
 
     def _on_commit(self, msg: CommitMsg) -> None:
-        if msg.view != self.view or not 0 <= msg.sender < self.ring.n:
+        if (
+            msg.view != self.view
+            or msg.seq <= self.low_watermark
+            or not 0 <= msg.sender < self.ring.n
+        ):
             return
         instance = self._instance(msg.view, msg.seq)
         if instance.committed:
@@ -793,8 +852,8 @@ class PBFTReplica:
         self._maybe_committed(msg.view, msg.seq)
 
     def _maybe_committed(self, view: int, seq: int) -> None:
-        instance = self._instance(view, seq)
-        if instance.committed or instance.digest is None:
+        instance = self.instances.get((view, seq))
+        if instance is None or instance.committed or instance.digest is None:
             return
         if len(instance.commits) < self.ring.quorum:
             return
@@ -824,37 +883,156 @@ class PBFTReplica:
             seq = self.last_executed_seq + 1
             certificate = self.execution_queue.pop(seq)
             self.last_executed_seq = seq
+            # Progress ends the view-change timeout's backoff.
+            self._progress_timer.interval = self.VIEW_TIMEOUT_MS
             self._done_waiting(seq)
             if certificate is None:
+                # no-op gap filler from a view change
                 self.executed_by_seq[seq] = NOOP_DIGEST
-                continue  # no-op gap filler from a view change
-            self.executed_by_seq[seq] = certificate.digest
-            self.certificates[seq] = certificate
-            executed_any = False
-            for update in certificate.updates:
-                if update.update_id in self.executed_updates:
-                    continue  # client retry already executed elsewhere
-                self.executed_updates.add(update.update_id)
-                self._done_waiting(update.update_id)
-                with self.ring.telemetry.span(
-                    "pbft.execute", seq=seq, replica=self.index
-                ):
-                    self.ring._replica_executed(self, seq, update)
-                executed_any = True
-            if not executed_any:
-                continue  # every member was a dup; nothing to attest
-            # The commit quorum's signatures already certify the slot:
-            # one certificate attests the whole batch, with no round
-            # after execution.
-            tel = self.ring.telemetry
-            if tel.enabled:
-                tel.count("pbft_certificates_total")
-                tel.record("pbft", "certified", seq=seq, replica=self.index)
-            with tel.span("pbft.certify", seq=seq, replica=self.index):
-                self.ring._replica_certified(self, certificate)
+            else:
+                self._execute_slot(seq, certificate)
+            if (seq + 1) % self.CHECKPOINT_INTERVAL == 0:
+                self._take_checkpoint(seq)
         # Execution reopened the pipeline window; drain waiting requests.
         if self._batch_queue:
             self._maybe_flush_batch()
+
+    def _execute_slot(self, seq: int, certificate: CommitCertificate) -> None:
+        self.executed_by_seq[seq] = certificate.digest
+        self.certificates[seq] = certificate
+        executed_any = False
+        for update in certificate.updates:
+            if update.update_id in self.executed_updates:
+                continue  # client retry already executed elsewhere
+            self.executed_updates.add(update.update_id)
+            self._done_waiting(update.update_id)
+            with self.ring.telemetry.span("pbft.execute", seq=seq, replica=self.index):
+                self.ring._replica_executed(self, seq, update)
+            executed_any = True
+        if not executed_any:
+            return  # every member was a dup; nothing to attest
+        # The commit quorum's signatures already certify the slot: one
+        # certificate attests the whole batch, with no round after
+        # execution.
+        tel = self.ring.telemetry
+        if tel.enabled:
+            tel.count("pbft_certificates_total")
+            tel.record("pbft", "certified", seq=seq, replica=self.index)
+        with tel.span("pbft.certify", seq=seq, replica=self.index):
+            self.ring._replica_certified(self, certificate)
+
+    # -- checkpoints -------------------------------------------------------------------
+
+    def _take_checkpoint(self, seq: int) -> None:
+        """Sign and broadcast the digest of the executed prefix through
+        ``seq``: the previous checkpoint's digest chained with the slot
+        digests executed since."""
+        first = seq - self.CHECKPOINT_INTERVAL + 1
+        digest = sha256(
+            b"pbft-checkpoint"
+            + self._prefix_digest
+            + b"".join(self.executed_by_seq[s] for s in range(first, seq + 1))
+        )
+        self._prefix_digest = digest
+        signature = self.principal.sign(CheckpointMsg.signed_payload(seq, digest))
+        own = CheckpointMsg(seq, digest, self.index, signature)
+        self._broadcast(own, size=SMALL_MESSAGE_BYTES)
+        self._checkpoint_votes.setdefault(seq, {})[self.index] = own
+        self._maybe_stabilize(seq)
+
+    def _on_checkpoint(self, msg: CheckpointMsg) -> None:
+        if msg.seq <= self.low_watermark or not 0 <= msg.sender < self.ring.n:
+            return
+        key = self.ring.replicas[msg.sender].principal.public_key
+        if not key.verify(
+            CheckpointMsg.signed_payload(msg.seq, msg.digest), msg.signature
+        ):
+            return
+        self._checkpoint_votes.setdefault(msg.seq, {})[msg.sender] = msg
+        self._maybe_stabilize(msg.seq)
+
+    def _maybe_stabilize(self, seq: int) -> None:
+        """Make ``seq`` the stable checkpoint once 2m+1 replicas, this one
+        among them, signed the prefix digest this replica computed there:
+        a replica never drops state for slots it has not executed."""
+        votes = self._checkpoint_votes[seq]
+        own = votes.get(self.index)
+        if own is None:
+            return
+        proof = tuple(
+            vote for _, vote in sorted(votes.items()) if vote.digest == own.digest
+        )
+        if len(proof) < self.ring.quorum:
+            return
+        old = self.low_watermark
+        self.stable_checkpoint = proof[: self.ring.quorum]
+        self.low_watermark = seq
+        for stale in [s for s in self._checkpoint_votes if s <= seq]:
+            del self._checkpoint_votes[stale]
+        self._collect_garbage(old, seq)
+
+    def _collect_garbage(self, old: int, new: int) -> None:
+        """Drop the agreement state of slots ``old + 1 .. new`` (Castro-
+        Liskov section 4.3): instances with their early votes, no-op
+        claims, deferred pre-prepares, and the compositions and bodies
+        of executed slots that no instance above ``new`` still carries.
+
+        Instances are popped by key, one per view so far (none is made
+        for a later view), so the instance table is never walked."""
+        dropped = set()
+        for seq in range(old + 1, new + 1):
+            for view in range(self.view + 1):
+                instance = self.instances.pop((view, seq), None)
+                if instance is not None and instance.digest is not None:
+                    self._release_slot(instance.digest)
+                    dropped.add(instance.digest)
+            dropped.add(self.executed_by_seq[seq])
+            self._noop_claims.pop(seq, None)
+        deferred = self._deferred_pre_prepares
+        for slot in [slot for slot, msg in deferred.items() if msg.seq <= new]:
+            del deferred[slot]
+        carried, known = self._carried, self.known_by_digest
+        for slot in dropped:
+            if slot in carried or slot in deferred:
+                continue
+            for member in self._members_of(slot):
+                update = known.get(member)
+                if (
+                    update is not None
+                    and member not in carried
+                    and update.update_id in self.executed_updates
+                ):
+                    del known[member]
+            self.slot_members.pop(slot, None)
+
+    def _proven_low_watermark(self, new_view: int) -> int:
+        """The highest stable checkpoint proven among ``new_view``'s
+        votes, this replica's own included.
+
+        A proof with fewer than 2m+1 distinct signers, a bad signature
+        or disagreeing digests counts for nothing: trusting an unproven
+        high claim would strand slots that may never have executed."""
+        low = self.low_watermark
+        for proof in self.view_change_proofs.get(new_view, {}).values():
+            if proof and proof[0].seq > low and self._proves(proof):
+                low = proof[0].seq
+        return low
+
+    def _proves(self, proof: tuple[CheckpointMsg, ...]) -> bool:
+        seq, digest = proof[0].seq, proof[0].digest
+        if len({vote.sender for vote in proof}) < self.ring.quorum:
+            return False
+        payload = CheckpointMsg.signed_payload(seq, digest)
+        replicas = self.ring.replicas
+        return all(
+            vote.seq == seq
+            and vote.digest == digest
+            and 0 <= vote.sender < self.ring.n
+            and replicas[vote.sender].principal.public_key.verify(
+                payload, vote.signature
+            )
+            for vote in proof
+        )
 
     # -- view change -------------------------------------------------------------------
 
@@ -882,7 +1060,11 @@ class PBFTReplica:
         # satisfied), so first ask peers for state it may have missed --
         # PBFT's state transfer.  Then vote past any view already voted
         # for: re-voting a view whose NEW-VIEW was lost would stall this
-        # replica.  The timer keeps running: either message can be lost.
+        # replica.  The timer keeps running, since either message can be
+        # lost, and waits twice as long each time until a slot executes
+        # (Castro-Liskov), so a ring that cannot make progress does not
+        # churn through views.
+        self._progress_timer.interval *= 2
         self._broadcast(
             CatchUpRequest(self.index, self.last_executed_seq),
             size=SMALL_MESSAGE_BYTES,
@@ -893,7 +1075,8 @@ class PBFTReplica:
         self._send_view_change(max([self.view, *voted]) + 1)
 
     def _prepared_reports(self) -> tuple[PreparedReport, ...]:
-        """Every slot this replica has prepared, *including executed ones*.
+        """Every slot this replica has prepared above its stable
+        checkpoint, *including executed ones*.
 
         Any slot that could have executed anywhere was committed at a
         quorum, hence prepared at a quorum, hence appears in at least one
@@ -905,9 +1088,10 @@ class PBFTReplica:
         the view-change quorum may be the *only* members that prepared a
         committed slot, and omitting it would let the new leader reuse
         its sequence number for a different update (divergent execution).
-        Real PBFT trims reports at the stable checkpoint, which requires
-        2m+1 checkpoint proofs; this implementation has no checkpointing,
-        so reports cover the full history.
+        Slots at or below the stable checkpoint are left out (their
+        instances are gone): 2m+1 replicas executed them, and the vote
+        carries the checkpoint's proof, so the new leader starts above a
+        checkpoint at least as high (Castro-Liskov section 4.4).
         """
         reports = {}
         for (view, seq), instance in self.instances.items():
@@ -926,26 +1110,23 @@ class PBFTReplica:
         if new_view <= self.view:
             return
         votes = self.view_change_votes.setdefault(new_view, {})
-        if self.index in votes:
-            # Already voted: retransmit (the first broadcast may have
-            # been lost on a faulty link); receivers dedupe by sender.
-            self._broadcast(
-                ViewChangeMsg(new_view, self.index, votes[self.index]),
-                size=SMALL_MESSAGE_BYTES + 40 * len(votes[self.index]),
-            )
-            self._maybe_enter_view(new_view)
-            return
-        reports = self._prepared_reports()
-        votes[self.index] = reports
-        tel = self.ring.telemetry
-        if tel.enabled:
-            tel.count("pbft_view_changes_total", replica=self.index)
-            tel.record(
-                "pbft", "view_change", new_view=new_view, replica=self.index
-            )
+        # A repeat vote retransmits the first one's reports (its
+        # broadcast may have been lost on a faulty link); receivers
+        # dedupe by sender.  The proof is the current one: a checkpoint
+        # that rose since only covers reports the leader then skips.
+        if self.index not in votes:
+            votes[self.index] = self._prepared_reports()
+            tel = self.ring.telemetry
+            if tel.enabled:
+                tel.count("pbft_view_changes_total", replica=self.index)
+                tel.record(
+                    "pbft", "view_change", new_view=new_view, replica=self.index
+                )
+        reports, proof = votes[self.index], self.stable_checkpoint
+        # The proof is billed like the reports: 40 B per signed entry.
         self._broadcast(
-            ViewChangeMsg(new_view, self.index, reports),
-            size=SMALL_MESSAGE_BYTES + 40 * len(reports),
+            ViewChangeMsg(new_view, self.index, reports, proof),
+            size=SMALL_MESSAGE_BYTES + 40 * (len(reports) + len(proof)),
         )
         self._maybe_enter_view(new_view)
 
@@ -954,6 +1135,8 @@ class PBFTReplica:
             return
         votes = self.view_change_votes.setdefault(msg.new_view, {})
         votes[msg.sender] = msg.prepared
+        proofs = self.view_change_proofs.setdefault(msg.new_view, {})
+        proofs[msg.sender] = msg.checkpoint
         # Joining the view change once f+1 others demand it (standard
         # PBFT liveness rule) avoids waiting for our own timeout.
         if len(votes) > self.ring.m and self.index not in votes:
@@ -977,14 +1160,25 @@ class PBFTReplica:
             cb(self.network_id)
         self._broadcast(NewViewMsg(new_view), size=SMALL_MESSAGE_BYTES)
 
-        # 1. Preserve every prepared slot reported by the quorum, at its
-        #    original sequence number.  Slots this leader already
+        # 0. Start above the highest proven stable checkpoint h: every
+        #    slot at or below it executed at 2m+1 replicas, and a
+        #    replica that lags below it catches up by certificate replay.
+        low = self._proven_low_watermark(new_view)
+        start = max(low, self.last_executed_seq) + 1
+        if low > self.last_executed_seq:
+            self._wait_for(low)
+
+        # 1. Preserve every prepared slot above h reported by the quorum,
+        #    at its original sequence number.  Slots this leader already
         #    executed keep the digest it executed (committed at a quorum,
         #    so authoritative over any conflicting prepared report).
-        preserved: dict[int, bytes] = dict(self.executed_by_seq)
+        preserved = {
+            seq: self.executed_by_seq[seq]
+            for seq in range(low + 1, self.last_executed_seq + 1)
+        }
         for reports in votes.values():
             for report in reports:
-                if report.seq in self.executed_by_seq:
+                if report.seq <= low or report.seq in self.executed_by_seq:
                     continue
                 # Prefer a digest whose update bodies we actually hold.
                 if (
@@ -1034,7 +1228,7 @@ class PBFTReplica:
             ),
             key=lambda u: (u.timestamp, u.update_id),
         )
-        seq = self.last_executed_seq + 1
+        seq = start
         for update in pending:
             while seq in used_seqs:
                 seq += 1
@@ -1045,11 +1239,11 @@ class PBFTReplica:
         # 3. Pad any remaining holes below the highest proposed slot with
         #    null requests so in-order execution cannot deadlock.
         if used_seqs:
-            for gap in range(self.last_executed_seq + 1, max(used_seqs)):
+            for gap in range(start, max(used_seqs)):
                 if gap not in used_seqs:
                     self._propose_noop_at(gap)
                     used_seqs.add(gap)
-        self.next_seq = max(used_seqs, default=self.last_executed_seq) + 1
+        self.next_seq = max(used_seqs, default=start - 1) + 1
 
     def _on_new_view(self, msg: NewViewMsg) -> None:
         if msg.new_view > self.view:
@@ -1155,6 +1349,7 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
     PrePrepare: PBFTReplica._on_pre_prepare,
     PrepareMsg: PBFTReplica._on_prepare,
     CommitMsg: PBFTReplica._on_commit,
+    CheckpointMsg: PBFTReplica._on_checkpoint,
     ViewChangeMsg: PBFTReplica._on_view_change,
     NewViewMsg: PBFTReplica._on_new_view,
     BodyFetchRequest: PBFTReplica._on_body_fetch,
@@ -1167,7 +1362,9 @@ _PBFT_DISPATCH: dict[type, Callable[[PBFTReplica, Any], None]] = {
 #: payload types whose ``sender`` names a ring index and counts as that
 #: replica's vote (a no-op claim in a catch-up response is one too);
 #: :meth:`PBFTReplica.handle` drops one not sent from that replica's node
-_VOTES = frozenset({PrepareMsg, CommitMsg, ViewChangeMsg, CatchUpResponse})
+_VOTES = frozenset(
+    {PrepareMsg, CommitMsg, CheckpointMsg, ViewChangeMsg, CatchUpResponse}
+)
 
 
 # -- the ring ------------------------------------------------------------------
@@ -1289,6 +1486,16 @@ class InnerRing:
 
     def leader_index(self, view: int) -> int:
         return view % self.n
+
+    @property
+    def view(self) -> int:
+        """The highest view any replica has installed."""
+        return max(r.view for r in self.replicas)
+
+    @property
+    def leader_node(self) -> NodeId:
+        """The node of :attr:`view`'s leader."""
+        return self.replicas[self.leader_index(self.view)].network_id
 
     # -- client API ------------------------------------------------------------
 

@@ -334,13 +334,17 @@ class OceanStoreSystem:
         shard = self.rings.resolve(object_guid)
         for node in shard.members:
             self.servers[node].get_or_create_object(object_guid)
+            if self.network.is_down(node):
+                continue  # a crashed member cannot publish its pointer
             self.location.add_replica(node, object_guid)
             if self.recovery is not None:
                 self.recovery.register_publication(node, object_guid)
+        # Rooted where _follow_view would have moved it: the ring's
+        # current leader.
         tier = SecondaryTier(
             self.network,
             object_guid,
-            root_contact=shard.contact,
+            root_contact=shard.ring.leader_node,
             rng=self._rng,
             max_fanout=self.config.dissemination_fanout,
             telemetry=self.telemetry,
@@ -641,7 +645,7 @@ class OceanStoreSystem:
                 transitioning=shard.transitioning,
                 degraded=bool(dead),
                 degraded_members=dead,
-                view=max(r.view for r in shard.ring.replicas),
+                view=shard.ring.view,
                 tree_roots=sorted(
                     {
                         tier.tree.root

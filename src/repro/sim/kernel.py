@@ -323,7 +323,8 @@ class Timer:
         if interval <= 0:
             raise SimulationError(f"timer interval must be positive: {interval}")
         self._kernel = kernel
-        self._interval = interval
+        #: delay before each fire; a new value applies from the next one
+        self.interval = interval
         self._callback = callback
         self._jitter = jitter
         self._label = label
@@ -347,7 +348,7 @@ class Timer:
         return self._running
 
     def _schedule_next(self) -> None:
-        delay = self._interval
+        delay = self.interval
         if self._jitter is not None:
             delay += self._jitter()
         self._handle = self._kernel.call_after(

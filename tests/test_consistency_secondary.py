@@ -421,6 +421,21 @@ class TestLeaderRootedTree:
             system.ring.leader_index(ring_view(system))
         ]
 
+    def test_an_object_created_while_the_old_leader_is_down(self):
+        """create_object after a leader crash: the crashed member
+        publishes nothing, the tier is rooted at the current leader, and
+        a write to the object reaches every secondary."""
+        system = quickstart_system()
+        alice, _, crashed = self.crash_leader_and_commit(system, writes=1)
+        obj = alice.create_object("after-the-crash")
+        tier = system.tiers[obj.guid]
+        leader = system.ring_nodes[system.ring.leader_index(ring_view(system))]
+        assert tier.tree.root == leader != crashed
+        assert alice.write(obj, b"first").committed
+        system.settle(120_000.0)
+        assert len(tier.replicas) == 4
+        assert {r.committed_through for r in tier.replicas.values()} == {0}
+
     def test_a_write_built_on_a_secondary_read_commits(self):
         """A committed read at each secondary's node returns the ring's
         newest version, so an overwrite built on it does not abort."""

@@ -19,6 +19,7 @@ Batching may only change *when* updates share an agreement round, never
 import dataclasses
 import inspect
 import random
+from unittest import mock
 
 import networkx as nx
 from hypothesis import given, settings
@@ -29,7 +30,12 @@ import pytest
 from repro.consistency import BatchingConfig, FaultMode, InnerRing
 from repro.consistency.costmodel import fit_cost_model
 from repro.consistency.measure import measure_sweep
-from repro.consistency.pbft import NOOP_DIGEST, slot_digest_for, update_digest
+from repro.consistency.pbft import (
+    NOOP_DIGEST,
+    PBFTReplica,
+    slot_digest_for,
+    update_digest,
+)
 from repro.core import ChaosConfig, DeploymentConfig, OceanStoreSystem, make_client
 from repro.core.system import serialize_state
 from repro.crypto import make_principal
@@ -279,6 +285,66 @@ def fault_plans(draw):
     return m, byzantine, loss, crash_at
 
 
+def check_certificate_safety(plan, seed, batch_size, updates):
+    """Run ``updates`` through a ring under ``plan``'s faults; check that
+    every certificate verifies, one digest certifies each seq, correct
+    replicas agree, and no instance outlives a stable checkpoint."""
+    m, byzantine, loss, crash_at = plan
+    n = 3 * m + 1
+    kernel = Kernel()
+    graph = nx.complete_graph(n + 1)
+    nx.set_edge_attributes(graph, 40.0, "latency_ms")
+    network = Network(kernel, graph)
+    network.fault_injector = NetworkFaultInjector(random.Random(seed), [loss])
+    rng = random.Random(seed)
+    principals = [make_principal(f"replica-{i}", rng, bits=256) for i in range(n)]
+    ring = InnerRing(
+        kernel,
+        network,
+        list(range(n)),
+        principals,
+        m=m,
+        batching=BatchingConfig(size=batch_size, delay_ms=50.0),
+    )
+    for index, mode in byzantine.items():
+        ring.set_fault(index, mode)
+    if crash_at is not None:
+        kernel.call_at(crash_at, lambda: ring.set_fault(0, FaultMode.SILENT))
+    delivered = []
+    ring.on_certificate(delivered.append)
+    author = make_principal("author", random.Random(seed + 1), bits=256)
+    guid = object_guid(author.public_key, "certificate-safety")
+    for i in range(updates):
+        update = make_update(
+            author,
+            guid,
+            [UpdateBranch(TruePredicate(), (AppendBlock(b"c%d" % i),))],
+            float(i + 1),
+        )
+        kernel.call_at(300.0 * i, lambda u=update: ring.submit(n, u))
+    kernel.run(until=20_000.0)
+
+    certified = {}
+    held = [c for r in ring.replicas for c in r.certificates.values()]
+    for certificate in held + delivered:
+        assert certificate.verify(ring)
+        assert slot_digest_for(certificate.updates) == certificate.digest
+        certified.setdefault(certificate.seq, set()).add(certificate.digest)
+    assert all(len(digests) == 1 for digests in certified.values())
+    correct = [r for r in ring.replicas if r.index not in byzantine]
+    for replica in correct:
+        for seq, digest in replica.executed_by_seq.items():
+            assert {r.executed_by_seq.get(seq, digest) for r in correct} == {digest}
+            # A correct replica executes a slot only holding its proof.
+            if digest != NOOP_DIGEST:
+                assert replica.certificates[seq].digest == digest
+    for replica in ring.replicas:
+        # A replica drops state only for slots it executed itself.
+        assert replica.low_watermark <= replica.last_executed_seq
+        assert all(seq > replica.low_watermark for _, seq in replica.instances)
+    return ring
+
+
 class TestCertificateSafety:
     """Signed commits certify slots: whatever the faults, a certificate
     verifies, one digest certifies each seq, and correct replicas (a
@@ -292,57 +358,19 @@ class TestCertificateSafety:
     )
     @settings(max_examples=20, deadline=None)
     def test_certificates_verify_and_agree(self, plan, seed, batch_size):
-        m, byzantine, loss, crash_at = plan
-        n = 3 * m + 1
-        kernel = Kernel()
-        graph = nx.complete_graph(n + 1)
-        nx.set_edge_attributes(graph, 40.0, "latency_ms")
-        network = Network(kernel, graph)
-        network.fault_injector = NetworkFaultInjector(random.Random(seed), [loss])
-        rng = random.Random(seed)
-        principals = [make_principal(f"replica-{i}", rng, bits=256) for i in range(n)]
-        ring = InnerRing(
-            kernel,
-            network,
-            list(range(n)),
-            principals,
-            m=m,
-            batching=BatchingConfig(size=batch_size, delay_ms=50.0),
-        )
-        for index, mode in byzantine.items():
-            ring.set_fault(index, mode)
-        if crash_at is not None:
-            kernel.call_at(crash_at, lambda: ring.set_fault(0, FaultMode.SILENT))
-        delivered = []
-        ring.on_certificate(delivered.append)
-        author = make_principal("author", random.Random(seed + 1), bits=256)
-        guid = object_guid(author.public_key, "certificate-safety")
-        for i in range(4):
-            update = make_update(
-                author,
-                guid,
-                [UpdateBranch(TruePredicate(), (AppendBlock(b"c%d" % i),))],
-                float(i + 1),
-            )
-            kernel.call_at(300.0 * i, lambda u=update: ring.submit(n, u))
-        kernel.run(until=20_000.0)
+        check_certificate_safety(plan, seed, batch_size, updates=4)
 
-        certified = {}
-        held = [c for r in ring.replicas for c in r.certificates.values()]
-        for certificate in held + delivered:
-            assert certificate.verify(ring)
-            assert slot_digest_for(certificate.updates) == certificate.digest
-            certified.setdefault(certificate.seq, set()).add(certificate.digest)
-        assert all(len(digests) == 1 for digests in certified.values())
-        correct = [r for r in ring.replicas if r.index not in byzantine]
-        for replica in correct:
-            for seq, digest in replica.executed_by_seq.items():
-                assert {r.executed_by_seq.get(seq, digest) for r in correct} == {
-                    digest
-                }
-                # A correct replica executes a slot only holding its proof.
-                if digest != NOOP_DIGEST:
-                    assert replica.certificates[seq].digest == digest
+    @given(
+        plan=fault_plans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+        batch_size=st.sampled_from((1, 4)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_checkpoints_keep_certificates_safe(self, plan, seed, batch_size):
+        """The same, with a checkpoint every four slots: stable
+        checkpoints collect state and bound view changes mid-run."""
+        with mock.patch.object(PBFTReplica, "CHECKPOINT_INTERVAL", 4):
+            check_certificate_safety(plan, seed, batch_size, updates=12)
 
 
 class TestSlotIndexWork:

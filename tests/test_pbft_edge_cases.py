@@ -12,6 +12,7 @@ from repro.consistency.pbft import (
     NOOP_DIGEST,
     SMALL_MESSAGE_BYTES,
     CatchUpResponse,
+    CheckpointMsg,
     CommitCertificate,
     CommitMsg,
     PBFTReplica,
@@ -393,6 +394,50 @@ class TestForgedSenders:
         assert replica._noop_claims == {0: {0}}
         assert replica.last_executed_seq == -1
 
+    @pytest.mark.parametrize(
+        "proof", ("genuine", "short", "one_signer", "bad_signature", "split_digest")
+    )
+    def test_only_a_proven_checkpoint_raises_the_new_leaders_watermark(
+        self, author, monkeypatch, proof
+    ):
+        monkeypatch.setattr(PBFTReplica, "CHECKPOINT_INTERVAL", 4)
+        kernel, network, ring, clients = make_ring(m=1)
+        for i in range(6):
+            ring.submit(clients[0], up(author, b"c%d" % i, ts=float(i + 1)))
+        kernel.run(until=5_000.0)
+        assert [(r.low_watermark, r.last_executed_seq) for r in ring.replicas] == [
+            (3, 5)
+        ] * 4
+        # Replica 3 turns Byzantine: its node votes for view 1 with a
+        # proof that seq 7, which nobody executed, is stable.
+        ring.set_fault(3, FaultMode.SILENT)
+
+        def signed(sender, digest, signer=None):
+            key = ring.replicas[sender if signer is None else signer].principal
+            payload = CheckpointMsg.signed_payload(7, digest)
+            return CheckpointMsg(7, digest, sender, key.sign(payload))
+
+        claim, other = b"\x07" * 32, b"\x08" * 32
+        forged = {
+            "genuine": (signed(1, claim), signed(2, claim), signed(3, claim)),
+            "short": (signed(2, claim), signed(3, claim)),
+            "one_signer": (signed(3, claim),) * 3,
+            "bad_signature": tuple(signed(i, claim, signer=3) for i in (1, 2, 3)),
+            "split_digest": (signed(1, claim), signed(2, claim), signed(3, other)),
+        }[proof]
+        network.send(
+            3, 1, ViewChangeMsg(1, 3, (), forged), SMALL_MESSAGE_BYTES + 40 * 3
+        )
+        ring.replicas[2]._send_view_change(1)
+        kernel.run(until=6_000.0)
+        leader = ring.replicas[1]
+        assert leader.view == 1
+        # A leader starting above seq 3 re-proposes the executed slots
+        # 4 and 5; one trusting the claim would start above seq 7.
+        reproposed = sorted(seq for view, seq in leader.instances if view == 1)
+        assert reproposed == ([] if proof == "genuine" else [4, 5])
+        assert leader.next_seq == (8 if proof == "genuine" else 6)
+
 
 class TestProgressTimer:
     """One progress timer per replica, aimed at the oldest request or
@@ -426,6 +471,42 @@ class TestProgressTimer:
             u.update_id for u in updates
         ]
 
+    def test_timeouts_back_off_until_a_slot_executes(self, author):
+        kernel, network, ring, clients = make_ring(m=1)
+        votes = []
+        send = network.send
+
+        def logged(src, dst, payload, size_bytes, phase=None, subsystem=None):
+            if src == 3 and dst == 1 and isinstance(payload, ViewChangeMsg):
+                votes.append(kernel.now)
+            send(src, dst, payload, size_bytes, phase=phase, subsystem=subsystem)
+
+        network.send = logged
+        ring.set_fault(0, FaultMode.SILENT)
+        ring.set_fault(1, FaultMode.SILENT)
+        timeout = PBFTReplica.VIEW_TIMEOUT_MS
+        ring.submit(clients[0], up(author, b"stalled"))
+        kernel.run(until=30_000.0)
+        # Two silent replicas leave no quorum: each vote waits twice as
+        # long as the last, 3 000, 9 000 and 21 000 ms after the request
+        # reached replica 3 (one 40 ms link after it was sent).
+        assert timeout < votes[0] < timeout + 100.0
+        assert [t - votes[0] for t in votes] == [0.0, 2 * timeout, 6 * timeout]
+
+        # Heal replica 1; the client's retry reaches it and the ring
+        # executes in view 2, which resets the timeout.  Then that
+        # view's leader falls silent too.
+        ring.set_fault(1, FaultMode.HONEST)
+        ring.submit(clients[0], up(author, b"stalled"))
+        kernel.run(until=60_000.0)
+        assert [r.last_executed_seq for r in ring.replicas[1:]] == [0, 0, 0]
+        assert ring.leader_index(ring.replicas[3].view) == 2
+        ring.set_fault(2, FaultMode.SILENT)
+        votes.clear()
+        ring.submit(clients[0], up(author, b"stalls again", ts=2.0))
+        kernel.run(until=70_000.0)
+        assert timeout < votes[0] - 60_000.0 < timeout + 100.0
+
     def test_pre_prepare_alone_catches_up_without_a_retry(self, author):
         kernel, network, ring, clients = make_ring(m=1)
         update = up(author, b"pre-prepare only")
@@ -439,6 +520,68 @@ class TestProgressTimer:
         assert set(executed) == {0, 1, 2, 3}
         assert executed[3] <= executed[0] + PBFTReplica.VIEW_TIMEOUT_MS
         assert [r.view for r in ring.replicas] == [0, 0, 0, 0]
+
+
+class TestCheckpoints:
+    """A stable checkpoint every ``CHECKPOINT_INTERVAL`` slots bounds the
+    agreement state a replica keeps and what a view change carries and
+    re-agrees (Castro-Liskov sections 4.3 and 4.4)."""
+
+    @staticmethod
+    def crash_after(appends):
+        """examples/quickstart.py's deployment: ``appends`` commits, then
+        the view-0 leader crashes and one more update commits.  Returns
+        the system, the view change's bytes and messages, the new view's
+        agreement messages, and the agreement messages per view-0 slot."""
+        from repro import DeploymentConfig, OceanStoreSystem, make_client
+        from repro.sim import TopologyParams
+
+        system = OceanStoreSystem(
+            DeploymentConfig(
+                seed=2026,
+                topology=TopologyParams(
+                    transit_nodes=4, stubs_per_transit=3, nodes_per_stub=5
+                ),
+                secondaries_per_object=4,
+            )
+        )
+
+        def agreement():
+            stats = system.network.phase_stats
+            return sum(
+                stats[("pbft", phase)].messages
+                for phase in ("pre_prepare", "prepare", "commit")
+            )
+
+        alice = make_client(system, "alice", seed=1)
+        obj = alice.create_object("log")
+        for i in range(appends):
+            assert alice.write(obj, b"entry %d" % i).committed
+        system.settle()
+        normal = agreement()
+        system.injector.crash(system.ring.leader_node)
+        assert alice.write(obj, b"after the crash").committed
+        system.settle(120_000.0)
+        view_change = system.network.phase_stats[("pbft", "view_change")]
+        return (
+            system,
+            view_change.bytes,
+            view_change.messages,
+            agreement() - normal,
+            normal / appends,
+        )
+
+    def test_view_change_cost_is_bounded_by_one_window(self):
+        window = PBFTReplica.CHECKPOINT_INTERVAL
+        _, few_bytes, messages, few_rounds, per_slot = self.crash_after(100)
+        system, many_bytes, _, many_rounds, _ = self.crash_after(400)
+        # A window's worth: one 40 B report per slot on every view-change
+        # message, and one slot's agreement messages per slot.
+        assert abs(many_bytes - few_bytes) < window * 40 * messages
+        assert abs(many_rounds - few_rounds) < window * per_slot
+        for replica in system.ring.replicas:
+            assert replica.low_watermark >= 400 - 2 * window
+            assert len(replica.instances) < 2 * window
 
 
 def recovery(case, size):

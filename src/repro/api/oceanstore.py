@@ -251,8 +251,11 @@ class OceanStoreHandle:
     ) -> SubmitResult:
         """Whole-document overwrite: delete existing slots, append anew.
 
-        Guarded on the version read, so concurrent overwrites conflict
-        rather than interleave.
+        The deletes run in ascending slot order, so the builder ships
+        them as one :class:`~repro.data.update.DeleteBlock` run and the
+        update's size does not grow with the object's history.  Guarded
+        on the version read, so concurrent overwrites conflict rather
+        than interleave.
         """
         state = self._read_state(handle.guid, session)
         builder = UpdateBuilder(

@@ -1287,15 +1287,15 @@ class PBFTReplica:
     def _on_catch_up_request(self, msg: CatchUpRequest) -> None:
         if not 0 <= msg.sender < self.ring.n or msg.sender == self.index:
             return
+        # Every seq through last_executed_seq executed, as a certified
+        # slot or a no-op, so only the requester's gap is walked; a
+        # hostile horizon below -1 or past ours walks nothing extra.
+        gap = range(max(msg.last_executed_seq, -1) + 1, self.last_executed_seq + 1)
         certificates = tuple(
-            cert
-            for seq, cert in sorted(self.certificates.items())
-            if seq > msg.last_executed_seq
+            self.certificates[seq] for seq in gap if seq in self.certificates
         )
         noop_seqs = tuple(
-            seq
-            for seq, digest in sorted(self.executed_by_seq.items())
-            if seq > msg.last_executed_seq and digest == NOOP_DIGEST
+            seq for seq in gap if self.executed_by_seq[seq] == NOOP_DIGEST
         )
         if not certificates and not noop_seqs:
             return

@@ -16,7 +16,6 @@ tracking the id counter so multi-action updates stay consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from repro.crypto.blockcipher import BLOCK_SIZE, PositionDependentCipher
@@ -108,11 +107,6 @@ class ClientCodec:
 
     def decrypt_search_words(self, cells: list[bytes]) -> list[str]:
         return self._search.decrypt_words(cells, base_position=0)
-
-
-@dataclass
-class _PlannedAction:
-    action: Action
 
 
 class UpdateBuilder:
@@ -207,7 +201,18 @@ class UpdateBuilder:
         return self
 
     def delete(self, slot: int) -> "UpdateBuilder":
-        self._actions.append(DeleteBlock(slot=slot))
+        """Empty top-level ``slot`` (Figure 4's empty pointer block).
+
+        A delete of the slot just after the last action's delete run
+        extends that run, so deleting every slot in ascending order
+        ships one action.  Nothing else merges: a descending or repeated
+        delete allocates its pointer blocks in another order.
+        """
+        last = self._actions[-1] if self._actions else None
+        if isinstance(last, DeleteBlock) and last.slot + last.count == slot:
+            self._actions[-1] = DeleteBlock(slot=last.slot, count=last.count + 1)
+        else:
+            self._actions.append(DeleteBlock(slot=slot))
         return self
 
     def index_words(self, words: list[str]) -> "UpdateBuilder":

@@ -6,12 +6,13 @@ detach.  The in-place form it replaced lives in ``reference_update.py``.
 Its contract is that nothing a client or replica can observe changes:
 
 1. A Hypothesis property draws random Fig. 4 programs (replace, insert,
-   delete, append, append-search, with client-chosen block ids that
-   collide and branches that abort) and runs them through a
-   :class:`VersionLog` and the reference side by side.  Outcome, version,
-   slots, logical ciphertext and search cells match at every step, and
-   the block map is exactly the reference's reachable blocks.  Every
-   published version still serializes to its commit-time bytes at the end.
+   delete runs of one to three slots, append, append-search, with
+   client-chosen block ids that collide and branches that abort) and
+   runs them through a :class:`VersionLog` and the reference side by
+   side.  Outcome, version, slots, logical ciphertext and search cells
+   match at every step, and the block map is exactly the reference's
+   reachable blocks.  Every published version still serializes to its
+   commit-time bytes at the end.
 2. On a deployment, every retained version read from the primary's log
    equals the same version rebuilt from archival fragments.
 """
@@ -58,7 +59,7 @@ _slot = st.integers(min_value=0, max_value=2)
 _action = st.one_of(
     st.builds(ReplaceBlock, _slot, _ciphertext, _block_id),
     st.builds(InsertBlock, _slot, _ciphertext, _block_id),
-    st.builds(DeleteBlock, _slot),
+    st.builds(DeleteBlock, _slot, st.integers(min_value=1, max_value=3)),
     st.builds(AppendBlock, _ciphertext, _block_id),
     st.builds(
         AppendSearchCells,

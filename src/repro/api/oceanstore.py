@@ -99,14 +99,7 @@ class OceanStoreHandle:
         plaintext = self.read(handle)
         new_key = self.keyring.revoke_and_rekey(handle.guid)
         new_handle = ObjectHandle(guid=handle.guid, codec=ClientCodec(new_key))
-        state = self._read_state(handle.guid, None)
-        builder = UpdateBuilder(
-            new_handle.codec, state, entropy=self._builder_entropy()
-        ).guard_version()
-        for slot in range(len(state.data.slots)):
-            builder.delete(slot)
-        builder.append(plaintext)
-        result = self.submit(new_handle, builder)
+        result = self.write(new_handle, plaintext)
         if not result.committed:
             raise RuntimeError("re-encryption update aborted; retry revocation")
         return new_handle
@@ -255,13 +248,11 @@ class OceanStoreHandle:
         them as one :class:`~repro.data.update.DeleteBlock` run and the
         update's size does not grow with the object's history.  Guarded
         on the version read, so concurrent overwrites conflict rather
-        than interleave.
+        than interleave, and held to the session's write floor as
+        :meth:`update_builder` holds every write.
         """
-        state = self._read_state(handle.guid, session)
-        builder = UpdateBuilder(
-            handle.codec, state, entropy=self._builder_entropy()
-        ).guard_version()
-        for slot in range(len(state.data.slots)):
+        builder = self.update_builder(handle, session).guard_version()
+        for slot in range(len(builder.expected.data.slots)):
             builder.delete(slot)
         builder.append(data)
         return self.submit(handle, builder, session)

@@ -7,13 +7,6 @@ client API's backend protocol; :func:`make_client` attaches principals;
 benchmarks sweep.
 """
 
-from repro.core.accounting import (
-    ConsumerStatement,
-    ProviderStatement,
-    Tariff,
-    UsageMeter,
-    UtilityLedger,
-)
 from repro.core.client import make_client
 from repro.core.config import ChaosConfig, DeploymentConfig
 from repro.core.server import OceanStoreServer
@@ -29,12 +22,7 @@ from repro.core.workloads import (
 
 __all__ = [
     "ChaosConfig",
-    "ConsumerStatement",
     "DeploymentConfig",
-    "ProviderStatement",
-    "Tariff",
-    "UsageMeter",
-    "UtilityLedger",
     "DiurnalAccess",
     "EmailOp",
     "EmailWorkload",

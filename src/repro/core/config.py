@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.archival.gf256 import FIELD_SIZE
 from repro.consistency.pbft import BatchingConfig
 from repro.recovery.config import RecoveryConfig
 from repro.sim.network import TopologyParams
@@ -116,6 +117,8 @@ class DeploymentConfig:
             raise ConfigError("dissemination_fanout must be >= 1")
         if not 1 <= self.archival_k < self.archival_n:
             raise ConfigError("need 1 <= archival_k < archival_n")
+        if self.archival_n > FIELD_SIZE:
+            raise ConfigError(f"archival_n must be <= {FIELD_SIZE} for a GF(256) code")
         if not 0.0 < self.replica_window_ms < math.inf:
             raise ConfigError("replica_window_ms must be finite and positive")
         if self.replica_overload_requests < 2:

@@ -303,14 +303,6 @@ class OceanStoreSystem:
             self.handoff = _HandoffManager(self)
             self.handoff.wire(self.recovery.detector)
 
-        # -- utility-model accounting (Section 1.1) -------------------------
-        from repro.core.accounting import UtilityLedger
-
-        self.ledger = UtilityLedger()
-        #: object GUID -> owning principal's GUID, for resource accounting
-        #: ("facilitates access checks and resource accounting", §4.1)
-        self.object_owners: dict[GUID, GUID] = {}
-
     # Shard-0 aliases for the long tail of callers that predate sharding.
     # They read the provider, so a shard-0 membership handoff needs no
     # second copy kept in step.
@@ -390,7 +382,7 @@ class OceanStoreSystem:
         if result.found and result.replica_node is not None:
             state = self._state_at(object_guid, result.replica_node, allow_tentative)
             if state is not None:
-                self._record_read(object_guid, result.replica_node, client, state)
+                self._record_read(object_guid, result.replica_node, client)
         if state is None or state.version < min_version:
             # Fall back to the authoritative primary tier, trying the
             # owning ring's replicas in order (some may be crashed or
@@ -399,7 +391,7 @@ class OceanStoreSystem:
                 fallback = self._state_at(object_guid, primary, allow_tentative=False)
                 if fallback is None:
                     continue
-                self._record_read(object_guid, primary, client, fallback)
+                self._record_read(object_guid, primary, client)
                 if state is None or fallback.version > state.version:
                     state = fallback
                 if state.version >= min_version:
@@ -487,7 +479,7 @@ class OceanStoreSystem:
             state = self._state_at(object_guid, node, allow_tentative)
             if state is None or state.version < min_version:
                 return None
-            self._record_read(object_guid, node, client, state)
+            self._record_read(object_guid, node, client)
             return state
 
         # Rung 1: the ordinary two-tier lookup (local/cached replica).
@@ -536,7 +528,7 @@ class OceanStoreSystem:
                 state = tier.replicas[node].tentative_state()
                 if state.version >= min_version:
                     rung("tentative", "hit", node=node)
-                    self._record_read(object_guid, node, client, state)
+                    self._record_read(object_guid, node, client)
                     return state
             rung("tentative", "miss")
 
@@ -834,25 +826,12 @@ class OceanStoreSystem:
             return replica.committed_state
         return None
 
-    def assign_owner(self, object_guid: GUID, owner_guid: GUID) -> None:
-        """Record who pays for this object's resource consumption."""
-        self.object_owners[object_guid] = owner_guid
-
-    def _record_read(
-        self,
-        object_guid: GUID,
-        replica_node: NodeId,
-        client: NodeId,
-        served: DataObjectState,
-    ) -> None:
-        """Account one read of ``served`` from ``replica_node``: the
-        owner is billed for the bytes of the state actually served."""
+    def _record_read(self, object_guid: GUID, replica_node: NodeId, client: NodeId) -> None:
+        """Feed one read from ``replica_node`` to replica management and
+        the serving node's introspection."""
         self.replica_manager.record_request(
             object_guid, replica_node, client, now_ms=self.kernel.now
         )
-        owner = self.object_owners.get(object_guid)
-        if owner is not None:
-            self.ledger.meter.record_transfer(owner, replica_node, served.size_bytes)
         server = self.servers.get(replica_node)
         if server is not None:
             server.introspection.observe(
@@ -932,16 +911,10 @@ class OceanStoreSystem:
             )
         with tel.span("archival.archive", version=version):
             archival = encode_archival(data, self.archival_code, telemetry=tel)
-            owner = self.object_owners.get(object_guid)
             try:
                 plan = self.placer.plan(len(archival.fragments))
                 for fragment in archival.fragments:
-                    target = plan.assignments[fragment.index]
-                    self.servers[target].fragments.put(fragment)
-                    if owner is not None:
-                        self.ledger.meter.record_storage(
-                            owner, target, float(len(fragment.payload))
-                        )
+                    self.servers[plan.assignments[fragment.index]].fragments.put(fragment)
             except PlacementError:
                 # Degenerate deployments (fewer servers than fragments):
                 # fall back to round-robin over live nodes.

@@ -18,7 +18,7 @@ fixtures, the simulator, or a replica cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.util.ids import GUID
 
@@ -120,16 +120,3 @@ class DirectoryResolver:
                 raise NotADirectory("/".join(components[: i + 1]))
             current = entry.target
         return current
-
-    def walk(self, root: GUID, path: str = "") -> Iterator[tuple[str, DirectoryEntry]]:
-        """Depth-first traversal yielding (path, entry) pairs."""
-        start = self.resolve(root, path) if path else root
-        yield from self._walk(start, path.strip("/"))
-
-    def _walk(self, guid: GUID, prefix: str) -> Iterator[tuple[str, DirectoryEntry]]:
-        directory = self._loader(guid)
-        for entry in directory.list():
-            entry_path = f"{prefix}/{entry.name}" if prefix else entry.name
-            yield entry_path, entry
-            if entry.is_directory:
-                yield from self._walk(entry.target, entry_path)

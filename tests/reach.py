@@ -19,7 +19,13 @@ which is what ``co_firstlineno`` reports.  Stubs (docstring, ``pass``,
 
 ``tests/data/reach.json`` maps each function the contract does not reach
 to its verdict: why it is kept.  An entry must leave the list once its
-function is reached or gone, so no verdict outlives its reason.
+function is reached or gone, so no verdict outlives its reason.  A
+verdict starts with its class: ``(d)`` for code kept for the checks
+(oracle accessors, error, fault-only and lifecycle branches, references,
+interface parity) or ``(c)`` for a paper feature no contract path reads
+yet.  A ``(c)`` verdict names the open item that will read it as
+``ROADMAP item N``, and ``N`` must be a numbered open item in
+``ROADMAP.md``; when the item goes, so does the function.
 
 Usage::
 
@@ -27,7 +33,8 @@ Usage::
     python tests/reach.py --check   # contract only: compare with reach.json
 
 ``--check`` exits 1 on a function that is neither reached nor listed,
-and on a listed entry that no longer exists or is now reached.
+on a listed entry that no longer exists or is now reached, and on a
+verdict that breaks the rule above.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -46,6 +54,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ALLOWLIST = ROOT / "tests" / "data" / "reach.json"
+ROADMAP = ROOT / "ROADMAP.md"
 # Benches rewrite their wall-clock result files; the map restores them.
 BENCH_RESULTS = ROOT / "benchmarks" / "results"
 
@@ -247,8 +256,35 @@ def _profile_keeping_results(commands: list[list[str]]) -> set[str]:
             path.write_bytes(data)
 
 
-def check(defs: list[Definition], reached: set[str], allowlist: dict[str, str]) -> list[str]:
-    """Problems: unreached and unlisted, listed but gone, listed but reached."""
+_OPEN_ITEM = re.compile(r"^(\d+)\. \*\*", re.MULTILINE)
+_CITED_ITEM = re.compile(r"ROADMAP item (\d+)")
+
+
+def open_items(roadmap: str) -> set[int]:
+    """The numbers of the open items in ``roadmap``: lines ``N. **Title``."""
+    return {int(n) for n in _OPEN_ITEM.findall(roadmap)}
+
+
+def _verdict_problem(verdict: str, items: set[int]) -> str | None:
+    if verdict.startswith("(d)"):
+        return None
+    if not verdict.startswith("(c)"):
+        return "starts with neither (c) nor (d)"
+    cited = [int(n) for n in _CITED_ITEM.findall(verdict)]
+    if not cited:
+        return "is (c) but names no ROADMAP item N that will read it"
+    closed = [n for n in cited if n not in items]
+    if closed:
+        return f"cites ROADMAP item {closed[0]}, which is not an open item"
+    return None
+
+
+def check(
+    defs: list[Definition], reached: set[str], allowlist: dict[str, str], items: set[int]
+) -> list[str]:
+    """Problems: unreached and unlisted, listed but gone, listed but reached,
+    and a verdict that does not name its class (or, for (c), an open item
+    in ``items``)."""
     by_name = {d.name: d for d in defs}
     problems = [
         f"{d.name} ({d.lines} lines) is not reached by the contract and has no verdict "
@@ -256,11 +292,14 @@ def check(defs: list[Definition], reached: set[str], allowlist: dict[str, str]) 
         for d in defs
         if d.key not in reached and d.name not in allowlist
     ]
-    for name in allowlist:
+    for name, verdict in allowlist.items():
         if name not in by_name:
             problems.append(f"{name} is listed in reach.json but no longer exists: drop it")
         elif by_name[name].key in reached:
             problems.append(f"{name} is listed in reach.json but the contract reaches it: drop it")
+        why = _verdict_problem(verdict, items)
+        if why is not None:
+            problems.append(f"{name}: its verdict {why}")
     return problems
 
 
@@ -306,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     allowlist = json.loads(ALLOWLIST.read_text())
     if args.check:
         print_map(defs, contract, None)
-        problems = check(defs, contract, allowlist)
+        problems = check(defs, contract, allowlist, open_items(ROADMAP.read_text()))
         for problem in problems:
             print(f"FAIL: {problem}")
         unreached = [d for d in defs if d.key not in contract]

@@ -185,6 +185,20 @@ class TestOceanStoreHandle:
         result = store.submit(obj, stale_builder)
         assert not result.committed
 
+    @pytest.mark.parametrize("op", ["append", "write"])
+    def test_write_below_the_session_floor_fails(self, handle_env, op):
+        store, _ = handle_env
+        obj = store.create_object("floored")
+        store.write(obj, b"v1")
+        session = store.open_session(SessionGuarantee.WRITES_FOLLOW_READS)
+        floor = DataObjectState()
+        floor.version = 99
+        session.check_read(obj.guid, floor)  # this session has seen version 99
+        with pytest.raises(GuaranteeViolation):
+            getattr(store, op)(obj, b"v2", session)
+        assert store.update_builder(obj).expected.version == 1
+        assert store.read(obj) == b"v1"
+
 
 class TestFileSystemFacade:
     def test_write_read_file(self, handle_env):

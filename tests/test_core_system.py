@@ -35,6 +35,7 @@ def small_config(**overrides):
 BAD_DEPLOYMENT_DIALS = (
     ({"secondaries_per_object": -1}, "secondaries_per_object"),
     ({"archival_k": 8, "archival_n": 8}, "archival_k"),
+    ({"archival_n": 300}, "archival_n"),
     ({"dissemination_fanout": 0}, "dissemination_fanout"),
     ({"replica_window_ms": 0.0}, "replica_window_ms"),
     ({"replica_window_ms": float("nan")}, "replica_window_ms"),
@@ -47,7 +48,7 @@ BAD_DEPLOYMENT_DIALS = (
     "overrides, named",
     BAD_DEPLOYMENT_DIALS,
     ids=[
-        "secondaries-negative", "archival-k-equals-n",
+        "secondaries-negative", "archival-k-equals-n", "archival-n-past-gf256",
         "fanout-0", "window-0", "window-nan", "window-inf", "overload-1",
     ],
 )

@@ -134,12 +134,6 @@ class TestResolver:
         with pytest.raises(NameNotFound):
             resolver.resolve(root_guid, "docs/missing")
 
-    def test_walk_yields_all(self, tree):
-        store, root_guid, _, _ = tree
-        resolver = DirectoryResolver(store.__getitem__)
-        paths = [p for p, _ in resolver.walk(root_guid)]
-        assert paths == ["docs", "docs/paper", "readme"]
-
     def test_leading_trailing_slashes_ignored(self, tree):
         store, root_guid, paper_guid, _ = tree
         resolver = DirectoryResolver(store.__getitem__)
